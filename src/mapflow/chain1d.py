@@ -142,46 +142,35 @@ def chain_coefficients(spec, state):
     return ChainCoefficients(a=tuple(a), b=tuple(b), c=tuple(c), abar=tuple(abar))
 
 
-def chain_det_A(a_coeffs, b_coeffs):
+def tridiag_det(diag, off):
     """Tridiagonal determinant by the three-term recurrence.
 
-    ``a_coeffs`` are the diagonal entries a_k..a_l, ``b_coeffs`` the
-    superdiagonal entries b_k..b_{l-1} (the subdiagonal is all ones).
-    An empty diagonal is the l = k - 1 convention and gives 1.
+    ``diag`` holds the diagonal entries d_k..d_l and ``off`` the products
+    of the off-diagonal pairs, one fewer; only those products enter the
+    determinant.  For the A determinant they are the superdiagonal
+    b_k..b_{l-1} against a unit subdiagonal, for the companion barA the
+    subdiagonal c_{k+1}..c_l against a unit superdiagonal.  An empty
+    diagonal is the l = k - 1 convention and gives 1.
     """
-    a_coeffs = tuple(a_coeffs)
-    b_coeffs = tuple(b_coeffs)
-    if len(b_coeffs) != max(len(a_coeffs) - 1, 0):
+    diag = tuple(diag)
+    off = tuple(off)
+    if len(off) != max(len(diag) - 1, 0):
         raise IndexError(
-            f"need one fewer off-diagonal coefficient: got {len(a_coeffs)} "
-            f"diagonal and {len(b_coeffs)} off-diagonal entries"
+            f"need one fewer off-diagonal coefficient: got {len(diag)} "
+            f"diagonal and {len(off)} off-diagonal entries"
         )
-    if not a_coeffs:
+    if not diag:
         return 1.0
     prev2 = 1.0
-    prev = a_coeffs[0]
-    for i in range(1, len(a_coeffs)):
-        prev, prev2 = a_coeffs[i] * prev - b_coeffs[i - 1] * prev2, prev
+    prev = diag[0]
+    for i in range(1, len(diag)):
+        prev, prev2 = diag[i] * prev - off[i - 1] * prev2, prev
     return prev
 
 
-def chain_det_barA(abar_coeffs, c_coeffs):
-    """Companion determinant with ones on the superdiagonal and the
-    c coefficients (c_{k+1}..c_l) on the subdiagonal."""
-    abar_coeffs = tuple(abar_coeffs)
-    c_coeffs = tuple(c_coeffs)
-    if len(c_coeffs) != max(len(abar_coeffs) - 1, 0):
-        raise IndexError(
-            f"need one fewer subdiagonal coefficient: got {len(abar_coeffs)} "
-            f"diagonal and {len(c_coeffs)} subdiagonal entries"
-        )
-    if not abar_coeffs:
-        return 1.0
-    prev2 = 1.0
-    prev = abar_coeffs[0]
-    for i in range(1, len(abar_coeffs)):
-        prev, prev2 = abar_coeffs[i] * prev - c_coeffs[i - 1] * prev2, prev
-    return prev
+# the chain's A and barA determinants are both this recurrence
+chain_det_A = tridiag_det
+chain_det_barA = tridiag_det
 
 
 def canonical_pair(state):
@@ -283,9 +272,7 @@ def verify_chain_hamilton(spec, state, rel_tol=1e-6):
     dh_dq, dh_dp = h_jet.partials
 
     coeffs = chain_coefficients(spec, state)
-    bar_a = chain_det_barA(
-        coeffs.abar[1:m], coeffs.c[2:m]
-    )  # indices 1..m-1 and 2..m-1
+    bar_a = tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])  # indices 1..m-1 and 2..m-1
 
     scale_q = 1.0 + abs(dq_dq1)
     scale_p = 1.0 + abs(dp_dq1)

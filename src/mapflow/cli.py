@@ -114,6 +114,8 @@ def parse_grid(text):
 
 
 def load_config(path):
+    """The JSON object in the config file ({} without one); unknown keys
+    are rejected."""
     if not path:
         return {}
     try:
@@ -125,6 +127,9 @@ def load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = set(cfg) - CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return cfg
 
 
@@ -143,7 +148,6 @@ CONFIG_KEYS = {
     "step",
     "max_steps",
     "grid",
-    "threads",
     "seed",
     "m_max",
     "m",
@@ -204,17 +208,29 @@ def add_common(parser, with_map=True, with_integrator=True):
         parser.add_argument("--max-steps", dest="max_steps", type=int)
 
 
-def require_map(args, config):
+def map_inputs(args):
+    """Config, map id and parameter overrides of a map subcommand."""
+    config = load_config(args.config)
     map_id = resolve(args, config, "map_id", config.get("map"))
     if not map_id:
         raise ConfigError("a --map id is required")
-    return map_id
+    return config, map_id, merged_params(args, config)
 
 
-def validate_config_keys(config):
-    unknown = set(config) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+def required_point(args, config, key):
+    """Comma-separated coordinates from a required flag or config value."""
+    value = resolve(args, config, key)
+    if value is None:
+        raise ConfigError(f"--{key} is required")
+    return parse_floats(value) if isinstance(value, str) else tuple(value)
+
+
+def time_span(args, config):
+    t0 = resolve(args, config, "t0")
+    t1 = resolve(args, config, "t1")
+    if t0 is None or t1 is None:
+        raise ConfigError("--t0 and --t1 are required")
+    return float(t0), float(t1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +249,8 @@ def cmd_list(args):
 
 
 def cmd_jacobian(args):
-    config = load_config(args.config)
-    validate_config_keys(config)
-    map_id = require_map(args, config)
-    params = merged_params(args, config)
-    point_text = resolve(args, config, "point")
-    if point_text is None:
-        raise ConfigError("--point is required")
-    point = (
-        parse_floats(point_text) if isinstance(point_text, str) else tuple(point_text)
-    )
+    config, map_id, params = map_inputs(args)
+    point = required_point(args, config, "point")
     mapdesc = maps.build_map(map_id, params)
     matrix = core.jacobian(mapdesc, point)
     payload = {
@@ -258,26 +266,17 @@ def cmd_jacobian(args):
 
 
 def cmd_flow(args):
-    config = load_config(args.config)
-    validate_config_keys(config)
-    map_id = require_map(args, config)
-    params = merged_params(args, config)
-    x0_text = resolve(args, config, "x0")
-    if x0_text is None:
-        raise ConfigError("--x0 is required")
-    x0 = parse_floats(x0_text) if isinstance(x0_text, str) else tuple(x0_text)
-    t0 = resolve(args, config, "t0")
-    t1 = resolve(args, config, "t1")
-    if t0 is None or t1 is None:
-        raise ConfigError("--t0 and --t1 are required")
+    config, map_id, params = map_inputs(args)
+    x0 = required_point(args, config, "x0")
+    t0, t1 = time_span(args, config)
     samples = int(resolve(args, config, "samples", 21))
     cfg = integrator_config(args, config)
 
-    flow = maps.build_flow(map_id, maps.resolve_params(map_id, params))
-    x_start = harness.source_start(flow, x0, float(t0))
+    flow = maps.build_flow(map_id, params)
+    x_start = harness.source_start(flow, x0, t0)
     image0 = flow.map.forward(x_start)
-    t_eval = np.linspace(float(t0), float(t1), samples)
-    traj = flows.integrate_flow(flow, image0, float(t0), float(t1), cfg=cfg, t_eval=t_eval)
+    t_eval = np.linspace(t0, t1, samples)
+    traj = flows.integrate_flow(flow, image0, t0, t1, cfg=cfg, t_eval=t_eval)
     emit(
         trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)),
         args.out,
@@ -286,18 +285,9 @@ def cmd_flow(args):
 
 
 def cmd_verify(args):
-    config = load_config(args.config)
-    validate_config_keys(config)
-    map_id = require_map(args, config)
-    params = merged_params(args, config)
-    x0_text = resolve(args, config, "x0")
-    if x0_text is None:
-        raise ConfigError("--x0 is required")
-    x0 = parse_floats(x0_text) if isinstance(x0_text, str) else tuple(x0_text)
-    t0 = resolve(args, config, "t0")
-    t1 = resolve(args, config, "t1")
-    if t0 is None or t1 is None:
-        raise ConfigError("--t0 and --t1 are required")
+    config, map_id, params = map_inputs(args)
+    x0 = required_point(args, config, "x0")
+    t_range = time_span(args, config)
     cfg = integrator_config(args, config)
     samples = int(resolve(args, config, "samples", 21))
 
@@ -305,13 +295,13 @@ def cmd_verify(args):
         map_id,
         params,
         x0=x0,
-        t_range=(float(t0), float(t1)),
+        t_range=t_range,
         cfg=cfg,
         num_samples=samples,
     )
     payload = report.to_dict()
     if map_id == "qp4":
-        p = maps.resolve_params(map_id, params)
+        p = report.params
         oracle = harness.qp4_normalization_report(
             p["a"], p["b"], p["c"], seed=int(resolve(args, config, "seed", 42))
         )
@@ -321,30 +311,18 @@ def cmd_verify(args):
 
 
 def cmd_scan(args):
-    config = load_config(args.config)
-    validate_config_keys(config)
-    map_id = require_map(args, config)
-    params = merged_params(args, config)
+    config, map_id, params = map_inputs(args)
     grid_text = resolve(args, config, "grid")
     if grid_text is None:
         raise ConfigError("--grid is required (lo:hi:count per coordinate)")
     grid = parse_grid(grid_text) if isinstance(grid_text, str) else tuple(
         tuple(axis) for axis in grid_text
     )
-    t0 = resolve(args, config, "t0")
-    t1 = resolve(args, config, "t1")
-    if t0 is None or t1 is None:
-        raise ConfigError("--t0 and --t1 are required")
+    t_range = time_span(args, config)
     cfg = integrator_config(args, config)
-    workers = resolve(args, config, "threads")
 
     report = harness.conservation_scan(
-        map_id,
-        params,
-        grid=grid,
-        t_range=(float(t0), float(t1)),
-        cfg=cfg,
-        workers=int(workers) if workers else None,
+        map_id, params, grid=grid, t_range=t_range, cfg=cfg
     )
     emit(json_text(report.to_dict()), args.out)
     return EXIT_PASS if report.summary["all_passed"] else EXIT_VERIFY_FAIL
@@ -352,7 +330,6 @@ def cmd_scan(args):
 
 def cmd_hermite_check(args):
     config = load_config(args.config)
-    validate_config_keys(config)
     m_max = int(resolve(args, config, "m_max", 12))
     report = maps.hermite_suite(m_max)
     emit(json_text(report), args.out)
@@ -361,7 +338,6 @@ def cmd_hermite_check(args):
 
 def cmd_chain(args):
     config = load_config(args.config)
-    validate_config_keys(config)
     report = harness.chain_suite(
         m=int(resolve(args, config, "m", 2)),
         a=float(resolve(args, config, "a", 0.0)),
@@ -417,7 +393,6 @@ def build_parser():
     p.add_argument("--grid", help="per-coordinate axes lo:hi:count, comma separated")
     p.add_argument("--t0", type=float)
     p.add_argument("--t1", type=float)
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("hermite-check", help="exact recurrence identity suite")

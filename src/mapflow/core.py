@@ -226,28 +226,21 @@ def sample_points(mapdesc, count, seed=42, rng=None):
 
 def grad(f, point):
     """Gradient of a scalar field at a point, by forward-mode seeding."""
-    x = as_state(point)
-    out = f(seed_jets(x))
-    if isinstance(out, Jet):
-        return tuple(float(p) for p in out.partials)
-    return (0.0,) * len(x)
+    (row,) = jet_rows(lambda s: (f(s),), as_state(point))
+    return tuple(float(p) for p in row)
 
 
 def jet_rows(func, coords):
-    """Derivative rows of a vector function; coords may carry jets."""
+    """Derivative rows of a vector function; coords may carry jets.
+
+    The one place points are seeded and partials read off: a component
+    that does not depend on the coordinates gives a zero row.
+    """
     n = len(coords)
-    seeds = tuple(
-        Jet(coords[j], tuple(1.0 if i == j else 0.0 for i in range(n)))
-        for j in range(n)
-    )
-    out = func(seeds)
-    rows = []
-    for comp in out:
-        if isinstance(comp, Jet):
-            rows.append(list(comp.partials))
-        else:
-            rows.append([0.0] * n)
-    return rows
+    return [
+        list(comp.partials) if isinstance(comp, Jet) else [0.0] * n
+        for comp in func(seed_jets(coords))
+    ]
 
 
 def jacobian(mapdesc, point):
@@ -309,15 +302,8 @@ def nambu_bracket(fields, point):
             f"bracket over {n} coordinates needs exactly {n} fields, "
             f"got {len(fields)}"
         )
-    seeds = seed_jets(x)
-    rows = []
-    for f in fields:
-        out = f(seeds)
-        if isinstance(out, Jet):
-            rows.append([float(p) for p in out.partials])
-        else:
-            rows.append([0.0] * n)
-    return float(det(rows))
+    rows = jet_rows(lambda s: [f(s) for f in fields], x)
+    return float(det([[float(p) for p in row] for row in rows]))
 
 
 def map_det_field(mapdesc):

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import core
-from .core import Jet, as_state, float_value, map_det_field
+from .core import as_state, float_value, map_det_field
 from .errors import (
     DetConditionError,
     MaxStepsError,
@@ -229,8 +229,13 @@ def build_hamiltonians(
 # right-hand sides
 
 
-def _bracket_components(rows, n):
-    """det of (rows + [e_j]) for each j, via signed minors of the last row."""
+def _bracket_velocity(hamiltonians_of, x):
+    """det of (rows + [e_j]) for each j, via signed minors of the last row,
+    where the rows are the float gradients of ``hamiltonians_of`` at x."""
+    n = len(x)
+    rows = [
+        [float(p) for p in row] for row in core.jet_rows(hamiltonians_of, x)
+    ]
     out = []
     for j in range(n):
         minor = [[row[k] for k in range(n) if k != j] for row in rows]
@@ -242,17 +247,10 @@ def _bracket_components(rows, n):
 def nambu_rhs(flow, point):
     """Velocity of the image point: component j is the bracket of the
     Hamiltonians with the j-th coordinate function."""
-    x = as_state(point)
-    n = flow.map.dimension
-    seeds = core.seed_jets(x)
-    rows = []
-    for h in flow.hamiltonians:
-        out = h(seeds)
-        if isinstance(out, Jet):
-            rows.append([float(p) for p in out.partials])
-        else:
-            rows.append([0.0] * n)
-    return _bracket_components(rows, n)
+    return _bracket_velocity(
+        lambda image: [h(image) for h in flow.hamiltonians],
+        as_state(point),
+    )
 
 
 def source_rhs(flow, point):
@@ -264,20 +262,15 @@ def source_rhs(flow, point):
     component equals one.
     """
     x = as_state(point)
-    n = flow.map.dimension
     detj = float_value(flow.det_j_field(x))
     if abs(detj) <= core.GUARD_CUTOFF:
         raise SingularPointError(flow.map.name, "det J", x)
-    seeds = core.seed_jets(x)
-    image = flow.map.forward(seeds)
-    rows = []
-    for h in flow.hamiltonians:
-        out = h(image)
-        if isinstance(out, Jet):
-            rows.append([float(p) for p in out.partials])
-        else:
-            rows.append([0.0] * n)
-    comps = _bracket_components(rows, n)
+
+    def composed(src):
+        image = flow.map.forward(src)
+        return [h(image) for h in flow.hamiltonians]
+
+    comps = _bracket_velocity(composed, x)
     return tuple(c / detj for c in comps)
 
 

@@ -14,8 +14,6 @@ fixed, random draws are seeded, and JSON serialization is canonical.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,6 +57,14 @@ class CorrespondenceReport:
         out = asdict(self)
         out["type"] = "correspondence"
         return out
+
+
+def _sample_times(t0, t1, count):
+    """count evenly spaced times from t0 to t1, the last exactly t1 (the
+    formula alone can land one ulp to either side of it)."""
+    if count < 2:
+        raise ValueError("need at least two sample times")
+    return [t0 + (t1 - t0) * i / (count - 1) for i in range(count - 1)] + [t1]
 
 
 def source_start(flow, x0, t0):
@@ -105,9 +111,7 @@ def verify_correspondence(
         flow = maps.build_flow(map_id, params)
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_range[0]), float(t_range[1])
-    if num_samples < 2:
-        raise ValueError("need at least two sample times")
-    t_eval = [t0 + (t1 - t0) * i / (num_samples - 1) for i in range(num_samples)]
+    t_eval = _sample_times(t0, t1, num_samples)
 
     x_start = source_start(flow, x0, t0)
     image0 = flow.map.forward(x_start)
@@ -195,27 +199,17 @@ def _grid_points(grid):
     return points
 
 
-def scan_workers(requested=None):
-    cap = os.environ.get("MAPFLOW_THREADS")
-    workers = requested or os.cpu_count() or 1
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
-
-
 def conservation_scan(
     map_id,
     params=None,
     grid=((0.5, 1.5, 3),),
     t_range=(1.0, 2.0),
     cfg=None,
-    workers=None,
     tol_deviation=DEFAULT_TOL_DEVIATION,
     tol_drift=DEFAULT_TOL_DRIFT,
 ):
     """Per grid point, run the correspondence check; failures are recorded
-    and the scan continues.  Points run on a thread pool but results merge
-    in grid order, so the report is deterministic."""
+    and the scan continues.  Points run one after another in grid order."""
     params = maps.resolve_params(map_id, params)
     points = _grid_points(grid)
 
@@ -246,8 +240,7 @@ def conservation_scan(
                 "error": f"{type(exc).__name__}: {exc}",
             }
 
-    with ThreadPoolExecutor(max_workers=scan_workers(workers)) as pool:
-        results = tuple(pool.map(run_point, points))
+    results = tuple(run_point(pt) for pt in points)
 
     finite_devs = [r["max_deviation"] for r in results if r["max_deviation"] is not None]
     finite_drifts = [r["max_drift"] for r in results if r["max_drift"] is not None]
@@ -293,23 +286,6 @@ class CompositionReport:
         return out
 
 
-def _step_maps(map_id, params, steps):
-    """The individual step maps whose composition is checked."""
-    if map_id == "hermite":
-        return [maps.hermite_step(k) for k in range(1, steps + 1)]
-    base = maps.build_map(map_id, params)
-    return [base] * steps
-
-
-def _composite_flow(map_id, params, steps):
-    """Closed-form flow of the composite, where one exists."""
-    if map_id == "henon" and steps in (1, 2, 3):
-        return maps.henon_flow(params["b"], params["c"], steps=steps)
-    if map_id == "hermite" and steps in (1, 2):
-        return maps.hermite_flow(steps + 1)
-    return None
-
-
 def composition_check(
     map_id,
     params=None,
@@ -323,15 +299,14 @@ def composition_check(
     """Determinant multiplicativity for the steps-fold composite, plus
     conservation of the composite's closed-form Hamiltonian where known."""
     params = maps.resolve_params(map_id, params)
-    step_maps = _step_maps(map_id, params, steps)
+    step_maps, flow = maps.build_composite(map_id, params, steps)
     composite = core.compose_sequence(
         step_maps, name=f"{map_id}-composite[{steps}]", params=params
     )
     if x0 is None:
-        if map_id == "hermite":
-            x0 = (7.0, 1.0)  # keeps every intermediate denominator positive
-        else:
-            x0 = core.sample_points(step_maps[0], 1)[0]
+        x0 = maps.get_entry(map_id).composition_x0
+    if x0 is None:
+        x0 = core.sample_points(step_maps[0], 1)[0]
     x0 = core.as_state(x0)
 
     det_comp = float(core.det(core.jacobian(composite, x0)))
@@ -345,13 +320,11 @@ def composition_check(
 
     ham_drift = None
     ham_ok = None
-    flow = _composite_flow(map_id, params, steps)
     if flow is not None:
-        t_range = t_range or (1.0, 2.0)
-        image0 = flow.map.forward(source_start(flow, x0, t_range[0]))
-        t_eval = [t_range[0] + (t_range[1] - t_range[0]) * i / 20 for i in range(21)]
+        t0, t1 = t_range or (1.0, 2.0)
+        image0 = flow.map.forward(source_start(flow, x0, t0))
         traj = flows.integrate_flow(
-            flow, image0, t_range[0], t_range[1], cfg=cfg, t_eval=t_eval
+            flow, image0, t0, t1, cfg=cfg, t_eval=_sample_times(t0, t1, 21)
         )
         h0 = traj.ham_values[0]
         ham_drift = max(
@@ -413,7 +386,7 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=42):
             spec, Jet(qq, (1.0, 0.0)), Jet(pp + state.a, (0.0, 1.0)), state.a
         )
         coeffs = chain1d.chain_coefficients(spec, state)
-        bar = chain1d.chain_det_barA(coeffs.abar[1:m], coeffs.c[2:m])
+        bar = chain1d.tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])
         worst_gradient = max(
             worst_gradient,
             abs(jet_state.q[0].partials[1] - bar) / (1.0 + abs(bar)),
@@ -427,7 +400,7 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=42):
         diag = rng.uniform(-2.0, 2.0, size)
         sup = rng.uniform(-2.0, 2.0, max(size - 1, 0))
         sub_c = rng.uniform(0.5, 2.0, max(size - 1, 0))
-        rec = chain1d.chain_det_A(diag, sup)
+        rec = chain1d.tridiag_det(diag, sup)
         dense = np.zeros((size, size))
         for i in range(size):
             dense[i, i] = diag[i]
@@ -441,8 +414,8 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=42):
         cs = rng.uniform(0.5, 2.0, size)
         bs = 1.0 / cs[:-1] if size > 1 else np.zeros(0)
         abar = diag * cs
-        bar = chain1d.chain_det_barA(abar, cs[1:])
-        plain = chain1d.chain_det_A(diag, bs)
+        bar = chain1d.tridiag_det(abar, cs[1:])
+        plain = chain1d.tridiag_det(diag, bs)
         want = float(np.prod(cs)) * plain
         worst_identity = max(worst_identity, abs(bar - want) / (1.0 + abs(want)))
 

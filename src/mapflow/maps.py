@@ -11,6 +11,7 @@ command-line front end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,6 +113,14 @@ def hermite_source_constraint(m, c, y):
 def hermite_flow(m):
     """Flow whose trajectories retrace the chain as y varies."""
     return flow_system(hermite_chain(m), (hermite_hamiltonian(m),), time_index=2)
+
+
+def hermite_composite(steps, m):
+    """Recurrence steps k = 1..steps, whose composite is the chain of length
+    steps + 1 whatever m is, and that chain's flow where its Hamiltonian
+    has a closed form (lengths 2 and 3)."""
+    flow = hermite_flow(steps + 1) if steps in (1, 2) else None
+    return [hermite_step(k) for k in range(1, steps + 1)], flow
 
 
 def hermite_continued_fraction(m, x):
@@ -278,15 +287,24 @@ def henon_hamiltonian(m, b, c):
     raise ValueError(f"no closed-form Hamiltonian for m={m}")
 
 
+HENON_FLOW_STEPS = (1, 2, 3)
+
+
 def henon_flow(b, c, steps=1):
     """Flow of the steps-fold composition; conserved H has index steps + 1."""
-    if steps not in (1, 2, 3):
+    if steps not in HENON_FLOW_STEPS:
         raise ValueError("closed-form flows cover 1..3 applications")
     return flow_system(
         compose(henon(b, c), steps),
         (henon_hamiltonian(steps + 1, b, c),),
         time_index=2,
     )
+
+
+def henon_composite(steps, b, c):
+    """Copies of the map and, for up to three, the flow of their composite."""
+    flow = henon_flow(b, c, steps) if steps in HENON_FLOW_STEPS else None
+    return [henon(b, c)] * steps, flow
 
 
 # ---------------------------------------------------------------------------
@@ -630,55 +648,24 @@ def qp4_flow(a, b, c, normalization=None):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog map as data.
+
+    ``build`` and ``flow`` are the constructors themselves, called with the
+    schema parameters as keywords (the flow also with the extra flags
+    given).  ``composite(steps, **params)`` returns the step maps of a
+    composition check and their composite's closed-form flow or None;
+    without it the steps are copies of the map and there is no flow.
+    """
+
     map_id: str
     description: str
-    param_schema: dict  # name -> default value
+    param_schema: dict  # name -> default value, whose type the value takes
     build: Callable | None
     flow: Callable | None
     needs_source_constraint: bool = False
     extra_flags: tuple = ()  # non-numeric parameters, e.g. qp4 normalization
-
-
-def _build_hermite(params):
-    return hermite_chain(int(params["m"]))
-
-
-def _flow_hermite(params):
-    return hermite_flow(int(params["m"]))
-
-
-def _build_henon(params):
-    return henon(params["b"], params["c"])
-
-
-def _flow_henon(params):
-    return henon_flow(params["b"], params["c"])
-
-
-def _build_kdv3(params):
-    return kdv3()
-
-
-def _flow_kdv3(params):
-    return kdv3_flow()
-
-
-def _build_kdv2(params):
-    return kdv2(params["r"])
-
-
-def _flow_kdv2(params):
-    return kdv2_flow(params["r"])
-
-
-def _build_qp4(params):
-    return qp4(params["a"], params["b"], params["c"])
-
-
-def _flow_qp4(params):
-    return qp4_flow(
-        params["a"], params["b"], params["c"], params.get("normalization")
-    )
+    composite: Callable | None = None
+    composition_x0: tuple | None = None  # start of composition checks
 
 
 CATALOG = {
@@ -686,38 +673,41 @@ CATALOG = {
         map_id="hermite",
         description="recurrence chain (x, y) -> (x, x - k/y), k = 1..m-1",
         param_schema={"m": 2},
-        build=_build_hermite,
-        flow=_flow_hermite,
+        build=hermite_chain,
+        flow=hermite_flow,
         needs_source_constraint=True,
+        composite=hermite_composite,
+        composition_x0=(7.0, 1.0),  # keeps every intermediate denominator positive
     ),
     "henon": CatalogEntry(
         map_id="henon",
         description="(x, y) -> (y, y^2 - b x + c), det J = b",
         param_schema={"b": 1.0, "c": 0.0},
-        build=_build_henon,
-        flow=_flow_henon,
+        build=henon,
+        flow=henon_flow,
+        composite=henon_composite,
     ),
     "kdv3": CatalogEntry(
         map_id="kdv3",
         description="three-point lattice map, det J = 1, invariants u v r s",
         param_schema={},
-        build=_build_kdv3,
-        flow=_flow_kdv3,
+        build=kdv3,
+        flow=kdv3_flow,
     ),
     "kdv2": CatalogEntry(
         map_id="kdv2",
         description="planar reduction of kdv3 on the surface z = r/(xy)",
         param_schema={"r": 2.0},
-        build=_build_kdv2,
-        flow=_flow_kdv2,
+        build=kdv2,
+        flow=kdv2_flow,
         needs_source_constraint=True,
     ),
     "qp4": CatalogEntry(
         map_id="qp4",
         description="q-difference three-point map, det J = (abc)^2",
         param_schema={"a": 1.0, "b": 1.0, "c": 1.0},
-        build=_build_qp4,
-        flow=_flow_qp4,
+        build=qp4,
+        flow=qp4_flow,
         extra_flags=("normalization",),
     ),
     "chain1d-henon": CatalogEntry(
@@ -744,14 +734,30 @@ def get_entry(map_id):
 
 
 def resolve_params(map_id, overrides=None):
-    """Merge user parameters over the schema defaults, rejecting unknowns."""
+    """Merge user parameters over the schema defaults, rejecting unknown
+    names and schema parameters that are not real numbers."""
     entry = get_entry(map_id)
     params = dict(entry.param_schema)
     for name, value in (overrides or {}).items():
-        if name not in entry.param_schema and name not in entry.extra_flags:
+        if name in entry.param_schema:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(
+                    f"map {map_id!r} parameter {name!r} must be a number, "
+                    f"got {value!r}"
+                )
+        elif name not in entry.extra_flags:
             raise ConfigError(f"map {map_id!r} has no parameter {name!r}")
         params[name] = value
     return params
+
+
+def _schema_kwargs(entry, params):
+    """Resolved schema parameters as constructor keywords, each converted to
+    its default's type (the hermite chain length m is an int)."""
+    return {
+        name: type(default)(params[name])
+        for name, default in entry.param_schema.items()
+    }
 
 
 def build_map(map_id, params=None):
@@ -760,11 +766,23 @@ def build_map(map_id, params=None):
         raise ConfigError(
             f"{map_id!r} is not a phase-space map; use the chain subcommand"
         )
-    return entry.build(resolve_params(map_id, params))
+    return entry.build(**_schema_kwargs(entry, resolve_params(map_id, params)))
 
 
 def build_flow(map_id, params=None):
     entry = get_entry(map_id)
     if entry.flow is None:
         raise ConfigError(f"{map_id!r} has no associated flow")
-    return entry.flow(resolve_params(map_id, params))
+    params = resolve_params(map_id, params)
+    flags = {name: params[name] for name in entry.extra_flags if name in params}
+    return entry.flow(**_schema_kwargs(entry, params), **flags)
+
+
+def build_composite(map_id, params, steps):
+    """Step maps of the steps-fold composite and its closed-form flow, which
+    is None where the catalog knows no closed form."""
+    entry = get_entry(map_id)
+    if entry.composite is None:
+        return [build_map(map_id, params)] * steps, None
+    kwargs = _schema_kwargs(entry, resolve_params(map_id, params))
+    return entry.composite(steps, **kwargs)

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from mapflow import maps
 from mapflow.cli import main
 
@@ -213,6 +215,30 @@ def test_unknown_parameter_exits_with_usage_code(capsys):
     assert "zeta" in err
 
 
+def test_non_numeric_parameter_exits_with_usage_code(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--map", "henon", "--param", "b=abc",
+        "--x0", "0.5", "--t0", "0", "--t1", "1",
+    )
+    assert code == 2
+    assert "'b'" in err and "abc" in err
+
+
+@pytest.mark.parametrize(
+    "t0, t1",
+    # t0 + (t1 - t0) * 20 / 20 overshoots t1 by one ulp, then undershoots it
+    [("0", "1.984114316166169"), ("-0.667", "1.043561")],
+)
+def test_verify_last_sample_is_exactly_t1(capsys, t0, t1):
+    code, out, _ = run_cli(
+        capsys, "verify", "--map", "henon", "--x0", "0.5", "--t0", t0, "--t1", t1
+    )
+    assert code == 0
+    times = json.loads(out)["sample_times"]
+    assert len(times) == 21
+    assert times[-1] == float(t1)
+
+
 def test_missing_required_flag_exits_with_usage_code(capsys):
     code, _, err = run_cli(capsys, "verify", "--map", "kdv3", "--t0", "1", "--t1", "2")
     assert code == 2
@@ -324,6 +350,18 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus" in err
+
+
+def test_config_file_threads_key_is_unknown(tmp_path, capsys):
+    # scan points run sequentially; there is no thread count to configure
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"map": "kdv3", "threads": 2}))
+    code, _, err = run_cli(
+        capsys, "scan", "--config", str(cfg), "--grid", "1:1:1,1:1:1",
+        "--t0", "1", "--t1", "2",
+    )
+    assert code == 2
+    assert "threads" in err
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):

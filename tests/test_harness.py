@@ -145,21 +145,13 @@ def test_scan_records_per_point_failures_and_continues():
     assert not scan.summary["all_passed"]
 
 
-def test_scan_deterministic_and_order_stable(monkeypatch):
+def test_scan_deterministic_and_order_stable():
     grid = ((0.6, 1.4, 3), (0.7, 1.3, 2))
     a = harness.conservation_scan("kdv3", grid=grid, t_range=(1.0, 1.5))
-    monkeypatch.setenv("MAPFLOW_THREADS", "1")
     b = harness.conservation_scan("kdv3", grid=grid, t_range=(1.0, 1.5))
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
         b.to_dict(), sort_keys=True
     )
-
-
-def test_scan_workers_env_cap(monkeypatch):
-    monkeypatch.setenv("MAPFLOW_THREADS", "2")
-    assert harness.scan_workers(8) == 2
-    monkeypatch.delenv("MAPFLOW_THREADS")
-    assert harness.scan_workers(3) == 3
 
 
 # ---------------------------------------------------------------------------

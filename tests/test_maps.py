@@ -429,6 +429,17 @@ def test_resolve_params_rejects_unknown_names():
     assert maps.resolve_params("henon", {"b": 2.0}) == {"b": 2.0, "c": 0.0}
 
 
+def test_resolve_params_rejects_non_numeric_values():
+    for bad in ("abc", None, True, [1.0]):
+        with pytest.raises(ConfigError):
+            maps.resolve_params("henon", {"b": bad})
+    # numbers pass through unchanged and extra flags stay strings
+    assert maps.resolve_params("hermite", {"m": 3}) == {"m": 3}
+    assert maps.resolve_params("qp4", {"a": 2, "normalization": "prop2"}) == {
+        "a": 2, "b": 1.0, "c": 1.0, "normalization": "prop2",
+    }
+
+
 def test_unknown_map_id_raises():
     with pytest.raises(UnknownMapError):
         maps.get_entry("lorenz")
