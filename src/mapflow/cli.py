@@ -140,7 +140,6 @@ CONFIG_KEYS = {
     "point",
     "t0",
     "t1",
-    "time_index",
     "samples",
     "method",
     "rel_tol",
@@ -191,7 +190,6 @@ def merged_params(args, config):
 def add_common(parser, with_map=True, with_integrator=True):
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--out", help="output file (written atomically)")
-    parser.add_argument("--seed", type=int, help="random seed (default 42)")
     if with_map:
         parser.add_argument("--map", dest="map_id", help="catalog map id")
         parser.add_argument(
@@ -386,6 +384,7 @@ def build_parser():
     p.add_argument("--t0", type=float)
     p.add_argument("--t1", type=float)
     p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int, help="qp4 normalization oracle seed (default 42)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("scan", help="correspondence scan over a source grid")
@@ -406,6 +405,7 @@ def build_parser():
     p.add_argument("--a", type=float)
     p.add_argument("--c", type=float)
     p.add_argument("--states", type=int)
+    p.add_argument("--seed", type=int, help="random state seed (default 42)")
     p.set_defaults(fn=cmd_chain)
 
     return parser

@@ -28,6 +28,8 @@ from .errors import (
 from .quadrature import integrate_gk
 
 DET_CONDITION_TOL = 1e-7
+DET_CONDITION_SAMPLES = 25
+DET_CONDITION_SEED = 42
 QUADRATURE_ABS_TOL = 1e-10
 
 
@@ -164,8 +166,6 @@ def build_hamiltonians(
     ref_point=None,
     time_index=None,
     check=True,
-    det_samples=None,
-    seed=42,
 ):
     """Construct the flow system whose Hamiltonians are conserved by the map.
 
@@ -183,9 +183,9 @@ def build_hamiltonians(
     t_idx = n if time_index is None else time_index
     work = mapdesc if t_idx == n else _permuted_source(mapdesc, t_idx)
     if check:
-        samples = det_samples
-        if samples is None:
-            samples = core.sample_points(mapdesc, 25, seed=seed)
+        samples = core.sample_points(
+            mapdesc, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED
+        )
         report = check_det_condition(mapdesc, t_idx, samples)
         if not report.passed:
             raise DetConditionError(report)
@@ -277,6 +277,39 @@ def source_rhs(flow, point):
 # ---------------------------------------------------------------------------
 # integrators
 
+# Explicit Runge-Kutta tableaux: stage rows ``a``, weights ``b`` and, for the
+# embedded Dormand-Prince 5(4) pair, the error weights ``e`` (None for the
+# fixed-step classical RK4).  The right-hand side is autonomous, so the
+# stage nodes are not needed.
+_TABLEAUS = {
+    "rk4": (
+        ((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)),
+        (1 / 6, 1 / 3, 1 / 3, 1 / 6),
+        None,
+    ),
+    "dopri5": (
+        (
+            (),
+            (1 / 5,),
+            (3 / 40, 9 / 40),
+            (44 / 45, -56 / 15, 32 / 9),
+            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+        ),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+        (
+            71 / 57600,
+            0.0,
+            -71 / 16695,
+            71 / 1920,
+            -17253 / 339200,
+            22 / 525,
+            -1 / 40,
+        ),
+    ),
+}
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -289,7 +322,7 @@ class IntegratorConfig:
     max_steps: int = 10**6
 
     def __post_init__(self):
-        if self.method not in ("dopri5", "rk4"):
+        if self.method not in _TABLEAUS:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.step <= 0:
             raise ValueError("integrator tolerances and step must be positive")
@@ -326,29 +359,6 @@ class Trajectory:
         return self.states[-1]
 
 
-# Dormand-Prince 5(4) tableau and embedded error coefficients.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-
-
 class _Recorder:
     def __init__(self, observables):
         self.observables = tuple(observables)
@@ -362,6 +372,40 @@ class _Recorder:
         self.states.append(state)
         self.hams.append(tuple(float_value(obs(state)) for obs in self.observables))
 
+    def trajectory(self, stats):
+        return Trajectory(
+            times=tuple(self.times),
+            states=tuple(self.states),
+            ham_values=tuple(self.hams),
+            stats=stats,
+        )
+
+
+def _stops(t0, t1, t_eval, direction):
+    """The times a run must land on: the t_eval samples after t0, then t1."""
+    stops = []
+    prev = t0
+    for t in () if t_eval is None else t_eval:
+        t = float(t)
+        repeated = t == prev and t != t0
+        if (t - prev) * direction < 0 or repeated or (t - t1) * direction > 0:
+            raise ValueError("t_eval must run strictly monotonically from t0 to t1")
+        if t != t0:
+            stops.append(t)
+        prev = t
+    if not stops or stops[-1] != t1:
+        stops.append(t1)
+    return stops
+
+
+def _combine(weights, k):
+    """Sum of weight * stage over the non-zero weights, in stage order."""
+    acc = None
+    for w, k_i in zip(weights, k):
+        if w:
+            acc = w * k_i if acc is None else acc + w * k_i
+    return acc
+
 
 def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
     """Integrate dy/dt = rhs(y) from t0 to t1 (either direction).
@@ -371,6 +415,11 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
     strictly monotone from t0 towards t1); otherwise every accepted step
     is recorded.  ``observables`` are scalar fields evaluated at each
     sample and stored alongside the states.
+
+    Both methods share one explicit Runge-Kutta loop.  A step that would
+    pass the next sample time (or t1) is shortened to end on it, and the
+    recorded time is that sample time exactly.  rk4 takes ``cfg.step``;
+    dopri5 adapts the step to the embedded error estimate.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -378,145 +427,63 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
     t1 = float(t1)
     if t0 == t1:
         raise ValueError("integration needs t0 != t1")
-    y0 = np.array(as_state(x0), dtype=float)
     direction = 1.0 if t1 > t0 else -1.0
-
-    targets = []
-    if t_eval is not None:
-        prev = t0
-        for t in t_eval:
-            t = float(t)
-            if (t - prev) * direction < 0 or (t - t1) * direction > 0:
-                raise ValueError("t_eval must run monotonically from t0 to t1")
-            if t != t0:
-                targets.append(t)
-            prev = t
-        if not targets or targets[-1] != t1:
-            targets.append(t1)
+    stops = _stops(t0, t1, t_eval, direction)
+    a, b, e = _TABLEAUS[cfg.method]
+    t = t0
+    y = np.array(as_state(x0), dtype=float)
     rec = _Recorder(observables)
-    rec.add(t0, y0)
+    rec.add(t, y)
 
-    evals = 0
+    evals = accepted = rejected = 0
 
-    def f(t, y):
+    def f(y):
         nonlocal evals
         evals += 1
         return np.asarray(rhs(tuple(y)), dtype=float)
 
-    if cfg.method == "rk4":
-        accepted = _run_rk4(f, y0, t0, t1, cfg, targets, rec, direction)
-        rejected = 0
-    else:
-        accepted, rejected = _run_dopri5(f, y0, t0, t1, cfg, targets, rec, direction)
-    return Trajectory(
-        times=tuple(rec.times),
-        states=tuple(rec.states),
-        ham_values=tuple(rec.hams),
-        stats=IntegratorStats(accepted=accepted, rejected=rejected, rhs_evals=evals),
-    )
+    def stats():
+        return IntegratorStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
 
+    h = direction * (cfg.step if e is None else abs(t1 - t0) / 100.0)
+    for stop in stops:
+        while t != stop:
+            if accepted + rejected >= cfg.max_steps:
+                raise MaxStepsError(
+                    "step budget exhausted", t, tuple(y), rec.trajectory(stats())
+                )
+            if abs(h) < 1e-15 * max(1.0, abs(t)):
+                raise StepUnderflowError(
+                    "step size underflow", t, tuple(y), rec.trajectory(stats())
+                )
+            clipped = (t + h - stop) * direction > 0
+            h_try = stop - t if clipped else h
 
-def _partial_trajectory(rec):
-    return Trajectory(
-        times=tuple(rec.times),
-        states=tuple(rec.states),
-        ham_values=tuple(rec.hams),
-        stats=IntegratorStats(0, 0, 0),
-    )
+            k = []
+            for row in a:
+                k.append(f(y + h_try * _combine(row, k) if row else y))
+            y_new = y + h_try * _combine(b, k)
+            err = 0.0
+            if e is not None:
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                err = float(np.max(np.abs(h_try * _combine(e, k)) / scale))
 
-
-def _run_rk4(f, y, t, t1, cfg, targets, rec, direction):
-    h_base = cfg.step * direction
-    queue = list(targets) if targets else []
-    steps = 0
-    while (t1 - t) * direction > 1e-14 * max(1.0, abs(t), abs(t1)):
-        if steps >= cfg.max_steps:
-            raise MaxStepsError(
-                "fixed-step budget exhausted", t, tuple(y), _partial_trajectory(rec)
-            )
-        boundary = queue[0] if queue else t1
-        h = h_base
-        if (t + h - boundary) * direction > 0:
-            h = boundary - t
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        steps += 1
-        at_boundary = queue and abs(t - queue[0]) <= 1e-12 * max(1.0, abs(t))
-        if at_boundary:
-            queue.pop(0)
-            rec.add(t, y)
-        elif not targets:
-            rec.add(t, y)
-    if targets and queue and rec.times[-1] != t:
-        # floating point landed on t1 without consuming the last target
-        rec.add(t, y)
-    return steps
-
-
-def _run_dopri5(f, y, t, t1, cfg, targets, rec, direction):
-    span = abs(t1 - t)
-    h = direction * span / 100.0
-    queue = list(targets) if targets else []
-    accepted = 0
-    rejected = 0
-    while (t1 - t) * direction > 1e-14 * max(1.0, abs(t), abs(t1)):
-        if accepted + rejected >= cfg.max_steps:
-            raise MaxStepsError(
-                "adaptive step budget exhausted", t, tuple(y), _partial_trajectory(rec)
-            )
-        if abs(h) < 1e-15 * max(1.0, abs(t)):
-            raise StepUnderflowError(
-                "step size underflow", t, tuple(y), _partial_trajectory(rec)
-            )
-        boundary = queue[0] if queue else t1
-        h_try = h
-        clipped = False
-        if (t + h_try - boundary) * direction > 0:
-            h_try = boundary - t
-            clipped = True
-
-        k = [None] * 7
-        k[0] = f(t, y)
-        for i in range(1, 7):
-            acc = y + h_try * sum(
-                (_DP_A[i][j] * k[j] for j in range(i)), np.zeros_like(y)
-            )
-            k[i] = f(t + _DP_C[i] * h_try, acc)
-        y_new = y + h_try * sum(
-            (_DP_B[i] * k[i] for i in range(7)), np.zeros_like(y)
-        )
-        err_vec = h_try * sum(
-            (_DP_E[i] * k[i] for i in range(7)), np.zeros_like(y)
-        )
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(np.abs(err_vec) / scale)) if y.size else 0.0
-
-        if err <= 1.0:
-            accepted += 1
-            t = t + h_try
-            y = y_new
-            at_boundary = queue and abs(t - queue[0]) <= 1e-12 * max(1.0, abs(t))
-            if at_boundary:
-                queue.pop(0)
-                rec.add(t, y)
-            elif not targets:
-                rec.add(t, y)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h_next = h_try * factor
-            if clipped:
-                # the clipped step says nothing about the natural step size
-                h_next = h if abs(h) > abs(h_try) else h_try * factor
-            h = h_next
-        else:
-            rejected += 1
-            h = h_try * min(1.0, max(0.2, 0.9 * err ** -0.2))
-    if targets and queue and rec.times[-1] != t:
-        rec.add(t, y)
-    return accepted, rejected
+            if err <= 1.0:  # a NaN estimate rejects the step
+                accepted += 1
+                t = t + h_try
+                y = y_new
+                if abs(t - stop) <= 1e-12 * max(1.0, abs(t)):
+                    t = stop
+                if t == stop or t_eval is None:
+                    rec.add(t, y)
+                # a clipped step says nothing about the natural step size
+                if e is not None and not (clipped and abs(h) > abs(h_try)):
+                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+                    h = h_try * factor
+            else:
+                rejected += 1
+                h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))
+    return rec.trajectory(stats())
 
 
 def integrate_flow(flow, x0, t0, t1, cfg=None, t_eval=None):

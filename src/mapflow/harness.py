@@ -26,6 +26,8 @@ from .flows import IntegratorConfig
 DEFAULT_TOL_DEVIATION = 1e-6
 DEFAULT_TOL_DRIFT = 1e-7
 DET_PRODUCT_TOL = 1e-8
+QP4_ORACLE_POINTS = 25
+QP4_ORACLE_FD_STEP = 1e-6
 
 
 def _inf_norm(vec):
@@ -205,8 +207,6 @@ def conservation_scan(
     grid=((0.5, 1.5, 3),),
     t_range=(1.0, 2.0),
     cfg=None,
-    tol_deviation=DEFAULT_TOL_DEVIATION,
-    tol_drift=DEFAULT_TOL_DRIFT,
 ):
     """Per grid point, run the correspondence check; failures are recorded
     and the scan continues.  Points run one after another in grid order."""
@@ -216,13 +216,7 @@ def conservation_scan(
     def run_point(pt):
         try:
             rep = verify_correspondence(
-                map_id,
-                params,
-                x0=pt,
-                t_range=t_range,
-                cfg=cfg,
-                tol_deviation=tol_deviation,
-                tol_drift=tol_drift,
+                map_id, params, x0=pt, t_range=t_range, cfg=cfg
             )
             return {
                 "point": list(pt),
@@ -293,8 +287,6 @@ def composition_check(
     x0=None,
     t_range=None,
     cfg=None,
-    tol_det=DET_PRODUCT_TOL,
-    tol_drift=DEFAULT_TOL_DRIFT,
 ):
     """Determinant multiplicativity for the steps-fold composite, plus
     conservation of the composite's closed-form Hamiltonian where known."""
@@ -316,7 +308,7 @@ def composition_check(
         det_prod *= float(core.det(core.jacobian(step, cur)))
         cur = step.forward(cur)
     det_rel = abs(det_comp - det_prod) / max(1.0, abs(det_prod))
-    det_ok = det_rel <= tol_det
+    det_ok = det_rel <= DET_PRODUCT_TOL
 
     ham_drift = None
     ham_ok = None
@@ -332,7 +324,7 @@ def composition_check(
             for hv in traj.ham_values
             for j in range(len(h0))
         )
-        ham_ok = ham_drift <= tol_drift
+        ham_ok = ham_drift <= DEFAULT_TOL_DRIFT
 
     return CompositionReport(
         map_id=map_id,
@@ -471,7 +463,7 @@ class NormalizationReport:
         return out
 
 
-def qp4_normalization_report(a, b, c, n_points=25, seed=42, fd_step=1e-6):
+def qp4_normalization_report(a, b, c, seed=42):
     """Decide which second-Hamiltonian scaling reproduces the map.
 
     Central finite differences of the map along its time coordinate are
@@ -487,11 +479,11 @@ def qp4_normalization_report(a, b, c, n_points=25, seed=42, fd_step=1e-6):
     rng = np.random.default_rng(seed)
     residuals = {name: 0.0 for name in candidates}
     display_res = 0.0
-    for _ in range(n_points):
+    for _ in range(QP4_ORACLE_POINTS):
         src = tuple(rng.uniform(0.4, 1.6, 3))
         up = list(src)
         dn = list(src)
-        h = fd_step * (1.0 + abs(src[2]))
+        h = QP4_ORACLE_FD_STEP * (1.0 + abs(src[2]))
         up[2] += h
         dn[2] -= h
         f_up = mapdesc.forward(up)

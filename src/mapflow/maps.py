@@ -199,7 +199,11 @@ def hermite_checks(m_max):
     )
 
 
-def hermite_suite(m_max, cf_points=(-0.5, 0.5, -1.7, 1.7, 3.0), cf_tol=1e-12):
+HERMITE_CF_POINTS = (-0.5, 0.5, -1.7, 1.7, 3.0)
+HERMITE_CF_TOL = 1e-12
+
+
+def hermite_suite(m_max):
     """Exact recurrence identities plus the continued-fraction cross-check.
 
     The identity suite runs in integer arithmetic; the continued fraction
@@ -210,11 +214,11 @@ def hermite_suite(m_max, cf_points=(-0.5, 0.5, -1.7, 1.7, 3.0), cf_tol=1e-12):
     polys = hermite_polynomials(m_max)
     worst_cf = 0.0
     for m in range(2, m_max + 1):
-        for x in cf_points:
+        for x in HERMITE_CF_POINTS:
             ratio = (m - 1) * polys[m - 2].eval(x) / polys[m - 1].eval(x)
             cf = hermite_continued_fraction(m, x)
             worst_cf = max(worst_cf, abs(cf - ratio) / (1.0 + abs(ratio)))
-    cf_ok = worst_cf <= cf_tol
+    cf_ok = worst_cf <= HERMITE_CF_TOL
     return {
         "type": "hermite-suite",
         "m_max": m_max,
@@ -735,14 +739,22 @@ def get_entry(map_id):
 
 def resolve_params(map_id, overrides=None):
     """Merge user parameters over the schema defaults, rejecting unknown
-    names and schema parameters that are not real numbers."""
+    names and schema parameters that are not finite real numbers (or not
+    integral where the default is an int)."""
     entry = get_entry(map_id)
     params = dict(entry.param_schema)
     for name, value in (overrides or {}).items():
         if name in entry.param_schema:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            integral = type(entry.param_schema[name]) is int
+            finite = (
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+            )
+            if not finite or (integral and value != int(value)):
+                kind = "an integer" if integral else "a finite number"
                 raise ConfigError(
-                    f"map {map_id!r} parameter {name!r} must be a number, "
+                    f"map {map_id!r} parameter {name!r} must be {kind}, "
                     f"got {value!r}"
                 )
         elif name not in entry.extra_flags:

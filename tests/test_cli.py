@@ -364,6 +364,56 @@ def test_config_file_threads_key_is_unknown(tmp_path, capsys):
     assert "threads" in err
 
 
+def test_config_file_time_index_key_is_unknown(tmp_path, capsys):
+    # no command reads a time index from the config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"map": "kdv3", "time_index": 2}))
+    code, _, err = run_cli(
+        capsys, "verify", "--config", str(cfg), "--x0", "1.1,0.9",
+        "--t0", "1", "--t1", "2",
+    )
+    assert code == 2
+    assert "time_index" in err
+
+
+def test_seed_flag_only_where_it_is_used(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["flow", "--map", "henon", "--x0", "1", "--t0", "0", "--t1", "1",
+              "--seed", "7"])
+    assert exc_info.value.code == 2
+    code, out, _ = run_cli(capsys, "chain", "--m", "3", "--seed", "7")
+    assert code == 0
+    assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobian", "--map", "henon", "--param", "b=inf", "--point", "1,2"],
+        ["verify", "--map", "henon", "--param", "b=nan",
+         "--x0", "1", "--t0", "0", "--t1", "1"],
+        ["verify", "--map", "henon", "--param", "c=-inf",
+         "--x0", "1", "--t0", "0", "--t1", "1"],
+    ],
+)
+def test_non_finite_parameter_exits_with_usage_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_non_integral_integer_parameter_exits_with_usage_code(capsys):
+    argv = ["verify", "--map", "hermite", "--x0", "2.5", "--t0", "0.5", "--t1", "1"]
+    code, _, err = run_cli(capsys, *argv, "--param", "m=2.5")
+    assert code == 2
+    assert "'m'" in err and "integer" in err
+    # an integral float still selects the chain
+    code, out, _ = run_cli(capsys, *argv, "--param", "m=2.0")
+    assert code == 0
+    assert json.loads(out)["params"] == {"m": 2.0}
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
     out_file = tmp_path / "out.json"
     code, _, _ = run_cli(

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from mapflow import core, flows, maps
+from mapflow import core, flows, harness, maps
 from mapflow.errors import (
     DetConditionError,
     MaxStepsError,
     SingularPointError,
+    StepUnderflowError,
 )
 from mapflow.flows import IntegratorConfig
 
@@ -340,11 +341,89 @@ def test_integrate_max_steps_error_carries_state():
     assert exc_info.value.trajectory is not None
 
 
+@pytest.mark.parametrize("method", ["rk4", "dopri5"])
+@pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (-0.667, 1.043561), (2.0, 1.0)])
+def test_integrate_lands_exactly_on_requested_times(method, t0, t1):
+    # a shortened step can end one ulp away from its sample time; the
+    # recorded time must be the requested one all the same
+    fl = maps.henon_flow(1.0, 0.0)
+    t_eval = np.linspace(t0, t1, 21)
+    cfg = IntegratorConfig(method=method, step=0.01)
+    traj = flows.integrate_flow(fl, (0.0, -1.0), t0, t1, cfg=cfg, t_eval=t_eval)
+    assert list(traj.times) == list(t_eval)
+
+
+@pytest.mark.parametrize("method", ["rk4", "dopri5"])
+def test_integrate_without_t_eval_ends_exactly_on_t1(method):
+    # ten rk4 steps of 0.1 add up to one ulp short of 1.0
+    cfg = IntegratorConfig(method=method, step=0.1)
+    traj = flows.integrate(lambda s: (1.0,), (0.0,), 0.0, 1.0, cfg=cfg)
+    assert traj.times[-1] == 1.0
+    assert traj.final_state[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_verify_sample_times_are_the_requested_ones():
+    t0, t1 = -0.667, 1.043561
+    report = harness.verify_correspondence(
+        "henon", x0=(0.5,), t_range=(t0, t1)
+    )
+    assert report.passed
+    assert list(report.sample_times) == harness._sample_times(t0, t1, 21)
+
+
+@pytest.mark.parametrize("method", ["rk4", "dopri5"])
+def test_integrate_agrees_with_scipy_dop853_on_kdv3(method):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    fl = maps.kdv3_flow()
+    X0 = maps.kdv3().forward((1.1, 0.9, 1.0))
+    t_eval = np.linspace(1.0, 2.0, 11)
+    cfg = IntegratorConfig(method=method, step=0.01)
+    traj = flows.integrate_flow(fl, X0, 1.0, 2.0, cfg=cfg, t_eval=t_eval)
+    ref = scipy_integrate.solve_ivp(
+        lambda t, y: flows.nambu_rhs(fl, tuple(y)),
+        (1.0, 2.0),
+        X0,
+        method="DOP853",
+        t_eval=t_eval,
+        rtol=1e-13,
+        atol=1e-13,
+    )
+    assert ref.success
+    got = np.array(traj.states)
+    assert np.max(np.abs(got - ref.y.T)) <= 1e-8
+
+
+def test_integrate_nan_rhs_ends_in_step_error_without_nan_states():
+    # the field is NaN beyond s = 0.5; every step into that region has a
+    # NaN error estimate and must be rejected, never accepted
+    def rhs(s):
+        return (1.0,) if s[0] < 0.5 else (math.nan,)
+
+    with pytest.raises((MaxStepsError, StepUnderflowError)) as exc_info:
+        flows.integrate(rhs, (0.0,), 0.0, 1.0)
+    exc = exc_info.value
+    assert np.isfinite(exc.last_state).all()
+    assert np.isfinite(np.array(exc.trajectory.states)).all()
+    assert exc.last_time == pytest.approx(0.5, abs=1e-6)
+
+
+def test_integrate_error_trajectory_carries_counts_so_far():
+    cfg = IntegratorConfig(max_steps=3)
+    with pytest.raises(MaxStepsError) as exc_info:
+        flows.integrate(lambda s: (math.cos(s[0]),), (0.0,), 0.0, 50.0, cfg=cfg)
+    stats = exc_info.value.trajectory.stats
+    assert stats.accepted + stats.rejected == 3
+    assert stats.rhs_evals == 7 * 3
+    assert len(exc_info.value.trajectory.times) == 1 + stats.accepted
+
+
 def test_integrate_rejects_non_monotone_t_eval():
     with pytest.raises(ValueError):
         flows.integrate(lambda s: (0.0,), (1.0,), 0.0, 1.0, t_eval=[0.0, 0.7, 0.3])
     with pytest.raises(ValueError):
         flows.integrate(lambda s: (0.0,), (1.0,), 0.0, 1.0, t_eval=[0.0, 2.0])
+    with pytest.raises(ValueError):
+        flows.integrate(lambda s: (0.0,), (1.0,), 0.0, 1.0, t_eval=[0.0, 0.5, 0.5])
 
 
 def test_integrate_step_underflow_near_blowup():

@@ -440,6 +440,19 @@ def test_resolve_params_rejects_non_numeric_values():
     }
 
 
+def test_resolve_params_rejects_non_finite_and_non_integral_values():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            maps.resolve_params("qp4", {"a": bad})
+    with pytest.raises(ConfigError):
+        maps.resolve_params("hermite", {"m": 2.5})
+    assert maps.resolve_params("hermite", {"m": 3.0}) == {"m": 3.0}
+    point = (2.0, 1.0)
+    assert maps.build_map("hermite", {"m": 3.0}).forward(point) == maps.hermite_chain(
+        3
+    ).forward(point)
+
+
 def test_unknown_map_id_raises():
     with pytest.raises(UnknownMapError):
         maps.get_entry("lorenz")
