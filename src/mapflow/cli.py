@@ -4,13 +4,17 @@ Subcommands: list, jacobian, flow, verify, scan, hermite-check, chain.
 Outputs are CSV trajectories and JSON reports, written atomically (temp
 file plus rename) so concurrent invocations never observe partial files.
 Exit codes: 0 pass, 1 verification failure, 2 usage or configuration
-error, 3 numerical failure.
+error, 3 numerical failure.  argparse declares every option once; a
+``--config`` file's values are parsed as flags of the subcommand, ahead
+of (and so overridden by) the command line's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -76,28 +80,36 @@ def trajectory_csv(traj, dimension, n_hams):
 # argument plumbing
 
 
-def parse_value(text):
+def parse_param(pair):
+    """``name=value``; the value is a float where it parses as one."""
+    name, sep, value = pair.partition("=")
+    if not sep:
+        raise ConfigError(f"--param expects name=value, got {pair!r}")
     try:
-        return float(text)
+        return name.strip(), float(value)
     except ValueError:
-        return text
-
-
-def parse_params(pairs):
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--param expects name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
-        out[name.strip()] = parse_value(value.strip())
-    return out
+        return name.strip(), value.strip()
 
 
 def parse_floats(text):
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected finite numbers, got {text!r}")
+    return values
+
+
+def finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        # argparse's own wording for a type=float flag
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def parse_grid(text):
@@ -107,128 +119,68 @@ def parse_grid(text):
         if len(parts) != 3:
             raise ConfigError(f"grid axis must be lo:hi:count, got {chunk!r}")
         try:
-            axes.append((float(parts[0]), float(parts[1]), int(parts[2])))
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"bad grid axis {chunk!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"bad grid axis {chunk!r}")
+        axes.append((lo, hi, count))
     return tuple(axes)
 
 
-def load_config(path):
-    """The JSON object in the config file ({} without one); unknown keys
-    are rejected."""
-    if not path:
-        return {}
+def config_text(key, value):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"config {key!r} must be a string or a number")
+    return str(value)
+
+
+def config_flags(parser, path):
+    """The config file's entries as ``--flag=value`` arguments of a
+    subcommand parser, so the flags' own types parse them.
+
+    A key is the destination of one of the parser's options; ``params``
+    holds the ``--param`` pairs as an object.
+    """
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
+    if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(cfg) - CONFIG_KEYS
+    flags = {
+        action.dest: action.option_strings[0]
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    if "param" in flags:
+        flags["params"] = flags.pop("param")
+    unknown = set(config) - set(flags)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return cfg
+    argv = []
+    for key, value in config.items():
+        if key != "params":
+            argv.append(f"{flags[key]}={config_text(key, value)}")
+        elif isinstance(value, dict):
+            argv += [f"--param={n}={config_text(key, v)}" for n, v in value.items()]
+        else:
+            raise ConfigError("config 'params' must be an object")
+    return argv
 
 
-CONFIG_KEYS = {
-    "map",
-    "params",
-    "x0",
-    "point",
-    "t0",
-    "t1",
-    "samples",
-    "method",
-    "rel_tol",
-    "abs_tol",
-    "step",
-    "max_steps",
-    "grid",
-    "seed",
-    "m_max",
-    "m",
-    "a",
-    "c",
-    "states",
-    "out",
-}
+def given(**values):
+    """The keyword arguments whose flag was set; the callee's defaults fill the rest."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
-def resolve(args, config, key, default=None):
-    """Command-line flag, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def integrator_config(args, config):
-    return IntegratorConfig(
-        method=resolve(args, config, "method", "dopri5"),
-        rel_tol=float(resolve(args, config, "rel_tol", 1e-10)),
-        abs_tol=float(resolve(args, config, "abs_tol", 1e-12)),
-        step=float(resolve(args, config, "step", 1e-3)),
-        max_steps=int(resolve(args, config, "max_steps", 10**6)),
-    )
-
-
-def merged_params(args, config):
-    params = {}
-    cfg_params = config.get("params", {})
-    if cfg_params and not isinstance(cfg_params, dict):
-        raise ConfigError("config 'params' must be an object")
-    params.update(cfg_params)
-    params.update(parse_params(getattr(args, "param", None)))
-    return params
-
-
-def add_common(parser, with_map=True, with_integrator=True):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--out", help="output file (written atomically)")
-    if with_map:
-        parser.add_argument("--map", dest="map_id", help="catalog map id")
-        parser.add_argument(
-            "--param",
-            action="append",
-            metavar="NAME=VALUE",
-            help="map parameter override (repeatable)",
-        )
-    if with_integrator:
-        parser.add_argument("--method", choices=["dopri5", "rk4"])
-        parser.add_argument("--rel-tol", dest="rel_tol", type=float)
-        parser.add_argument("--abs-tol", dest="abs_tol", type=float)
-        parser.add_argument("--step", type=float)
-        parser.add_argument("--max-steps", dest="max_steps", type=int)
-
-
-def map_inputs(args):
-    """Config, map id and parameter overrides of a map subcommand."""
-    config = load_config(args.config)
-    map_id = resolve(args, config, "map_id", config.get("map"))
-    if not map_id:
-        raise ConfigError("a --map id is required")
-    return config, map_id, merged_params(args, config)
-
-
-def required_point(args, config, key):
-    """Comma-separated coordinates from a required flag or config value."""
-    value = resolve(args, config, key)
-    if value is None:
-        raise ConfigError(f"--{key} is required")
-    return parse_floats(value) if isinstance(value, str) else tuple(value)
-
-
-def time_span(args, config):
-    t0 = resolve(args, config, "t0")
-    t1 = resolve(args, config, "t1")
-    if t0 is None or t1 is None:
-        raise ConfigError("--t0 and --t1 are required")
-    return float(t0), float(t1)
+def integrator_config(args):
+    fields = dataclasses.fields(IntegratorConfig)
+    return IntegratorConfig(**given(**{f.name: getattr(args, f.name) for f in fields}))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +199,14 @@ def cmd_list(args):
 
 
 def cmd_jacobian(args):
-    config, map_id, params = map_inputs(args)
-    point = required_point(args, config, "point")
-    mapdesc = maps.build_map(map_id, params)
-    matrix = core.jacobian(mapdesc, point)
+    params = dict(args.param)
+    mapdesc = maps.build_map(args.map, params)
+    matrix = core.jacobian(mapdesc, args.point)
     payload = {
         "type": "jacobian",
-        "map_id": map_id,
-        "params": maps.resolve_params(map_id, params),
-        "point": list(point),
+        "map_id": args.map,
+        "params": maps.resolve_params(args.map, params),
+        "point": list(args.point),
         "matrix": [[float(v) for v in row] for row in matrix],
         "det": float(core.det(matrix)),
     }
@@ -264,44 +215,33 @@ def cmd_jacobian(args):
 
 
 def cmd_flow(args):
-    config, map_id, params = map_inputs(args)
-    x0 = required_point(args, config, "x0")
-    t0, t1 = time_span(args, config)
-    samples = int(resolve(args, config, "samples", 21))
-    cfg = integrator_config(args, config)
+    if args.samples < 2:
+        raise ConfigError("--samples must be at least 2")
+    cfg = integrator_config(args)
 
-    flow = maps.build_flow(map_id, params)
-    x_start = harness.source_start(flow, x0, t0)
+    flow = maps.build_flow(args.map, dict(args.param))
+    x_start = harness.source_start(flow, args.x0, args.t0)
     image0 = flow.map.forward(x_start)
-    t_eval = np.linspace(t0, t1, samples)
-    traj = flows.integrate_flow(flow, image0, t0, t1, cfg=cfg, t_eval=t_eval)
-    emit(
-        trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)),
-        args.out,
-    )
+    t_eval = np.linspace(args.t0, args.t1, args.samples)
+    traj = flows.integrate_flow(flow, image0, args.t0, args.t1, cfg=cfg, t_eval=t_eval)
+    emit(trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)), args.out)
     return EXIT_PASS
 
 
 def cmd_verify(args):
-    config, map_id, params = map_inputs(args)
-    x0 = required_point(args, config, "x0")
-    t_range = time_span(args, config)
-    cfg = integrator_config(args, config)
-    samples = int(resolve(args, config, "samples", 21))
-
     report = harness.verify_correspondence(
-        map_id,
-        params,
-        x0=x0,
-        t_range=t_range,
-        cfg=cfg,
-        num_samples=samples,
+        args.map,
+        dict(args.param),
+        x0=args.x0,
+        t_range=(args.t0, args.t1),
+        cfg=integrator_config(args),
+        num_samples=args.samples,
     )
     payload = report.to_dict()
-    if map_id == "qp4":
+    if args.map == "qp4":
         p = report.params
         oracle = harness.qp4_normalization_report(
-            p["a"], p["b"], p["c"], seed=int(resolve(args, config, "seed", 42))
+            p["a"], p["b"], p["c"], seed=args.seed
         )
         payload["normalization_oracle"] = oracle.to_dict()
     emit(json_text(payload), args.out)
@@ -309,39 +249,26 @@ def cmd_verify(args):
 
 
 def cmd_scan(args):
-    config, map_id, params = map_inputs(args)
-    grid_text = resolve(args, config, "grid")
-    if grid_text is None:
-        raise ConfigError("--grid is required (lo:hi:count per coordinate)")
-    grid = parse_grid(grid_text) if isinstance(grid_text, str) else tuple(
-        tuple(axis) for axis in grid_text
-    )
-    t_range = time_span(args, config)
-    cfg = integrator_config(args, config)
-
     report = harness.conservation_scan(
-        map_id, params, grid=grid, t_range=t_range, cfg=cfg
+        args.map,
+        dict(args.param),
+        grid=args.grid,
+        t_range=(args.t0, args.t1),
+        cfg=integrator_config(args),
     )
     emit(json_text(report.to_dict()), args.out)
     return EXIT_PASS if report.summary["all_passed"] else EXIT_VERIFY_FAIL
 
 
 def cmd_hermite_check(args):
-    config = load_config(args.config)
-    m_max = int(resolve(args, config, "m_max", 12))
-    report = maps.hermite_suite(m_max)
+    report = maps.hermite_suite(args.m_max)
     emit(json_text(report), args.out)
     return EXIT_PASS if report["passed"] else EXIT_VERIFY_FAIL
 
 
 def cmd_chain(args):
-    config = load_config(args.config)
     report = harness.chain_suite(
-        m=int(resolve(args, config, "m", 2)),
-        a=float(resolve(args, config, "a", 0.0)),
-        c=float(resolve(args, config, "c", 0.0)),
-        n_states=int(resolve(args, config, "states", 20)),
-        seed=int(resolve(args, config, "seed", 42)),
+        seed=args.seed, **given(m=args.m, a=args.a, c=args.c, n_states=args.states)
     )
     emit(json_text(report), args.out)
     return EXIT_PASS if report["passed"] else EXIT_VERIFY_FAIL
@@ -351,7 +278,35 @@ def cmd_chain(args):
 # entry point
 
 
+def add_common(parser, with_map=True, with_integrator=True):
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("--out", help="output file (written atomically)")
+    if with_map:
+        parser.add_argument("--map", metavar="MAP_ID", help="catalog map id")
+        parser.add_argument(
+            "--param",
+            type=parse_param,
+            action="append",
+            default=[],
+            metavar="NAME=VALUE",
+            help="map parameter override (repeatable)",
+        )
+    if with_integrator:
+        parser.add_argument("--method", choices=["dopri5", "rk4"])
+        parser.add_argument("--rel-tol", type=float)
+        parser.add_argument("--abs-tol", type=float)
+        parser.add_argument("--step", type=float)
+        parser.add_argument("--max-steps", type=int)
+
+
+def add_span(parser):
+    parser.add_argument("--t0", type=finite_float)
+    parser.add_argument("--t1", type=finite_float)
+
+
 def build_parser():
+    """The parser; each subcommand's ``required`` lists the options that
+    must be set once a config file is merged."""
     parser = argparse.ArgumentParser(
         prog="mapflow",
         description=(
@@ -360,61 +315,89 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    x0_help = "comma-separated non-time source coordinates"
+    samples, seed = harness.DEFAULT_SAMPLES, harness.DEFAULT_SEED
 
     p = sub.add_parser("list", help="show the map catalog")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_list)
+    p.set_defaults(fn=cmd_list, required=())
 
     p = sub.add_parser("jacobian", help="Jacobian matrix and determinant at a point")
     add_common(p, with_integrator=False)
-    p.add_argument("--point", help="comma-separated source coordinates")
-    p.set_defaults(fn=cmd_jacobian)
+    p.add_argument(
+        "--point", type=parse_floats, help="comma-separated source coordinates"
+    )
+    p.set_defaults(fn=cmd_jacobian, required=("map", "point"))
 
     p = sub.add_parser("flow", help="integrate a flow and write a CSV trajectory")
     add_common(p)
-    p.add_argument("--x0", help="comma-separated non-time source coordinates")
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--samples", type=int, help="number of CSV rows (default 21)")
-    p.set_defaults(fn=cmd_flow)
+    p.add_argument("--x0", type=parse_floats, help=x0_help)
+    add_span(p)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=samples,
+        help="number of CSV rows (default %(default)s)",
+    )
+    p.set_defaults(fn=cmd_flow, required=("map", "x0", "t0", "t1"))
 
     p = sub.add_parser("verify", help="map-flow correspondence report")
     add_common(p)
-    p.add_argument("--x0", help="comma-separated non-time source coordinates")
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, help="qp4 normalization oracle seed (default 42)")
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--x0", type=parse_floats, help=x0_help)
+    add_span(p)
+    p.add_argument("--samples", type=int, default=samples)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=seed,
+        help="qp4 normalization oracle seed (default %(default)s)",
+    )
+    p.set_defaults(fn=cmd_verify, required=("map", "x0", "t0", "t1"))
 
     p = sub.add_parser("scan", help="correspondence scan over a source grid")
     add_common(p)
-    p.add_argument("--grid", help="per-coordinate axes lo:hi:count, comma separated")
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.set_defaults(fn=cmd_scan)
+    p.add_argument(
+        "--grid",
+        type=parse_grid,
+        help="per-coordinate axes lo:hi:count, comma separated",
+    )
+    add_span(p)
+    p.set_defaults(fn=cmd_scan, required=("map", "grid", "t0", "t1"))
 
     p = sub.add_parser("hermite-check", help="exact recurrence identity suite")
     add_common(p, with_map=False, with_integrator=False)
-    p.add_argument("--m-max", dest="m_max", type=int)
-    p.set_defaults(fn=cmd_hermite_check)
+    p.add_argument("--m-max", type=int, default=12)
+    p.set_defaults(fn=cmd_hermite_check, required=())
 
     p = sub.add_parser("chain", help="three-term chain determinant and Hamilton checks")
     add_common(p, with_map=False, with_integrator=False)
     p.add_argument("--m", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--c", type=float)
+    p.add_argument("--a", type=finite_float)
+    p.add_argument("--c", type=finite_float)
     p.add_argument("--states", type=int)
-    p.add_argument("--seed", type=int, help="random state seed (default 42)")
-    p.set_defaults(fn=cmd_chain)
+    p.add_argument(
+        "--seed", type=int, default=seed, help="random state seed (default %(default)s)"
+    )
+    p.set_defaults(fn=cmd_chain, required=())
 
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the config's flags go first, so the command line's own win
+            at = argv.index(args.command) + 1
+            flags = config_flags(args.command_parser, args.config)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        for dest in args.required:
+            if getattr(args, dest) is None:
+                raise ConfigError(f"--{dest} is required")
         return args.fn(args)
     except (ConfigError, UnknownMapError) as exc:
         print(f"mapflow: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .errors import (
     ArityError,
     IterateDomainError,
     LogDomainError,
+    NonFiniteStateError,
     SingularPointError,
 )
 
@@ -141,7 +142,7 @@ def as_state(coords):
         raise ValueError("state vector must have at least one coordinate")
     for c in out:
         if not math.isfinite(c):
-            raise ValueError(f"non-finite coordinate in state {out}")
+            raise NonFiniteStateError(f"non-finite coordinate in state {out}")
     return out
 
 

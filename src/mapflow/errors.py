@@ -18,6 +18,10 @@ class SingularPointError(MapflowError):
         super().__init__(msg)
 
 
+class NonFiniteStateError(MapflowError, ValueError):
+    """A phase-space point has a NaN or infinite coordinate."""
+
+
 class LogDomainError(MapflowError):
     """Logarithm requested for a non-positive argument."""
 

@@ -12,6 +12,7 @@ classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +22,7 @@ from . import core
 from .core import as_state, float_value, map_det_field
 from .errors import (
     DetConditionError,
+    IntegrationError,
     MaxStepsError,
     SingularPointError,
     StepUnderflowError,
@@ -67,12 +69,11 @@ class FlowSystem:
         return tuple(float_value(h(x)) for h in self.hamiltonians)
 
 
-def flow_system(mapdesc, hamiltonians, time_index=None):
-    """Flow with explicitly supplied (closed-form) Hamiltonians."""
-    t_idx = mapdesc.dimension if time_index is None else time_index
+def flow_system(mapdesc, hamiltonians):
+    """Flow with explicitly supplied (closed-form) Hamiltonians; time is x_n."""
     return FlowSystem(
         map=mapdesc,
-        time_index=t_idx,
+        time_index=mapdesc.dimension,
         hamiltonians=tuple(hamiltonians),
         det_j_field=map_det_field(mapdesc),
     )
@@ -324,7 +325,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in _TABLEAUS:
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.step <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.step > 0):  # NaN fails
             raise ValueError("integrator tolerances and step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
@@ -463,10 +464,17 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
             for row in a:
                 k.append(f(y + h_try * _combine(row, k) if row else y))
             y_new = y + h_try * _combine(b, k)
+            finite = all(map(math.isfinite, y_new.tolist()))  # cheaper than np.isfinite
+            if e is None and not finite:  # rk4 never retries a step
+                raise IntegrationError(
+                    "non-finite state", t, tuple(y), rec.trajectory(stats())
+                )
             err = 0.0
             if e is not None:
                 scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
                 err = float(np.max(np.abs(h_try * _combine(e, k)) / scale))
+                if not finite:  # the infinite scale can hide the overflow
+                    err = math.inf
 
             if err <= 1.0:  # a NaN estimate rejects the step
                 accepted += 1

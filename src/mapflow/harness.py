@@ -28,6 +28,8 @@ DEFAULT_TOL_DRIFT = 1e-7
 DET_PRODUCT_TOL = 1e-8
 QP4_ORACLE_POINTS = 25
 QP4_ORACLE_FD_STEP = 1e-6
+DEFAULT_SAMPLES = 21
+DEFAULT_SEED = 42
 
 
 def _inf_norm(vec):
@@ -93,7 +95,7 @@ def verify_correspondence(
     t_range=(0.0, 1.0),
     cfg=None,
     flow=None,
-    num_samples=21,
+    num_samples=DEFAULT_SAMPLES,
     tol_deviation=DEFAULT_TOL_DEVIATION,
     tol_drift=DEFAULT_TOL_DRIFT,
 ):
@@ -316,7 +318,7 @@ def composition_check(
         t0, t1 = t_range or (1.0, 2.0)
         image0 = flow.map.forward(source_start(flow, x0, t0))
         traj = flows.integrate_flow(
-            flow, image0, t0, t1, cfg=cfg, t_eval=_sample_times(t0, t1, 21)
+            flow, image0, t0, t1, cfg=cfg, t_eval=_sample_times(t0, t1, DEFAULT_SAMPLES)
         )
         h0 = traj.ham_values[0]
         ham_drift = max(
@@ -344,7 +346,7 @@ def composition_check(
 # chain checks
 
 
-def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=42):
+def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
     """Determinant identities plus Hamilton-equation checks for the
     quadratic-action chain, over seeded random states.
 
@@ -463,7 +465,7 @@ class NormalizationReport:
         return out
 
 
-def qp4_normalization_report(a, b, c, seed=42):
+def qp4_normalization_report(a, b, c, seed=DEFAULT_SEED):
     """Decide which second-Hamiltonian scaling reproduces the map.
 
     Central finite differences of the map along its time coordinate are

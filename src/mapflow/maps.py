@@ -112,7 +112,7 @@ def hermite_source_constraint(m, c, y):
 
 def hermite_flow(m):
     """Flow whose trajectories retrace the chain as y varies."""
-    return flow_system(hermite_chain(m), (hermite_hamiltonian(m),), time_index=2)
+    return flow_system(hermite_chain(m), (hermite_hamiltonian(m),))
 
 
 def hermite_composite(steps, m):
@@ -301,7 +301,6 @@ def henon_flow(b, c, steps=1):
     return flow_system(
         compose(henon(b, c), steps),
         (henon_hamiltonian(steps + 1, b, c),),
-        time_index=2,
     )
 
 
@@ -405,7 +404,7 @@ def kdv3_flow():
     def h2(state):
         return mapdesc.inverse(state)[1]
 
-    return flow_system(mapdesc, (h1, h2), time_index=3)
+    return flow_system(mapdesc, (h1, h2))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +520,7 @@ def kdv2_source_velocity(r):
 
 def kdv2_flow(r):
     """Reduced flow; its source motion must follow the constraint curve."""
-    return flow_system(kdv2(r), (kdv2_hamiltonian(r),), time_index=2)
+    return flow_system(kdv2(r), (kdv2_hamiltonian(r),))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +642,7 @@ def qp4_flow(a, b, c, normalization=None):
     def h2(state):
         return scale * mapdesc.inverse(state)[1]
 
-    return flow_system(mapdesc, (h1, h2), time_index=3)
+    return flow_system(mapdesc, (h1, h2))
 
 
 # ---------------------------------------------------------------------------

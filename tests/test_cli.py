@@ -442,3 +442,109 @@ def test_chain_map_rejected_by_phase_space_commands(capsys):
     )
     assert code == 2
     assert "chain" in err
+
+
+def exit_code(capsys, *argv):
+    """Exit code and stderr, whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+HENON_RUN = ["--map", "henon", "--x0", "1", "--t0", "0", "--t1", "1"]
+
+
+@pytest.mark.parametrize("key, value", [("seed", 7), ("m_max", 3), ("states", 9),
+                                        ("grid", "1:1:1")])
+def test_config_keys_are_the_subcommands_own_flags(tmp_path, capsys, key, value):
+    # flow has no --seed, --m-max, --states or --grid, so neither has its config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, err = exit_code(capsys, "flow", "--config", str(cfg), *HENON_RUN)
+    assert code == 2
+    assert key in err
+
+
+@pytest.mark.parametrize("config", [{"t0": [1]}, {"x0": [1]}, {"t0": True},
+                                    {"params": [1]}, {"params": {"b": [1]}}])
+def test_config_values_must_be_strings_or_numbers(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, err = exit_code(capsys, "verify", "--config", str(cfg), *HENON_RUN)
+    assert code == 2
+    assert "config" in err
+
+
+@pytest.mark.parametrize("key, value", [("max_steps", 2.7), ("samples", 2.9),
+                                        ("t1", "nan")])
+def test_config_values_are_parsed_by_the_flag_type(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify", "--config", str(cfg), *HENON_RUN])
+    assert exc_info.value.code == 2
+    assert "--" + key.replace("_", "-") in capsys.readouterr().err
+
+
+def test_config_numbers_and_negative_values_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"map": "hermite", "params": {"m": 3}, "x0": 2.5,
+                               "t0": -1, "t1": -0.5, "samples": 5}))
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["x0"] == [2.5]
+    assert payload["t0"] == -1.0
+    assert payload["params"] == {"m": 3.0}  # config params parse like --param
+    assert len(payload["sample_times"]) == 5
+
+
+def test_unreadable_config_file_exits_with_usage_code(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "chain", "--config", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "config file" in err
+
+
+def test_config_file_missing_required_value_names_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"map": "henon", "x0": "1", "t0": 0}))
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "--t1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--map", "henon", "--x0", "1", "--t0", "nan", "--t1", "1"],
+        ["verify", "--map", "henon", "--x0", "1", "--t0", "0", "--t1", "inf"],
+        ["verify", "--map", "henon", "--x0", "nan", "--t0", "0", "--t1", "1"],
+        ["jacobian", "--map", "henon", "--point", "1,-inf"],
+        ["scan", "--map", "kdv3", "--grid", "nan:1:2,1:1:1", "--t0", "1", "--t1", "2"],
+        ["chain", "--a", "inf"],
+        ["verify", *HENON_RUN, "--rel-tol", "nan"],
+        ["flow", *HENON_RUN, "--method", "rk4", "--step", "nan"],
+    ],
+)
+def test_non_finite_numbers_exit_with_usage_code(capsys, argv):
+    code, _ = exit_code(capsys, *argv)
+    assert code == 2
+
+
+def test_overflowing_integration_is_a_numerical_failure(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--map", "henon", "--x0", "1", "--t0", "0", "--t1", "1e200"
+    )
+    assert code == 3
+    assert out == ""
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_flow_needs_at_least_two_samples(capsys, samples):
+    code, out, err = run_cli(capsys, "flow", *HENON_RUN, "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err

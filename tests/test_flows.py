@@ -8,7 +8,10 @@ import pytest
 from mapflow import core, flows, harness, maps
 from mapflow.errors import (
     DetConditionError,
+    IntegrationError,
+    MapflowError,
     MaxStepsError,
+    NonFiniteStateError,
     SingularPointError,
     StepUnderflowError,
 )
@@ -407,6 +410,35 @@ def test_integrate_nan_rhs_ends_in_step_error_without_nan_states():
     assert exc.last_time == pytest.approx(0.5, abs=1e-6)
 
 
+def test_integrate_rk4_nan_rhs_raises_with_last_finite_state():
+    cfg = IntegratorConfig(method="rk4", step=0.1)
+    with pytest.raises(IntegrationError) as exc_info:
+        flows.integrate(lambda s: (1.0,) if s[0] < 0.25 else (math.nan,),
+                        (0.0,), 0.0, 1.0, cfg=cfg)
+    exc = exc_info.value
+    assert exc.last_time == pytest.approx(0.2)
+    assert exc.last_state == pytest.approx((0.2,))
+    assert np.isfinite(np.array(exc.trajectory.states)).all()
+
+
+def test_integrate_dopri5_rejects_an_overflowing_step():
+    # y + h * 1e308 overflows near t = 1.8, where the error scale is
+    # infinite too; the step must be rejected, not accepted as inf
+    with np.errstate(over="ignore"), pytest.raises(StepUnderflowError) as exc_info:
+        flows.integrate(lambda s: (1e308,), (0.0,), 0.0, 10.0)
+    assert np.isfinite(exc_info.value.last_state).all()
+    assert np.isfinite(np.array(exc_info.value.trajectory.states)).all()
+
+
+def test_non_finite_stage_state_is_a_numerical_error():
+    # an overflowing stage state is a MapflowError, still a ValueError too
+    flow = maps.build_flow("henon")
+    with pytest.raises(NonFiniteStateError) as exc_info:
+        flows.nambu_rhs(flow, (1.0, math.inf))
+    assert isinstance(exc_info.value, MapflowError)
+    assert isinstance(exc_info.value, ValueError)
+
+
 def test_integrate_error_trajectory_carries_counts_so_far():
     cfg = IntegratorConfig(max_steps=3)
     with pytest.raises(MaxStepsError) as exc_info:
@@ -448,6 +480,12 @@ def test_integrator_config_validation():
         IntegratorConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "step"])
+def test_integrator_config_rejects_nan_settings(field):
+    with pytest.raises(ValueError):
+        IntegratorConfig(**{field: math.nan})
 
 
 def test_trajectory_times_strictly_monotone():
