@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Jet, float_value
+from .core import float_value, grad, jet_rows
 from .errors import SingularPointError
 
 
@@ -62,10 +62,8 @@ def henon_chain_spec(m, c=0.0):
 
 
 def _derivative(fn, x):
-    out = fn(Jet(x, (1.0,)))
-    if isinstance(out, Jet):
-        return out.partials[0]
-    return 0.0
+    ((slope,),) = jet_rows(lambda s: (fn(s[0]),), (x,))
+    return slope
 
 
 def chain_propagate(spec, q_m, q_m1, a):
@@ -97,6 +95,11 @@ def chain_resolve_up(spec, q0, q1, a):
     for k in range(m - 1):
         q[k + 2] = spec.beta_inverse(spec.alpha(q[k + 1]) - q[k])
     return ChainState(q=tuple(q), a=a)
+
+
+def hamiltonian_gradient(spec, q, p, a):
+    """(dq_0/dq, dq_0/dp) of the chain propagated from the canonical pair."""
+    return grad(lambda s: chain_propagate(spec, s[0], s[1], a).q[0], (q, p + a))
 
 
 def chain_residual(spec, state):
@@ -265,11 +268,7 @@ def verify_chain_hamilton(spec, state, rel_tol=1e-6):
     dq_dq1 = (hi.q[m] - lo.q[m]) / (2 * h)
     dp_dq1 = (hi.q[m - 1] - lo.q[m - 1]) / (2 * h)
 
-    jet_state = chain_propagate(
-        spec, Jet(q, (1.0, 0.0)), Jet(p + a, (0.0, 1.0)), a
-    )
-    h_jet = jet_state.q[0]
-    dh_dq, dh_dp = h_jet.partials
+    dh_dq, dh_dp = hamiltonian_gradient(spec, q, p, a)
 
     coeffs = chain_coefficients(spec, state)
     bar_a = tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])  # indices 1..m-1 and 2..m-1

@@ -19,8 +19,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import core, flows, harness, maps
 from .errors import ConfigError, MapflowError, UnknownMapError
 from .flows import IntegratorConfig
@@ -222,7 +220,7 @@ def cmd_flow(args):
     flow = maps.build_flow(args.map, dict(args.param))
     x_start = harness.source_start(flow, args.x0, args.t0)
     image0 = flow.map.forward(x_start)
-    t_eval = np.linspace(args.t0, args.t1, args.samples)
+    t_eval = harness._sample_times(args.t0, args.t1, args.samples)
     traj = flows.integrate_flow(flow, image0, args.t0, args.t1, cfg=cfg, t_eval=t_eval)
     emit(trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)), args.out)
     return EXIT_PASS
@@ -402,7 +400,7 @@ def main(argv=None):
     except (ConfigError, UnknownMapError) as exc:
         print(f"mapflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MapflowError as exc:
+    except (MapflowError, ArithmeticError) as exc:
         print(f"mapflow: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

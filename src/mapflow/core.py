@@ -150,18 +150,6 @@ def as_state(coords):
 # map descriptors
 
 
-def _check_guards(guards, state, name):
-    if not guards:
-        return
-    scale = 1.0 + max(abs(float_value(c)) for c in state)
-    for label, fn in guards:
-        v = float_value(fn(state))
-        if abs(v) <= GUARD_CUTOFF * scale:
-            raise SingularPointError(
-                name, label, tuple(float_value(c) for c in state)
-            )
-
-
 @dataclass(frozen=True)
 class MapDescriptor:
     """A differentiable invertible map bundled with its domain guards.
@@ -169,8 +157,9 @@ class MapDescriptor:
     ``forward_fn`` and ``inverse_fn`` accept a sequence of floats or jets
     and return a tuple of the same flavour.  Guards are ``(label, fn)``
     pairs naming the denominators that must stay away from zero; they are
-    checked before each evaluation so poles raise instead of propagating
-    huge values.
+    called with the point's float values before each evaluation, so poles
+    raise instead of propagating huge values, and every output's float
+    value must be finite.
     """
 
     name: str
@@ -184,25 +173,23 @@ class MapDescriptor:
     sample_box: tuple | None = None  # per-coordinate (lo, hi) for sampling
 
     def forward(self, state):
-        _check_guards(self.forward_guards, state, self.name)
-        out = tuple(self.forward_fn(state))
-        self._check_output(out, state)
-        return out
+        return self._evaluate(self.forward_fn, self.forward_guards, self.name, state)
 
     def inverse(self, state):
-        _check_guards(self.inverse_guards, state, self.name + " (inverse)")
-        out = tuple(self.inverse_fn(state))
-        self._check_output(out, state)
-        return out
+        return self._evaluate(
+            self.inverse_fn, self.inverse_guards, self.name + " (inverse)", state
+        )
 
-    def _check_output(self, out, state):
-        for c in out:
-            if not isinstance(c, Jet) and not math.isfinite(c):
-                raise SingularPointError(
-                    self.name,
-                    "non-finite result",
-                    tuple(float_value(s) for s in state),
-                )
+    def _evaluate(self, fn, guards, where, state):
+        point = tuple(float_value(c) for c in state)
+        scale = 1.0 + max(map(abs, point), default=0.0)
+        for label, guard in guards:
+            if abs(guard(point)) <= GUARD_CUTOFF * scale:
+                raise SingularPointError(where, label, point)
+        out = tuple(fn(state))
+        if not all(math.isfinite(float_value(c)) for c in out):
+            raise SingularPointError(self.name, "non-finite result", point)
+        return out
 
     def box(self):
         if self.sample_box is not None:

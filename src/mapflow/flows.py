@@ -408,6 +408,9 @@ def _combine(weights, k):
     return acc
 
 
+# overflow surfaces as a non-finite state, which the loop turns into an error,
+# so numpy's warnings would only repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
     """Integrate dy/dt = rhs(y) from t0 to t1 (either direction).
 

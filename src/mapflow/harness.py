@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import chain1d, core, flows, maps
-from .core import Jet
 from .errors import MapflowError
 from .flows import IntegratorConfig
 
@@ -96,7 +95,6 @@ def verify_correspondence(
     cfg=None,
     flow=None,
     num_samples=DEFAULT_SAMPLES,
-    tol_deviation=DEFAULT_TOL_DEVIATION,
     tol_drift=DEFAULT_TOL_DRIFT,
 ):
     """Integrate the flow and compare against the map at sampled times.
@@ -140,7 +138,7 @@ def verify_correspondence(
         for j in range(len(h0))
     )
     max_dev = max(deviations)
-    passed = max_dev <= tol_deviation and all(d <= tol_drift for d in drifts)
+    passed = max_dev <= DEFAULT_TOL_DEVIATION and all(d <= tol_drift for d in drifts)
     return CorrespondenceReport(
         map_id=map_id,
         params={k: v for k, v in params.items()},
@@ -152,7 +150,7 @@ def verify_correspondence(
         deviations=tuple(deviations),
         max_deviation=max_dev,
         ham_drift=drifts,
-        tol_deviation=tol_deviation,
+        tol_deviation=DEFAULT_TOL_DEVIATION,
         tol_drift=tol_drift,
         integrator={
             "method": cfg.method,
@@ -185,18 +183,15 @@ class ScanReport:
 
 
 def _grid_points(grid):
-    """Cartesian product of inclusive linspace axes (lo, hi, count)."""
+    """Cartesian product of evenly spaced axes (lo, hi, count), each from
+    lo to exactly hi; a count of one gives lo alone."""
     axes = []
     for lo, hi, count in grid:
         count = int(count)
         if count < 1:
             raise ValueError("grid axis needs at least one point")
-        if count == 1:
-            axes.append([float(lo)])
-        else:
-            axes.append(
-                [float(lo) + (float(hi) - float(lo)) * i / (count - 1) for i in range(count)]
-            )
+        lo, hi = float(lo), float(hi)
+        axes.append([lo] if count == 1 else _sample_times(lo, hi, count))
     points = [()]
     for axis in axes:
         points = [p + (v,) for p in points for v in axis]
@@ -210,8 +205,9 @@ def conservation_scan(
     t_range=(1.0, 2.0),
     cfg=None,
 ):
-    """Per grid point, run the correspondence check; failures are recorded
-    and the scan continues.  Points run one after another in grid order."""
+    """Per grid point, run the correspondence check; failures (including a
+    division by zero or an overflow) are recorded and the scan continues.
+    Points run one after another in grid order."""
     params = maps.resolve_params(map_id, params)
     points = _grid_points(grid)
 
@@ -227,7 +223,7 @@ def conservation_scan(
                 "passed": rep.passed,
                 "error": None,
             }
-        except MapflowError as exc:
+        except (MapflowError, ArithmeticError) as exc:
             return {
                 "point": list(pt),
                 "max_deviation": None,
@@ -376,14 +372,12 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
             rep = chain1d.verify_chain_hamilton(spec, state)
             hamilton_ok = hamilton_ok and rep.passed
             worst_fd = max(worst_fd, rep.err_dq, rep.err_dp, rep.err_bar_a)
-        jet_state = chain1d.chain_propagate(
-            spec, Jet(qq, (1.0, 0.0)), Jet(pp + state.a, (0.0, 1.0)), state.a
-        )
+        _, dh_dp = chain1d.hamiltonian_gradient(spec, qq, pp, state.a)
         coeffs = chain1d.chain_coefficients(spec, state)
         bar = chain1d.tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])
         worst_gradient = max(
             worst_gradient,
-            abs(jet_state.q[0].partials[1] - bar) / (1.0 + abs(bar)),
+            abs(dh_dp - bar) / (1.0 + abs(bar)),
         )
 
     # recurrence determinants vs dense evaluation on random coefficients

@@ -527,26 +527,11 @@ def kdv2_flow(r):
 # q-difference three-point map (Painleve IV family)
 
 
-@dataclass(frozen=True)
-class Qp4Params:
-    """Multiplicative parameters of the q-difference map; q = abc."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.a == 0 or self.b == 0 or self.c == 0:
-            raise ValueError("qp4 parameters must all be nonzero")
-
-    @property
-    def q(self):
-        return self.a * self.b * self.c
-
-
 def qp4(a, b, c):
     """Three-dimensional q-difference map with constant det J = (abc)^2."""
-    p = Qp4Params(a, b, c)
+    if a == 0 or b == 0 or c == 0:
+        raise ValueError("qp4 parameters must all be nonzero")
+    q = a * b * c
 
     def fwd(state):
         x, y, z = state
@@ -582,7 +567,7 @@ def qp4(a, b, c):
             ("1+Y/b+YX/ba", lambda s: 1 + s[1] / b + s[1] * s[0] / (b * a)),
             ("1+Z/c+ZY/cb", lambda s: 1 + s[2] / c + s[2] * s[1] / (c * b)),
         ),
-        det_j=lambda s: p.q**2,
+        det_j=lambda s: q**2,
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -540,6 +541,47 @@ def test_overflowing_integration_is_a_numerical_failure(capsys):
     assert code == 3
     assert out == ""
     assert "non-finite" in err
+
+
+def test_overflow_warning_stays_off_stderr(capsys):
+    # a warning shown outside pytest would precede the one-line message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "verify", *HENON_RUN, "--t1", "1e200")
+    assert code == 3
+    message = "non-finite coordinate in state (3e+197, inf)"
+    assert err == f"mapflow: numerical failure: {message}\n"
+
+
+def test_division_by_zero_in_a_hamiltonian_is_a_numerical_failure(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--map",
+        "hermite",
+        "--param",
+        "m=3",
+        "--x0",
+        "94101122.9678407",
+        "--t0",
+        "-2.5003391910984307",
+        "--t1",
+        "-2.500260355881004",
+    )
+    assert (code, out) == (3, "")
+    assert err == "mapflow: numerical failure: float division by zero\n"
+
+
+@pytest.mark.parametrize("t0, t1, samples", [("0.1", "0.9", "11"), ("1", "2", "21")])
+def test_flow_samples_the_verify_report_times(tmp_path, capsys, t0, t1, samples):
+    run = ["--map", "henon", "--x0", "0.7", "--t0", t0, "--t1", t1]
+    run += ["--samples", samples]
+    csv_path = tmp_path / "traj.csv"
+    assert main(["flow", *run, "--out", str(csv_path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", *run)
+    assert code == 0
+    rows = csv_path.read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == json.loads(out)["sample_times"]
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])

@@ -362,6 +362,52 @@ def test_singular_point_error_names_guard():
     assert exc_info.value.point == (1.0, 1.0, -0.5)
 
 
+def test_guards_are_called_with_floats_under_jacobian():
+    # math.copysign rejects jets, so this guard only works on the float point
+    seen = []
+
+    def guard(s):
+        seen.append(s)
+        return math.copysign(1.0, s[0]) * s[0]
+
+    scaled = core.MapDescriptor(
+        name="scaled",
+        dimension=2,
+        params={},
+        forward_fn=lambda s: (2.0 * s[0], s[1]),
+        inverse_fn=lambda s: (s[0] / 2.0, s[1]),
+        forward_guards=(("|x|", guard),),
+    )
+    assert np.array_equal(jacobian(scaled, (0.5, 1.0)), [[2.0, 0.0], [0.0, 1.0]])
+    assert seen == [(0.5, 1.0)]
+    with pytest.raises(SingularPointError) as exc_info:
+        jacobian(scaled, (0.0, 1.0))
+    assert exc_info.value.label == "|x|"
+
+
+def test_non_finite_jet_output_raises_under_jacobian():
+    poisoned = core.MapDescriptor(
+        name="poisoned",
+        dimension=2,
+        params={},
+        forward_fn=lambda s: (s[0] * math.nan, s[1]),
+        inverse_fn=lambda s: tuple(s),
+    )
+    with pytest.raises(SingularPointError) as exc_info:
+        jacobian(poisoned, (1.0, 2.0))
+    assert exc_info.value.label == "non-finite result"
+    assert exc_info.value.point == (1.0, 2.0)
+
+
+def test_inverse_guard_names_the_inverse_direction_on_jets():
+    k3 = maps.kdv3()
+    with pytest.raises(SingularPointError) as exc_info:
+        k3.inverse(core.seed_jets((-1.0, 1.0, 0.0)))
+    assert exc_info.value.where == "kdv3 (inverse)"
+    assert exc_info.value.label == "1+XY+X^2YZ"
+    assert exc_info.value.point == (-1.0, 1.0, 0.0)
+
+
 def test_round_trip_property_all_catalog_maps():
     rng = np.random.default_rng(42)
     built = [

@@ -145,6 +145,28 @@ def test_scan_records_per_point_failures_and_continues():
     assert not scan.summary["all_passed"]
 
 
+def test_scan_records_a_division_by_zero_and_continues():
+    # at this start the m=3 chain Hamiltonian divides by y - x = 0
+    scan = harness.conservation_scan(
+        "hermite",
+        {"m": 3},
+        grid=((2.5, 94101122.9678407, 2),),
+        t_range=(-2.5003391910984307, -2.500260355881004),
+    )
+    assert [r["point"] for r in scan.results] == [[2.5], [94101122.9678407]]
+    assert scan.results[0]["passed"]
+    assert scan.results[1]["error"].startswith("ZeroDivisionError: ")
+    assert scan.summary["failed"] == 1
+
+
+def test_scan_grid_axes_end_exactly_on_hi():
+    # the plain formula gives 0.8999999999999999 and 1.6999999999999997
+    points = harness._grid_points(((0.2, 0.9, 5), (0.3, 1.7, 4), (1.0, 9.0, 1)))
+    assert points[-1] == (0.9, 1.7, 1.0)
+    assert points[0] == (0.2, 0.3, 1.0)
+    assert len(points) == 20
+
+
 def test_scan_deterministic_and_order_stable():
     grid = ((0.6, 1.4, 3), (0.7, 1.3, 2))
     a = harness.conservation_scan("kdv3", grid=grid, t_range=(1.0, 1.5))
