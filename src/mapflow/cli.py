@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 
-from . import core, flows, harness, maps
+from . import core, harness, maps
 from .errors import ConfigError, MapflowError, UnknownMapError
 from .flows import IntegratorConfig
 
@@ -218,10 +218,9 @@ def cmd_flow(args):
     cfg = integrator_config(args)
 
     flow = maps.build_flow(args.map, dict(args.param))
-    x_start = harness.source_start(flow, args.x0, args.t0)
-    image0 = flow.map.forward(x_start)
-    t_eval = harness._sample_times(args.t0, args.t1, args.samples)
-    traj = flows.integrate_flow(flow, image0, args.t0, args.t1, cfg=cfg, t_eval=t_eval)
+    _, traj = harness.flow_from_source(
+        flow, args.x0, args.t0, args.t1, cfg, args.samples
+    )
     emit(trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)), args.out)
     return EXIT_PASS
 

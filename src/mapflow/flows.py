@@ -61,12 +61,20 @@ class FlowSystem:
                 f"flow over {n} dimensions needs {n - 1} hamiltonians, "
                 f"got {len(self.hamiltonians)}"
             )
-        if not 1 <= self.time_index <= n:
-            raise ValueError(f"time index {self.time_index} out of range 1..{n}")
+        _check_time_index(self.map, self.time_index)
+
+    def hamiltonians_at(self, image):
+        """The Hamiltonians at an image point whose entries are floats or jets."""
+        return tuple(h(image) for h in self.hamiltonians)
 
     def hamiltonian_values(self, point):
-        x = as_state(point)
-        return tuple(float_value(h(x)) for h in self.hamiltonians)
+        return tuple(float_value(v) for v in self.hamiltonians_at(as_state(point)))
+
+
+def _check_time_index(mapdesc, time_index):
+    n = mapdesc.dimension
+    if not 1 <= time_index <= n:
+        raise ValueError(f"time index {time_index} out of range 1..{n}")
 
 
 def flow_system(mapdesc, hamiltonians):
@@ -99,6 +107,7 @@ def check_det_condition(mapdesc, time_index, samples):
     The derivative is taken by central differences of the determinant; a
     sample passes when |d(det J)/dx_t| <= 1e-7 * (1 + |det J|).
     """
+    _check_time_index(mapdesc, time_index)
     det_field = map_det_field(mapdesc)
     entries = []
     max_partial = 0.0
@@ -134,34 +143,6 @@ def check_det_condition(mapdesc, time_index, samples):
 # Hamiltonian construction
 
 
-def _permuted_source(mapdesc, time_index):
-    """Reorder source coordinates so the chosen time variable comes last.
-
-    Image space is untouched.  The Jacobian determinant of the permuted
-    map picks up the permutation parity automatically.
-    """
-    n = mapdesc.dimension
-    order = [j for j in range(n) if j != time_index - 1] + [time_index - 1]
-    inv_order = [0] * n
-    for pos, j in enumerate(order):
-        inv_order[j] = pos
-
-    def fwd(state):
-        return mapdesc.forward([state[inv_order[j]] for j in range(n)])
-
-    def inv(state):
-        src = mapdesc.inverse(state)
-        return tuple(src[j] for j in order)
-
-    return core.MapDescriptor(
-        name=f"{mapdesc.name}[t=x{time_index}]",
-        dimension=n,
-        params=dict(mapdesc.params),
-        forward_fn=fwd,
-        inverse_fn=inv,
-    )
-
-
 def build_hamiltonians(
     mapdesc,
     ref_point=None,
@@ -170,19 +151,20 @@ def build_hamiltonians(
 ):
     """Construct the flow system whose Hamiltonians are conserved by the map.
 
-    The first n-2 Hamiltonians are the non-time source coordinates read
-    through the inverse map.  The last one integrates the Jacobian
-    determinant along the remaining source coordinate from ``ref_point``
-    (all ones by default), holding the other inverse coordinates fixed;
-    changing the reference point only shifts it by a constant whenever the
-    determinant condition holds.
+    Any source coordinate ``time_index`` (1-based, x_n by default) may play
+    the role of time.  The first n-2 Hamiltonians are the non-time source
+    coordinates read through the inverse map, all but the last of them.
+    The last one integrates the Jacobian determinant along that remaining
+    coordinate from ``ref_point`` (all ones by default), holding the other
+    inverse coordinates fixed; changing the reference point only shifts it
+    by a constant whenever the determinant condition holds.
 
     With ``check`` enabled the construction is refused (with the sampled
     diagnostics attached) when d(det J)/dx_time is not negligible.
     """
     n = mapdesc.dimension
     t_idx = n if time_index is None else time_index
-    work = mapdesc if t_idx == n else _permuted_source(mapdesc, t_idx)
+    _check_time_index(mapdesc, t_idx)
     if check:
         samples = core.sample_points(
             mapdesc, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED
@@ -192,37 +174,40 @@ def build_hamiltonians(
             raise DetConditionError(report)
 
     ref = (1.0,) * n if ref_point is None else as_state(ref_point)
-    ref_work = tuple(ref[j] for j in range(n) if j != t_idx - 1) + (ref[t_idx - 1],)
-    ref_quad = ref_work[n - 2]
-    det_work = map_det_field(work)
+    *coords, q = [j for j in range(n) if j != t_idx - 1]
+    ref_quad = ref[q]
+    det_field = map_det_field(mapdesc)
+    # moving the time column to the end is a cycle of parity n - t_idx,
+    # which flips the sign of the determinant read in that order
+    flip = (n - t_idx) % 2 == 1
 
     hams = []
-    for j in range(n - 2):
+    for j in coords:
 
         def coord_field(point, _j=j):
-            return work.inverse(point)[_j]
+            return mapdesc.inverse(point)[_j]
 
         hams.append(coord_field)
 
     def quad_field(point):
-        src = work.inverse(point)
-        endpoint = src[n - 2]
+        src = mapdesc.inverse(point)
+        endpoint = src[q]
 
         def integrand(u):
             s = ref_quad + u * (endpoint - ref_quad)
-            inner = src[: n - 2] + (s,) + src[n - 1 :]
-            return det_work(inner)
+            return det_field(src[:q] + (s,) + src[q + 1 :])
 
-        return (endpoint - ref_quad) * integrate_gk(
+        value = (endpoint - ref_quad) * integrate_gk(
             integrand, 0.0, 1.0, abs_tol=QUADRATURE_ABS_TOL
         )
+        return -value if flip else value
 
     hams.append(quad_field)
     return FlowSystem(
         map=mapdesc,
         time_index=t_idx,
         hamiltonians=tuple(hams),
-        det_j_field=map_det_field(mapdesc),
+        det_j_field=det_field,
     )
 
 
@@ -248,10 +233,7 @@ def _bracket_velocity(hamiltonians_of, x):
 def nambu_rhs(flow, point):
     """Velocity of the image point: component j is the bracket of the
     Hamiltonians with the j-th coordinate function."""
-    return _bracket_velocity(
-        lambda image: [h(image) for h in flow.hamiltonians],
-        as_state(point),
-    )
+    return _bracket_velocity(flow.hamiltonians_at, as_state(point))
 
 
 def source_rhs(flow, point):
@@ -268,8 +250,7 @@ def source_rhs(flow, point):
         raise SingularPointError(flow.map.name, "det J", x)
 
     def composed(src):
-        image = flow.map.forward(src)
-        return [h(image) for h in flow.hamiltonians]
+        return flow.hamiltonians_at(flow.map.forward(src))
 
     comps = _bracket_velocity(composed, x)
     return tuple(c / detj for c in comps)
@@ -361,8 +342,8 @@ class Trajectory:
 
 
 class _Recorder:
-    def __init__(self, observables):
-        self.observables = tuple(observables)
+    def __init__(self, observe):
+        self.observe = observe
         self.times = []
         self.states = []
         self.hams = []
@@ -371,7 +352,7 @@ class _Recorder:
         state = tuple(float(v) for v in y)
         self.times.append(float(t))
         self.states.append(state)
-        self.hams.append(tuple(float_value(obs(state)) for obs in self.observables))
+        self.hams.append(() if self.observe is None else tuple(self.observe(state)))
 
     def trajectory(self, stats):
         return Trajectory(
@@ -383,19 +364,22 @@ class _Recorder:
 
 
 def _stops(t0, t1, t_eval, direction):
-    """The times a run must land on: the t_eval samples after t0, then t1."""
-    stops = []
+    """The times a run must land on, each paired with whether it is
+    recorded: the t_eval samples, then t1 if they stop short of it."""
+    if t_eval is None:
+        return [(t1, False)]
+    times = [float(t) for t in t_eval]
+    if not times:
+        raise ValueError("t_eval must hold at least one time")
     prev = t0
-    for t in () if t_eval is None else t_eval:
-        t = float(t)
-        repeated = t == prev and t != t0
+    for i, t in enumerate(times):
+        repeated = i > 0 and t == prev
         if (t - prev) * direction < 0 or repeated or (t - t1) * direction > 0:
             raise ValueError("t_eval must run strictly monotonically from t0 to t1")
-        if t != t0:
-            stops.append(t)
         prev = t
-    if not stops or stops[-1] != t1:
-        stops.append(t1)
+    stops = [(t, True) for t in times]
+    if times[-1] != t1:
+        stops.append((t1, False))
     return stops
 
 
@@ -411,14 +395,15 @@ def _combine(weights, k):
 # overflow surfaces as a non-finite state, which the loop turns into an error,
 # so numpy's warnings would only repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
-def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
+def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     """Integrate dy/dt = rhs(y) from t0 to t1 (either direction).
 
     ``rhs`` maps a state tuple to a velocity sequence.  When ``t_eval`` is
-    given, samples are recorded exactly at those times (which must be
-    strictly monotone from t0 towards t1); otherwise every accepted step
-    is recorded.  ``observables`` are scalar fields evaluated at each
-    sample and stored alongside the states.
+    given, samples are recorded at exactly those times and no others
+    (they must be strictly monotone from t0 towards t1; t0 and t1 are
+    recorded only when listed); otherwise t0 and every accepted step are
+    recorded.  ``observe`` maps a sample's state to the values stored
+    alongside it.
 
     Both methods share one explicit Runge-Kutta loop.  A step that would
     pass the next sample time (or t1) is shortened to end on it, and the
@@ -436,8 +421,9 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
     a, b, e = _TABLEAUS[cfg.method]
     t = t0
     y = np.array(as_state(x0), dtype=float)
-    rec = _Recorder(observables)
-    rec.add(t, y)
+    rec = _Recorder(observe)
+    if t_eval is None:
+        rec.add(t, y)
 
     evals = accepted = rejected = 0
 
@@ -450,7 +436,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
         return IntegratorStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
 
     h = direction * (cfg.step if e is None else abs(t1 - t0) / 100.0)
-    for stop in stops:
+    for stop, recorded in stops:
         while t != stop:
             if accepted + rejected >= cfg.max_steps:
                 raise MaxStepsError(
@@ -485,7 +471,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
                 y = y_new
                 if abs(t - stop) <= 1e-12 * max(1.0, abs(t)):
                     t = stop
-                if t == stop or t_eval is None:
+                if t_eval is None:
                     rec.add(t, y)
                 # a clipped step says nothing about the natural step size
                 if e is not None and not (clipped and abs(h) > abs(h_try)):
@@ -494,6 +480,8 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observables=()):
             else:
                 rejected += 1
                 h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))
+        if recorded:
+            rec.add(t, y)
     return rec.trajectory(stats())
 
 
@@ -504,7 +492,7 @@ def integrate_flow(flow, x0, t0, t1, cfg=None, t_eval=None):
         return nambu_rhs(flow, state)
 
     return integrate(
-        rhs, x0, t0, t1, cfg=cfg, t_eval=t_eval, observables=flow.hamiltonians
+        rhs, x0, t0, t1, cfg=cfg, t_eval=t_eval, observe=flow.hamiltonian_values
     )
 
 

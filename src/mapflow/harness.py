@@ -87,6 +87,29 @@ def source_start(flow, x0, t0):
     return tuple(coords)
 
 
+def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
+    """Integrate the flow from the image of the source point at t0, sampled
+    at num_samples evenly spaced times from t0 to t1.
+
+    Returns the source point and the trajectory.
+    """
+    t0, t1 = float(t0), float(t1)
+    x_start = source_start(flow, x0, t0)
+    image0 = flow.map.forward(x_start)
+    t_eval = _sample_times(t0, t1, num_samples)
+    return x_start, flows.integrate_flow(flow, image0, t0, t1, cfg=cfg, t_eval=t_eval)
+
+
+def _drifts(ham_values):
+    """Per Hamiltonian, the largest change from its first value, relative
+    to 1 + |first value|."""
+    h0 = ham_values[0]
+    return tuple(
+        max(abs(hv[j] - h0[j]) for hv in ham_values) / (1.0 + abs(h0[j]))
+        for j in range(len(h0))
+    )
+
+
 def verify_correspondence(
     map_id,
     params=None,
@@ -113,30 +136,19 @@ def verify_correspondence(
         flow = maps.build_flow(map_id, params)
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_range[0]), float(t_range[1])
-    t_eval = _sample_times(t0, t1, num_samples)
 
-    x_start = source_start(flow, x0, t0)
-    image0 = flow.map.forward(x_start)
-    traj_flow = flows.integrate_flow(flow, image0, t0, t1, cfg=cfg, t_eval=t_eval)
+    x_start, traj_flow = flow_from_source(flow, x0, t0, t1, cfg, num_samples)
+    t_eval = traj_flow.times
     if constrained:
         traj_src = flows.integrate_source(flow, x_start, t0, t1, cfg=cfg, t_eval=t_eval)
         src_states = traj_src.states
     else:
-        t_slot = flow.time_index - 1
-        src_states = []
-        for t in t_eval:
-            pt = list(x_start)
-            pt[t_slot] = t
-            src_states.append(tuple(pt))
+        src_states = [source_start(flow, x_start, t) for t in t_eval]
 
     deviations = []
     for state_flow, state_src in zip(traj_flow.states, src_states):
         deviations.append(_relative_deviation(state_flow, flow.map.forward(state_src)))
-    h0 = traj_flow.ham_values[0]
-    drifts = tuple(
-        max(abs(hv[j] - h0[j]) for hv in traj_flow.ham_values) / (1.0 + abs(h0[j]))
-        for j in range(len(h0))
-    )
+    drifts = _drifts(traj_flow.ham_values)
     max_dev = max(deviations)
     passed = max_dev <= DEFAULT_TOL_DEVIATION and all(d <= tol_drift for d in drifts)
     return CorrespondenceReport(
@@ -312,16 +324,8 @@ def composition_check(
     ham_ok = None
     if flow is not None:
         t0, t1 = t_range or (1.0, 2.0)
-        image0 = flow.map.forward(source_start(flow, x0, t0))
-        traj = flows.integrate_flow(
-            flow, image0, t0, t1, cfg=cfg, t_eval=_sample_times(t0, t1, DEFAULT_SAMPLES)
-        )
-        h0 = traj.ham_values[0]
-        ham_drift = max(
-            abs(hv[j] - h0[j]) / (1.0 + abs(h0[j]))
-            for hv in traj.ham_values
-            for j in range(len(h0))
-        )
+        _, traj = flow_from_source(flow, x0, t0, t1, cfg, DEFAULT_SAMPLES)
+        ham_drift = max(_drifts(traj.ham_values))
         ham_ok = ham_drift <= DEFAULT_TOL_DRIFT
 
     return CompositionReport(

@@ -56,6 +56,21 @@ def test_det_condition_synthetic_fails():
     assert report.max_partial == pytest.approx(2.0, rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chain: flows.check_det_condition(chain, 0, [(7.0, 1.0)]),
+        lambda chain: flows.check_det_condition(chain, 3, [(7.0, 1.0)]),
+        # refused before the determinant condition samples anything
+        lambda chain: flows.build_hamiltonians(chain, time_index=0),
+    ],
+    ids=["det-condition-0", "det-condition-3", "build-0"],
+)
+def test_time_index_out_of_range_is_refused(call):
+    with pytest.raises(ValueError, match="time index .* out of range 1..2"):
+        call(maps.hermite_chain(2))
+
+
 def test_build_hamiltonians_refuses_when_condition_fails():
     with pytest.raises(DetConditionError) as exc_info:
         flows.build_hamiltonians(maps.hermite_chain(2))
@@ -173,6 +188,60 @@ def test_permuted_time_index_correspondence_hermite_x_time():
     for t, state in zip(traj.times, traj.states):
         want = chain.forward((t, y0))
         assert max(abs(a - b) for a, b in zip(state, want)) < 1e-6
+
+
+def test_permuted_time_index_even_cycle_verifies_kdv3():
+    # x1 as time moves the time column over two others, an even permutation
+    report = harness.verify_correspondence(
+        "kdv3",
+        x0=(0.9, 1.0),
+        t_range=(1.1, 1.2),
+        flow=flows.build_hamiltonians(maps.kdv3(), time_index=1),
+        num_samples=3,
+    )
+    assert report.passed
+    assert report.time_index == 1
+
+
+def reordered_time_last(mapdesc, time_index):
+    """The map with its source coordinates reordered by hand so that
+    x_time comes last; image space is untouched."""
+    n = mapdesc.dimension
+    order = [j for j in range(n) if j != time_index - 1] + [time_index - 1]
+
+    def fwd(state):
+        src = [None] * n
+        for pos, j in enumerate(order):
+            src[j] = state[pos]
+        return mapdesc.forward(src)
+
+    def inv(state):
+        src = mapdesc.inverse(state)
+        return tuple(src[j] for j in order)
+
+    return core.MapDescriptor(
+        name=f"{mapdesc.name}-reordered",
+        dimension=n,
+        params={},
+        forward_fn=fwd,
+        inverse_fn=inv,
+    )
+
+
+@pytest.mark.parametrize("time_index", [1, 2])
+def test_permuted_time_index_matches_hand_reordered_map_kdv3(time_index):
+    k3 = maps.kdv3()
+    fs = flows.build_hamiltonians(k3, time_index=time_index)
+    ref = flows.build_hamiltonians(reordered_time_last(k3, time_index))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        X = k3.forward(tuple(rng.uniform(0.6, 1.4, 3)))
+        for got, want in [
+            (fs.hamiltonian_values(X), ref.hamiltonian_values(X)),
+            (flows.nambu_rhs(fs, X), flows.nambu_rhs(ref, X)),
+        ]:
+            scale = 1.0 + max(abs(w) for w in want)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
 
 
 def test_build_hamiltonians_permuted_time_index():
@@ -318,6 +387,15 @@ def test_integrate_records_requested_sample_times():
     traj = flows.integrate_flow(fl, (0.0, -1.0), 0.0, 2.0, t_eval=t_eval)
     assert list(traj.times) == t_eval
     assert len(traj.ham_values) == len(t_eval)
+
+
+def test_integrate_records_only_the_requested_times():
+    # like scipy's solve_ivp, neither t0 nor t1 is recorded unless requested
+    traj = flows.integrate(lambda s: (1.0,), (0.0,), 0.0, 1.0, t_eval=[0.25, 0.5])
+    assert traj.times == (0.25, 0.5)
+    assert [s[0] for s in traj.states] == pytest.approx([0.25, 0.5], abs=1e-12)
+    with pytest.raises(ValueError):
+        flows.integrate(lambda s: (1.0,), (0.0,), 0.0, 1.0, t_eval=[])
 
 
 def test_integrate_rk4_agrees_with_adaptive():
