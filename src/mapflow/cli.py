@@ -213,13 +213,9 @@ def cmd_jacobian(args):
 
 
 def cmd_flow(args):
-    if args.samples < 2:
-        raise ConfigError("--samples must be at least 2")
-    cfg = integrator_config(args)
-
     flow = maps.build_flow(args.map, dict(args.param))
     _, traj = harness.flow_from_source(
-        flow, args.x0, args.t0, args.t1, cfg, args.samples
+        flow, args.x0, args.t0, args.t1, integrator_config(args), args.samples
     )
     emit(trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)), args.out)
     return EXIT_PASS
@@ -395,6 +391,8 @@ def main(argv=None):
         for dest in args.required:
             if getattr(args, dest) is None:
                 raise ConfigError(f"--{dest} is required")
+        if getattr(args, "samples", 2) < 2:
+            raise ConfigError("--samples must be at least 2")
         return args.fn(args)
     except (ConfigError, UnknownMapError) as exc:
         print(f"mapflow: {exc}", file=sys.stderr)

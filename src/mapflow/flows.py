@@ -13,6 +13,7 @@ classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,8 +65,17 @@ class FlowSystem:
         _check_time_index(self.map, self.time_index)
 
     def hamiltonians_at(self, image):
-        """The Hamiltonians at an image point whose entries are floats or jets."""
-        return tuple(h(image) for h in self.hamiltonians)
+        """The Hamiltonians at an image point whose entries are floats or jets;
+        a division by zero in H_j is a SingularPointError naming H_j."""
+        values = []
+        for j, h in enumerate(self.hamiltonians, 1):
+            try:
+                values.append(h(image))
+            except ZeroDivisionError as exc:
+                point = tuple(float_value(c) for c in image)
+                label = f"a denominator of H{j}"
+                raise SingularPointError(self.map.name, label, point) from exc
+        return tuple(values)
 
     def hamiltonian_values(self, point):
         return tuple(float_value(v) for v in self.hamiltonians_at(as_state(point)))
@@ -73,7 +83,7 @@ class FlowSystem:
 
 def _check_time_index(mapdesc, time_index):
     n = mapdesc.dimension
-    if not 1 <= time_index <= n:
+    if not (isinstance(time_index, numbers.Integral) and 1 <= time_index <= n):
         raise ValueError(f"time index {time_index} out of range 1..{n}")
 
 

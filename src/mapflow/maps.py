@@ -321,23 +321,18 @@ def kdv3():
     which pins down the invariants preserved step to step.
     """
 
+    # the factors divided by are the guards' own, so each is written once
     def fwd(state):
         x, y, z = state
-        return (
-            x * (1 + x * y + x * y * y * z) / (1 + z * x + x * x * y * z),
-            y * (1 + y * z + x * y * z * z) / (1 + x * y + x * y * y * z),
-            z * (1 + z * x + x * x * y * z) / (1 + y * z + x * y * z * z),
-        )
+        f1, f2, f3 = (g(state) for _, g in mapdesc.forward_guards)
+        return (x * f1 / f2, y * f3 / f1, z * f2 / f3)
 
     def inv(state):
         xk, yk, zk = state
-        return (
-            xk * (1 + zk * xk + xk * yk * zk * zk) / (1 + xk * yk + xk * xk * yk * zk),
-            yk * (1 + xk * yk + xk * xk * yk * zk) / (1 + yk * zk + xk * yk * yk * zk),
-            zk * (1 + yk * zk + xk * yk * yk * zk) / (1 + zk * xk + xk * yk * zk * zk),
-        )
+        g1, g2, g3 = (g(state) for _, g in mapdesc.inverse_guards)
+        return (xk * g3 / g1, yk * g1 / g2, zk * g2 / g3)
 
-    return MapDescriptor(
+    mapdesc = MapDescriptor(
         name="kdv3",
         dimension=3,
         params={},
@@ -355,6 +350,7 @@ def kdv3():
         ),
         det_j=lambda s: 1.0,
     )
+    return mapdesc
 
 
 @dataclass(frozen=True)
@@ -418,19 +414,15 @@ def kdv2(r):
 
     def fwd(state):
         x, y = state
-        return (
-            x * y * (1 + r * y + x * y) / (r + y + r * x * y),
-            (r * r + r * y + x * y) / (x * (1 + r * y + x * y)),
-        )
+        p, _, q = (g(state) for _, g in mapdesc.forward_guards)
+        return (x * y * q / p, (r * r + r * y + x * y) / (x * q))
 
     def inv(state):
         xk, yk = state
-        return (
-            (r * r + r * xk + xk * yk) / (yk * (1 + r * xk + xk * yk)),
-            xk * yk * (1 + r * xk + xk * yk) / (r + xk + r * xk * yk),
-        )
+        _, q, p = (g(state) for _, g in mapdesc.inverse_guards)
+        return ((r * r + r * xk + xk * yk) / (yk * q), xk * yk * q / p)
 
-    return MapDescriptor(
+    mapdesc = MapDescriptor(
         name="kdv2",
         dimension=2,
         params={"r": r},
@@ -449,6 +441,7 @@ def kdv2(r):
         det_j=lambda s: (r * r + r * s[1] + s[0] * s[1])
         / (s[0] * (r + s[1] + r * s[0] * s[1])),
     )
+    return mapdesc
 
 
 def kdv2_hamiltonian(r):
@@ -535,23 +528,19 @@ def qp4(a, b, c):
 
     def fwd(state):
         x, y, z = state
-        f1 = 1 + a * x + a * b * x * y
-        f2 = 1 + b * y + b * c * y * z
-        f3 = 1 + c * z + c * a * z * x
+        f1, f2, f3 = (g(state) for _, g in mapdesc.forward_guards)
         return (a * b * y * f3 / f1, b * c * z * f1 / f2, c * a * x * f2 / f3)
 
     def inv(state):
         xk, yk, zk = state
-        g1 = 1 + xk / a + xk * zk / (a * c)
-        g2 = 1 + yk / b + yk * xk / (b * a)
-        g3 = 1 + zk / c + zk * yk / (c * b)
+        g1, g2, g3 = (g(state) for _, g in mapdesc.inverse_guards)
         return (
             (zk / (c * a)) * g2 / g1,
             (xk / (a * b)) * g3 / g2,
             (yk / (b * c)) * g1 / g3,
         )
 
-    return MapDescriptor(
+    mapdesc = MapDescriptor(
         name="qp4",
         dimension=3,
         params={"a": a, "b": b, "c": c},
@@ -569,6 +558,7 @@ def qp4(a, b, c):
         ),
         det_j=lambda s: q**2,
     )
+    return mapdesc
 
 
 def qp4_invariants(a, b, c, state):

@@ -569,7 +569,10 @@ def test_division_by_zero_in_a_hamiltonian_is_a_numerical_failure(capsys):
         "-2.500260355881004",
     )
     assert (code, out) == (3, "")
-    assert err == "mapflow: numerical failure: float division by zero\n"
+    # the m=3 Hamiltonian divides by Y - X, which vanishes at the image point
+    place = "hermite[m=3]: a denominator of H1 vanishes"
+    point = "(151867642.1956704, 151867642.1956704)"
+    assert err == f"mapflow: numerical failure: singular point in {place} at {point}\n"
 
 
 @pytest.mark.parametrize("t0, t1, samples", [("0.1", "0.9", "11"), ("1", "2", "21")])
@@ -590,3 +593,12 @@ def test_flow_needs_at_least_two_samples(capsys, samples):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_flow_and_verify_share_the_samples_check(tmp_path, capsys, source):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 1}))
+    extra = ["--samples", "1"] if source == "flag" else ["--config", str(cfg)]
+    results = [run_cli(capsys, cmd, *HENON_RUN, *extra) for cmd in ("flow", "verify")]
+    assert results[0] == results[1] == (2, "", "mapflow: --samples must be at least 2\n")

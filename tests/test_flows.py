@@ -63,12 +63,29 @@ def test_det_condition_synthetic_fails():
         lambda chain: flows.check_det_condition(chain, 3, [(7.0, 1.0)]),
         # refused before the determinant condition samples anything
         lambda chain: flows.build_hamiltonians(chain, time_index=0),
+        lambda chain: flows.build_hamiltonians(chain, time_index=1.5),
+        lambda chain: flows.FlowSystem(
+            chain, 2.0, (lambda s: s[0],), core.map_det_field(chain)
+        ),
     ],
-    ids=["det-condition-0", "det-condition-3", "build-0"],
+    ids=["det-condition-0", "det-condition-3", "build-0", "build-1.5", "flow-2.0"],
 )
 def test_time_index_out_of_range_is_refused(call):
     with pytest.raises(ValueError, match="time index .* out of range 1..2"):
         call(maps.hermite_chain(2))
+
+
+def test_division_by_zero_in_a_hamiltonian_names_it():
+    # the m=3 chain Hamiltonian divides by Y - X
+    with pytest.raises(SingularPointError) as exc_info:
+        maps.hermite_flow(3).hamiltonians_at((1.0, 1.0))
+    err = exc_info.value
+    assert (err.where, err.label, err.point) == (
+        "hermite[m=3]",
+        "a denominator of H1",
+        (1.0, 1.0),
+    )
+    assert isinstance(err.__cause__, ZeroDivisionError)
 
 
 def test_build_hamiltonians_refuses_when_condition_fails():

@@ -155,7 +155,9 @@ def test_scan_records_a_division_by_zero_and_continues():
     )
     assert [r["point"] for r in scan.results] == [[2.5], [94101122.9678407]]
     assert scan.results[0]["passed"]
-    assert scan.results[1]["error"].startswith("ZeroDivisionError: ")
+    assert scan.results[1]["error"].startswith(
+        "SingularPointError: singular point in hermite[m=3]: a denominator of H1 "
+    )
     assert scan.summary["failed"] == 1
 
 

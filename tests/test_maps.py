@@ -409,6 +409,71 @@ def test_qp4_velocity_matches_scaled_brackets_at_unit_q():
 
 
 # ---------------------------------------------------------------------------
+# denominator guards of the rational maps
+
+# per map and direction, one point for each guard in order: on that guard's
+# zero set and off the zero sets of the guards checked before it
+GUARD_ZEROS = [
+    (maps.kdv3(), "forward", [(1.0, 1.0, -2.0), (1.0, 1.0, -0.5), (-2.0, 1.0, 1.0)]),
+    (maps.kdv3(), "inverse", [(-1.0, 1.0, 0.0), (1.0, 1.0, -0.5), (1.0, -2.0, 1.0)]),
+    (maps.kdv2(2.0), "forward", [(0.5, -1.0), (0.0, 1.0), (-1.0, -1.0)]),
+    (maps.kdv2(2.0), "inverse", [(1.0, 0.0), (1.0, -3.0), (1.0, -1.5)]),
+    (
+        maps.qp4(1.0, 1.0, 1.0),
+        "forward",
+        [(-1.0, 0.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, -0.5)],
+    ),
+    (
+        maps.qp4(1.0, 1.0, 1.0),
+        "inverse",
+        [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (1.0, 1.0, -0.5)],
+    ),
+    (
+        maps.qp4(2.0, 1.0, 1.0),
+        "forward",
+        [(-0.5, 0.0, 0.0), (1.0, -1.0, 0.0), (0.5, 1.0, -0.5)],
+    ),
+    (
+        maps.qp4(2.0, 1.0, 1.0),
+        "inverse",
+        [(-2.0, 0.0, 0.0), (0.0, -1.0, 0.0), (1.0, 1.0, -0.5)],
+    ),
+]
+
+
+GUARD_CASES = [
+    (mapdesc, direction, label, point)
+    for mapdesc, direction, points in GUARD_ZEROS
+    for (label, _), point in zip(
+        getattr(mapdesc, direction + "_guards"), points, strict=True
+    )
+]
+
+
+def guard_case_id(mapdesc, direction, label):
+    params = ",".join(f"{k}={v:g}" for k, v in mapdesc.params.items())
+    return f"{mapdesc.name}({params})-{direction}-{label}"
+
+
+@pytest.mark.parametrize(
+    "mapdesc, direction, label, point",
+    GUARD_CASES,
+    ids=[guard_case_id(*case[:3]) for case in GUARD_CASES],
+)
+@pytest.mark.parametrize("seeded", [False, True], ids=["float", "jet"])
+def test_every_denominator_guard_names_its_zero_set(
+    mapdesc, direction, label, point, seeded
+):
+    state = core.seed_jets(point) if seeded else point
+    with pytest.raises(SingularPointError) as exc_info:
+        getattr(mapdesc, direction)(state)
+    assert exc_info.value.label == label
+    assert exc_info.value.point == point
+    suffix = " (inverse)" if direction == "inverse" else ""
+    assert exc_info.value.where == mapdesc.name + suffix
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 
