@@ -181,6 +181,10 @@ class MapDescriptor:
         )
 
     def _evaluate(self, fn, guards, where, state):
+        if len(state) != self.dimension:
+            raise ValueError(
+                f"{where} takes {self.dimension} coordinates, got {len(state)}"
+            )
         point = tuple(float_value(c) for c in state)
         scale = 1.0 + max(map(abs, point), default=0.0)
         for label, guard in guards:

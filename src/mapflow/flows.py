@@ -17,8 +17,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import core
 from .core import as_state, float_value, map_det_field
 from .errors import (
@@ -351,28 +349,6 @@ class Trajectory:
         return self.states[-1]
 
 
-class _Recorder:
-    def __init__(self, observe):
-        self.observe = observe
-        self.times = []
-        self.states = []
-        self.hams = []
-
-    def add(self, t, y):
-        state = tuple(float(v) for v in y)
-        self.times.append(float(t))
-        self.states.append(state)
-        self.hams.append(() if self.observe is None else tuple(self.observe(state)))
-
-    def trajectory(self, stats):
-        return Trajectory(
-            times=tuple(self.times),
-            states=tuple(self.states),
-            ham_values=tuple(self.hams),
-            stats=stats,
-        )
-
-
 def _stops(t0, t1, t_eval, direction):
     """The times a run must land on, each paired with whether it is
     recorded: the t_eval samples, then t1 if they stop short of it."""
@@ -393,27 +369,26 @@ def _stops(t0, t1, t_eval, direction):
     return stops
 
 
-def _combine(weights, k):
-    """Sum of weight * stage over the non-zero weights, in stage order."""
+def _combine(y, h, weights, k):
+    """y + h * (sum of weight * stage over the non-zero weights, in stage
+    order), component by component."""
     acc = None
     for w, k_i in zip(weights, k):
         if w:
-            acc = w * k_i if acc is None else acc + w * k_i
-    return acc
+            terms = [w * v for v in k_i]
+            acc = terms if acc is None else [a + t for a, t in zip(acc, terms)]
+    return tuple(y_i + h * a for y_i, a in zip(y, acc))
 
 
-# overflow surfaces as a non-finite state, which the loop turns into an error,
-# so numpy's warnings would only repeat it on stderr
-@np.errstate(over="ignore", invalid="ignore")
 def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     """Integrate dy/dt = rhs(y) from t0 to t1 (either direction).
 
-    ``rhs`` maps a state tuple to a velocity sequence.  When ``t_eval`` is
-    given, samples are recorded at exactly those times and no others
-    (they must be strictly monotone from t0 towards t1; t0 and t1 are
-    recorded only when listed); otherwise t0 and every accepted step are
-    recorded.  ``observe`` maps a sample's state to the values stored
-    alongside it.
+    ``rhs`` maps a state tuple of floats to a velocity sequence with one
+    entry per coordinate.  When ``t_eval`` is given, samples are recorded
+    at exactly those times and no others (they must be finite and
+    strictly monotone from t0 towards t1; t0 and t1 are recorded only
+    when listed); otherwise t0 and every accepted step are recorded.
+    ``observe`` maps a sample's state to the values stored alongside it.
 
     Both methods share one explicit Runge-Kutta loop.  A step that would
     pass the next sample time (or t1) is shortened to end on it, and the
@@ -428,61 +403,74 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         raise ValueError("integration needs t0 != t1")
     direction = 1.0 if t1 > t0 else -1.0
     stops = _stops(t0, t1, t_eval, direction)
+    if not all(math.isfinite(t) for t in (t0, *(stop for stop, _ in stops))):
+        raise ValueError("integration times must be finite")
     a, b, e = _TABLEAUS[cfg.method]
     t = t0
-    y = np.array(as_state(x0), dtype=float)
-    rec = _Recorder(observe)
-    if t_eval is None:
-        rec.add(t, y)
-
+    y = as_state(x0)
+    zero = (0.0,) * len(y)
+    times, states, hams = [], [], []
     evals = accepted = rejected = 0
+
+    def record(t, y):
+        times.append(t)
+        states.append(y)
+        hams.append(() if observe is None else tuple(observe(y)))
+
+    def trajectory():
+        stats = IntegratorStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
+        return Trajectory(
+            times=tuple(times), states=tuple(states), ham_values=tuple(hams), stats=stats
+        )
 
     def f(y):
         nonlocal evals
         evals += 1
-        return np.asarray(rhs(tuple(y)), dtype=float)
+        out = tuple(float(v) for v in rhs(y))
+        if len(out) != len(y):
+            raise ValueError(
+                f"rhs returned {len(out)} components for {len(y)} coordinates"
+            )
+        return out
 
-    def stats():
-        return IntegratorStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
-
+    if t_eval is None:
+        record(t, y)
     h = direction * (cfg.step if e is None else abs(t1 - t0) / 100.0)
     for stop, recorded in stops:
         while t != stop:
             if accepted + rejected >= cfg.max_steps:
-                raise MaxStepsError(
-                    "step budget exhausted", t, tuple(y), rec.trajectory(stats())
-                )
+                raise MaxStepsError("step budget exhausted", t, y, trajectory())
             if abs(h) < 1e-15 * max(1.0, abs(t)):
-                raise StepUnderflowError(
-                    "step size underflow", t, tuple(y), rec.trajectory(stats())
-                )
+                raise StepUnderflowError("step size underflow", t, y, trajectory())
             clipped = (t + h - stop) * direction > 0
             h_try = stop - t if clipped else h
 
             k = []
             for row in a:
-                k.append(f(y + h_try * _combine(row, k) if row else y))
-            y_new = y + h_try * _combine(b, k)
-            finite = all(map(math.isfinite, y_new.tolist()))  # cheaper than np.isfinite
+                k.append(f(_combine(y, h_try, row, k) if row else y))
+            y_new = _combine(y, h_try, b, k)
+            finite = all(map(math.isfinite, y_new))
             if e is None and not finite:  # rk4 never retries a step
-                raise IntegrationError(
-                    "non-finite state", t, tuple(y), rec.trajectory(stats())
-                )
+                raise IntegrationError("non-finite state", t, y, trajectory())
             err = 0.0
             if e is not None:
-                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                err = float(np.max(np.abs(h_try * _combine(e, k)) / scale))
-                if not finite:  # the infinite scale can hide the overflow
-                    err = math.inf
+                # adding to zero is exact, so this is h_try * sum(e_i * k_i)
+                ratios = [
+                    abs(d) / (cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v)))
+                    for d, u, v in zip(_combine(zero, h_try, e, k), y, y_new)
+                ]
+                # max() skips a NaN, and an infinite scale can hide an overflow
+                finite = finite and all(map(math.isfinite, ratios))
+                err = max(ratios) if finite else math.inf
 
-            if err <= 1.0:  # a NaN estimate rejects the step
+            if err <= 1.0:
                 accepted += 1
                 t = t + h_try
                 y = y_new
                 if abs(t - stop) <= 1e-12 * max(1.0, abs(t)):
                     t = stop
                 if t_eval is None:
-                    rec.add(t, y)
+                    record(t, y)
                 # a clipped step says nothing about the natural step size
                 if e is not None and not (clipped and abs(h) > abs(h_try)):
                     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
@@ -491,8 +479,8 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
                 rejected += 1
                 h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))
         if recorded:
-            rec.add(t, y)
-    return rec.trajectory(stats())
+            record(t, y)
+    return trajectory()
 
 
 def integrate_flow(flow, x0, t0, t1, cfg=None, t_eval=None):

@@ -534,6 +534,21 @@ def test_non_finite_numbers_exit_with_usage_code(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "map_id, point, message",
+    [
+        ("kdv3", "1,2", "kdv3 takes 3 coordinates, got 2"),
+        ("henon", "1,2,3", "henon takes 2 coordinates, got 3"),
+    ],
+)
+def test_jacobian_at_a_point_of_the_wrong_length_is_a_usage_error(
+    capsys, map_id, point, message
+):
+    code, out, err = run_cli(capsys, "jacobian", "--map", map_id, "--point", point)
+    assert (code, out) == (2, "")
+    assert err == f"mapflow: {message}\n"
+
+
 def test_overflowing_integration_is_a_numerical_failure(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--map", "henon", "--x0", "1", "--t0", "0", "--t1", "1e200"

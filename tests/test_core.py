@@ -408,6 +408,20 @@ def test_inverse_guard_names_the_inverse_direction_on_jets():
     assert exc_info.value.point == (-1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("point", [(1.1, 0.9), (1.1, 0.9, 1.0, 1.2)])
+def test_a_point_of_the_wrong_length_is_a_value_error(point):
+    k3 = maps.kdv3()
+    got = len(point)
+    with pytest.raises(ValueError, match=rf"^kdv3 takes 3 coordinates, got {got}$"):
+        k3.forward(point)
+    with pytest.raises(
+        ValueError, match=rf"^kdv3 \(inverse\) takes 3 coordinates, got {got}$"
+    ):
+        k3.inverse(point)
+    with pytest.raises(ValueError, match=rf"^kdv3 takes 3 coordinates, got {got}$"):
+        k3.forward(core.seed_jets(point))
+
+
 def test_round_trip_property_all_catalog_maps():
     rng = np.random.default_rng(42)
     built = [

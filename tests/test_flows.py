@@ -568,6 +568,75 @@ def test_integrate_requires_distinct_endpoints():
         flows.integrate(lambda s: (0.0,), (1.0,), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("method", ["dopri5", "rk4"])
+def test_integrate_refuses_an_rhs_of_the_wrong_length(method):
+    # a one-component velocity must not be broadcast over two coordinates
+    cfg = IntegratorConfig(method=method)
+    with pytest.raises(ValueError, match="1 components for 2 coordinates"):
+        flows.integrate(lambda s: (1.0,), (0.0, 5.0), 0.0, 1.0, cfg=cfg)
+    with pytest.raises(ValueError, match="3 components for 2 coordinates"):
+        flows.integrate(lambda s: (1.0, 0.0, 0.0), (0.0, 5.0), 0.0, 1.0, cfg=cfg)
+
+
+@pytest.mark.parametrize("method", ["dopri5", "rk4"])
+def test_rhs_and_observe_receive_tuples_of_floats(method):
+    seen = []
+
+    def rhs(s):
+        seen.append(s)
+        return (s[1], -s[0])
+
+    def observe(s):
+        seen.append(s)
+        return (s[0] ** 2 + s[1] ** 2,)
+
+    cfg = IntegratorConfig(method=method, step=0.1)
+    flows.integrate(rhs, (1.0, 0.0), 0.0, 1.0, cfg=cfg, t_eval=[0.5, 1.0],
+                    observe=observe)
+    assert len(seen) > 2
+    for s in seen:
+        assert type(s) is tuple
+        assert all(type(v) is float for v in s)
+
+
+@pytest.mark.parametrize(
+    "t0, t1, t_eval",
+    [
+        (0.0, math.nan, None),
+        (0.0, math.inf, None),
+        (math.nan, 1.0, None),
+        (-math.inf, 1.0, None),
+        (0.0, 1.0, [0.5, math.nan]),
+    ],
+)
+def test_integrate_refuses_non_finite_times(t0, t1, t_eval):
+    # each of these used to spend the whole step budget before failing
+    calls = []
+
+    def rhs(s):
+        calls.append(s)
+        return (1.0,)
+
+    with pytest.raises(ValueError, match="must be finite"):
+        flows.integrate(rhs, (0.0,), t0, t1, t_eval=t_eval)
+    assert calls == []
+
+
+def test_dopri5_rejects_a_step_whose_error_estimate_is_nan():
+    # stage 7 has weight 0 in the solution but not in the error estimate,
+    # so a NaN there leaves y_new finite; the step must still be rejected
+    calls = []
+
+    def rhs(s):
+        calls.append(s)
+        return (math.nan,) if len(calls) == 7 else (1.0,)
+
+    traj = flows.integrate(rhs, (0.0,), 0.0, 1.0)
+    assert traj.stats.rejected == 1
+    assert traj.final_state == pytest.approx((1.0,))
+    assert all(math.isfinite(v) for s in traj.states for v in s)
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
