@@ -205,8 +205,8 @@ def cmd_jacobian(args):
         "map_id": args.map,
         "params": maps.resolve_params(args.map, params),
         "point": list(args.point),
-        "matrix": [[float(v) for v in row] for row in matrix],
-        "det": float(core.det(matrix)),
+        "matrix": matrix,
+        "det": core.det(matrix),
     }
     emit(json_text(payload), args.out)
     return EXIT_PASS

@@ -10,10 +10,9 @@ function of its inputs, and all container types are immutable.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Mapping
-
-import numpy as np
 
 from .errors import (
     ArityError,
@@ -204,7 +203,7 @@ class MapDescriptor:
 def sample_points(mapdesc, count, seed=42, rng=None):
     """Random points inside the map's declared sampling box."""
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
     box = mapdesc.box()
     pts = []
     for _ in range(count):
@@ -236,10 +235,9 @@ def jet_rows(func, coords):
 
 
 def jacobian(mapdesc, point):
-    """Jacobian matrix of the forward map at a point, entry (i, j) = dF_i/dx_j."""
-    x = as_state(point)
-    rows = jet_rows(mapdesc.forward, x)
-    return np.array(rows, dtype=float)
+    """Jacobian rows of the forward map at a point, entry (i, j) = dF_i/dx_j."""
+    rows = jet_rows(mapdesc.forward, as_state(point))
+    return tuple(tuple(float(p) for p in row) for row in rows)
 
 
 def det(matrix):
@@ -362,22 +360,9 @@ def compose(mapdesc, m):
         raise ValueError("composition count must be a positive integer")
     if m == 1:
         return mapdesc
-
-    det_j = None
-    if mapdesc.det_j is not None:
-
-        def det_j(state):
-            total = 1.0
-            cur = state
-            for _ in range(m):
-                total = total * mapdesc.det_j(cur)
-                cur = mapdesc.forward(cur)
-            return total
-
     return compose_sequence(
         (mapdesc,) * m,
         name=f"{mapdesc.name}^{m}",
         params=mapdesc.params,
         sample_box=mapdesc.sample_box,
-        det_j=det_j,
     )

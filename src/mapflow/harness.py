@@ -14,9 +14,9 @@ fixed, random draws are seeded, and JSON serialization is canonical.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import chain1d, core, flows, maps
 from .errors import MapflowError
@@ -357,15 +357,17 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
     the jet gradient of the propagated bottom value and the tridiagonal
     determinant response instead.
     """
+    if n_states < 1:
+        raise ValueError("n_states must be at least 1")
     spec = chain1d.henon_chain_spec(m, c)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     worst_closed = 0.0
     hamilton_ok = True if m in (2, 3) else None
     worst_fd = 0.0
     worst_gradient = 0.0
     for _ in range(n_states):
-        q_m, q_m1 = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        q_m, q_m1 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
         state = chain1d.chain_propagate(spec, q_m, q_m1, float(a))
         qq, pp = chain1d.canonical_pair(state)
         if m in (2, 3):
@@ -388,27 +390,25 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
     worst_det = 0.0
     worst_identity = 0.0
     for _ in range(n_states):
-        size = int(rng.integers(1, 9))
-        diag = rng.uniform(-2.0, 2.0, size)
-        sup = rng.uniform(-2.0, 2.0, max(size - 1, 0))
-        sub_c = rng.uniform(0.5, 2.0, max(size - 1, 0))
+        size = rng.randint(1, 8)
+        diag = [rng.uniform(-2.0, 2.0) for _ in range(size)]
+        sup = [rng.uniform(-2.0, 2.0) for _ in range(size - 1)]
         rec = chain1d.tridiag_det(diag, sup)
-        dense = np.zeros((size, size))
+        dense = [[0.0] * size for _ in range(size)]
         for i in range(size):
-            dense[i, i] = diag[i]
+            dense[i][i] = diag[i]
             if i + 1 < size:
-                dense[i, i + 1] = sup[i]
-                dense[i + 1, i] = 1.0
-        ref = float(np.linalg.det(dense))
+                dense[i][i + 1] = sup[i]
+                dense[i + 1][i] = 1.0
+        ref = core.det(dense)
         worst_det = max(worst_det, abs(rec - ref) / (1.0 + abs(ref)))
 
         # abar = a * c identity: bar determinant equals prod(c) * A
-        cs = rng.uniform(0.5, 2.0, size)
-        bs = 1.0 / cs[:-1] if size > 1 else np.zeros(0)
-        abar = diag * cs
+        cs = [rng.uniform(0.5, 2.0) for _ in range(size)]
+        abar = [d * k for d, k in zip(diag, cs)]
         bar = chain1d.tridiag_det(abar, cs[1:])
-        plain = chain1d.tridiag_det(diag, bs)
-        want = float(np.prod(cs)) * plain
+        plain = chain1d.tridiag_det(diag, [1.0 / k for k in cs[:-1]])
+        want = math.prod(cs) * plain
         worst_identity = max(worst_identity, abs(bar - want) / (1.0 + abs(want)))
 
     det_ok = worst_det <= 1e-12
@@ -476,11 +476,11 @@ def qp4_normalization_report(a, b, c, seed=DEFAULT_SEED):
         name: maps.qp4_flow(a, b, c, name) for name in maps.QP4_NORMALIZATIONS
     }
     display = maps.qp4_velocity(a, b, c)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     residuals = {name: 0.0 for name in candidates}
     display_res = 0.0
     for _ in range(QP4_ORACLE_POINTS):
-        src = tuple(rng.uniform(0.4, 1.6, 3))
+        src = tuple(rng.uniform(0.4, 1.6) for _ in range(3))
         up = list(src)
         dn = list(src)
         h = QP4_ORACLE_FD_STEP * (1.0 + abs(src[2]))

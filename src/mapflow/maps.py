@@ -635,7 +635,6 @@ class CatalogEntry:
     without it the steps are copies of the map and there is no flow.
     """
 
-    map_id: str
     description: str
     param_schema: dict  # name -> default value, whose type the value takes
     build: Callable | None
@@ -648,7 +647,6 @@ class CatalogEntry:
 
 CATALOG = {
     "hermite": CatalogEntry(
-        map_id="hermite",
         description="recurrence chain (x, y) -> (x, x - k/y), k = 1..m-1",
         param_schema={"m": 2},
         build=hermite_chain,
@@ -658,7 +656,6 @@ CATALOG = {
         composition_x0=(7.0, 1.0),  # keeps every intermediate denominator positive
     ),
     "henon": CatalogEntry(
-        map_id="henon",
         description="(x, y) -> (y, y^2 - b x + c), det J = b",
         param_schema={"b": 1.0, "c": 0.0},
         build=henon,
@@ -666,14 +663,12 @@ CATALOG = {
         composite=henon_composite,
     ),
     "kdv3": CatalogEntry(
-        map_id="kdv3",
         description="three-point lattice map, det J = 1, invariants u v r s",
         param_schema={},
         build=kdv3,
         flow=kdv3_flow,
     ),
     "kdv2": CatalogEntry(
-        map_id="kdv2",
         description="planar reduction of kdv3 on the surface z = r/(xy)",
         param_schema={"r": 2.0},
         build=kdv2,
@@ -681,7 +676,6 @@ CATALOG = {
         needs_source_constraint=True,
     ),
     "qp4": CatalogEntry(
-        map_id="qp4",
         description="q-difference three-point map, det J = (abc)^2",
         param_schema={"a": 1.0, "b": 1.0, "c": 1.0},
         build=qp4,
@@ -689,7 +683,6 @@ CATALOG = {
         extra_flags=("normalization",),
     ),
     "chain1d-henon": CatalogEntry(
-        map_id="chain1d-henon",
         description="one-dimensional three-term chain (use the chain subcommand)",
         param_schema={"m": 2, "a": 0.0, "c": 0.0},
         build=None,

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -321,6 +323,13 @@ def test_chain_command_long_chain_uses_exact_identity(capsys):
     assert payload["gradient_identity_max_rel_err"] < 1e-10
 
 
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_chain_with_no_states_is_a_usage_error(capsys, states):
+    code, out, err = run_cli(capsys, "chain", "--states", states)
+    assert (code, out) == (2, "")
+    assert err == "mapflow: n_states must be at least 1\n"
+
+
 def test_config_file_provides_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -617,3 +626,36 @@ def test_flow_and_verify_share_the_samples_check(tmp_path, capsys, source):
     extra = ["--samples", "1"] if source == "flag" else ["--config", str(cfg)]
     results = [run_cli(capsys, cmd, *HENON_RUN, *extra) for cmd in ("flow", "verify")]
     assert results[0] == results[1] == (2, "", "mapflow: --samples must be at least 2\n")
+
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+from mapflow import cli, flows, maps
+runs = [
+    ["jacobian", "--map", "kdv3", "--point", "1.1,0.9,1.3"],
+    ["verify", "--map", "qp4", "--param", "a=2", "--param", "normalization=prop2",
+     "--x0", "1,1", "--t0", "1", "--t1", "1.5"],
+    ["scan", "--map", "kdv3", "--grid", "1:1:1,1:1:1", "--t0", "1", "--t1", "1.5"],
+    ["chain", "--m", "4", "--states", "3"],
+    ["hermite-check", "--m-max", "4"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+flows.build_hamiltonians(maps.kdv3())
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_program_runs_without_importing_numpy():
+    # a fresh process: this one has numpy loaded by the tests themselves
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[0, 0, 0, 0, 0] False\n"

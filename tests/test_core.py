@@ -171,6 +171,14 @@ def test_jacobian_identity_map():
     assert np.array_equal(jacobian(ident, (0.3, 1.1, -2.0)), np.eye(3))
 
 
+def test_jacobian_is_row_tuples_of_python_floats():
+    J = jacobian(maps.kdv3(), (1.1, 0.9, 1.3))
+    assert type(J) is tuple and len(J) == 3
+    for row in J:
+        assert type(row) is tuple and len(row) == 3
+        assert all(type(v) is float for v in row)
+
+
 def test_det_identity_exact():
     assert det(np.eye(3)) == 1.0
     assert det(np.eye(5)) == 1.0

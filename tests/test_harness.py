@@ -249,6 +249,12 @@ def test_qp4_oracle_not_decisive_at_unit_q():
     assert not report.decisive  # both candidates coincide when q = 1
 
 
+@pytest.mark.parametrize("n_states", [0, -3])
+def test_chain_suite_refuses_no_states(n_states):
+    with pytest.raises(ValueError, match="n_states must be at least 1"):
+        harness.chain_suite(n_states=n_states)
+
+
 def test_chain_suite_passes():
     suite = harness.chain_suite(m=2, a=0.0, c=0.0, n_states=10)
     assert suite["passed"]
