@@ -393,6 +393,8 @@ def main(argv=None):
                 raise ConfigError(f"--{dest} is required")
         if getattr(args, "samples", 2) < 2:
             raise ConfigError("--samples must be at least 2")
+        if getattr(args, "states", None) is not None and args.states < 1:
+            raise ConfigError("--states must be at least 1")
         return args.fn(args)
     except (ConfigError, UnknownMapError) as exc:
         print(f"mapflow: {exc}", file=sys.stderr)

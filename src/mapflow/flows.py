@@ -45,13 +45,17 @@ class FlowSystem:
     ``time_index`` is the 1-based source coordinate playing the role of
     time.  ``hamiltonians`` are scalar fields over image space and
     ``det_j_field`` is the Jacobian determinant over source space; both
-    accept float or jet coordinates.
+    accept float or jet coordinates.  ``hamiltonian_vector`` maps an image
+    point to all n-1 values at once, so that work they share (such as the
+    inverse map) runs once; it must agree with ``hamiltonians``, which are
+    called in turn when it is None.
     """
 
     map: core.MapDescriptor
     time_index: int
     hamiltonians: tuple
     det_j_field: Callable
+    hamiltonian_vector: Callable | None = None
 
     def __post_init__(self):
         n = self.map.dimension
@@ -65,15 +69,21 @@ class FlowSystem:
     def hamiltonians_at(self, image):
         """The Hamiltonians at an image point whose entries are floats or jets;
         a division by zero in H_j is a SingularPointError naming H_j."""
-        values = []
+        try:
+            if self.hamiltonian_vector is None:
+                return tuple(h(image) for h in self.hamiltonians)
+            return tuple(self.hamiltonian_vector(image))
+        except ZeroDivisionError as exc:
+            failure = exc
+        # only the entries say which H_j divides by zero
         for j, h in enumerate(self.hamiltonians, 1):
             try:
-                values.append(h(image))
+                h(image)
             except ZeroDivisionError as exc:
                 point = tuple(float_value(c) for c in image)
                 label = f"a denominator of H{j}"
                 raise SingularPointError(self.map.name, label, point) from exc
-        return tuple(values)
+        raise failure
 
     def hamiltonian_values(self, point):
         return tuple(float_value(v) for v in self.hamiltonians_at(as_state(point)))
@@ -85,13 +95,15 @@ def _check_time_index(mapdesc, time_index):
         raise ValueError(f"time index {time_index} out of range 1..{n}")
 
 
-def flow_system(mapdesc, hamiltonians):
-    """Flow with explicitly supplied (closed-form) Hamiltonians; time is x_n."""
+def flow_system(mapdesc, hamiltonians, vector=None):
+    """Flow with explicitly supplied (closed-form) Hamiltonians; time is x_n.
+    ``vector``, when given, returns all of them at once (see FlowSystem)."""
     return FlowSystem(
         map=mapdesc,
         time_index=mapdesc.dimension,
         hamiltonians=tuple(hamiltonians),
         det_j_field=map_det_field(mapdesc),
+        hamiltonian_vector=vector,
     )
 
 
@@ -189,16 +201,7 @@ def build_hamiltonians(
     # which flips the sign of the determinant read in that order
     flip = (n - t_idx) % 2 == 1
 
-    hams = []
-    for j in coords:
-
-        def coord_field(point, _j=j):
-            return mapdesc.inverse(point)[_j]
-
-        hams.append(coord_field)
-
-    def quad_field(point):
-        src = mapdesc.inverse(point)
+    def quad_value(src):
         endpoint = src[q]
 
         def integrand(u):
@@ -210,12 +213,18 @@ def build_hamiltonians(
         )
         return -value if flip else value
 
-    hams.append(quad_field)
+    def vector(point):
+        src = mapdesc.inverse(point)
+        return [src[j] for j in coords] + [quad_value(src)]
+
+    hams = [lambda point, _j=j: mapdesc.inverse(point)[_j] for j in coords]
+    hams.append(lambda point: quad_value(mapdesc.inverse(point)))
     return FlowSystem(
         map=mapdesc,
         time_index=t_idx,
         hamiltonians=tuple(hams),
         det_j_field=det_field,
+        hamiltonian_vector=vector,
     )
 
 
@@ -268,13 +277,15 @@ def source_rhs(flow, point):
 # integrators
 
 # Explicit Runge-Kutta tableaux: stage rows ``a``, weights ``b`` and, for the
-# embedded Dormand-Prince 5(4) pair, the error weights ``e`` (None for the
+# embedded Dormand-Prince 5(4) pair, the error weights ``e`` and the
+# coefficients of its continuous extension, one row per stage (None for the
 # fixed-step classical RK4).  The right-hand side is autonomous, so the
 # stage nodes are not needed.
 _TABLEAUS = {
     "rk4": (
         ((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)),
         (1 / 6, 1 / 3, 1 / 3, 1 / 6),
+        None,
         None,
     ),
     "dopri5": (
@@ -296,6 +307,23 @@ _TABLEAUS = {
             -17253 / 339200,
             22 / 525,
             -1 / 40,
+        ),
+        # Shampine's continuous extension: stage i's weight a fraction x
+        # through the step is x * (p1 + x * (p2 + x * (p3 + x * p4)))
+        (
+            (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+             -12715105075 / 11282082432),
+            (0.0, 0.0, 0.0, 0.0),
+            (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+             87487479700 / 32700410799),
+            (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+             -10690763975 / 1880347072),
+            (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+             701980252875 / 199316789632),
+            (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+             -1453857185 / 822651844),
+            (0.0, 40617522 / 29380423, -110615467 / 29380423,
+             69997945 / 29380423),
         ),
     ),
 }
@@ -349,11 +377,11 @@ class Trajectory:
         return self.states[-1]
 
 
-def _stops(t0, t1, t_eval, direction):
-    """The times a run must land on, each paired with whether it is
-    recorded: the t_eval samples, then t1 if they stop short of it."""
+def _samples(t0, t1, t_eval, direction):
+    """The t_eval times as floats (none when t_eval is None), checked to
+    run strictly monotonically from t0 towards t1."""
     if t_eval is None:
-        return [(t1, False)]
+        return []
     times = [float(t) for t in t_eval]
     if not times:
         raise ValueError("t_eval must hold at least one time")
@@ -363,10 +391,7 @@ def _stops(t0, t1, t_eval, direction):
         if (t - prev) * direction < 0 or repeated or (t - t1) * direction > 0:
             raise ValueError("t_eval must run strictly monotonically from t0 to t1")
         prev = t
-    stops = [(t, True) for t in times]
-    if times[-1] != t1:
-        stops.append((t1, False))
-    return stops
+    return times
 
 
 def _combine(y, h, weights, k):
@@ -380,6 +405,13 @@ def _combine(y, h, weights, k):
     return tuple(y_i + h * a for y_i, a in zip(y, acc))
 
 
+def _dense_state(y, h, dense, k, x):
+    """The continuous extension's state a fraction 0 < x < 1 of the way
+    through the step of size h from y with stages k."""
+    weights = [x * (p1 + x * (p2 + x * (p3 + x * p4))) for p1, p2, p3, p4 in dense]
+    return _combine(y, h, weights, k)
+
+
 def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     """Integrate dy/dt = rhs(y) from t0 to t1 (either direction).
 
@@ -390,10 +422,13 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     when listed); otherwise t0 and every accepted step are recorded.
     ``observe`` maps a sample's state to the values stored alongside it.
 
-    Both methods share one explicit Runge-Kutta loop.  A step that would
-    pass the next sample time (or t1) is shortened to end on it, and the
-    recorded time is that sample time exactly.  rk4 takes ``cfg.step``;
-    dopri5 adapts the step to the embedded error estimate.
+    Both methods share one explicit Runge-Kutta loop, and a step that
+    would pass t1 is shortened to end on it.  rk4 takes ``cfg.step`` and
+    shortens a step onto each sample time as well.  dopri5 adapts the step
+    to the embedded error estimate, reuses the last stage of an accepted
+    step as the first stage of the next (first same as last), and reads
+    the samples an accepted step passes off its continuous extension, so
+    it costs 1 + 6 * (accepted + rejected) rhs evaluations.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -402,10 +437,16 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     if t0 == t1:
         raise ValueError("integration needs t0 != t1")
     direction = 1.0 if t1 > t0 else -1.0
-    stops = _stops(t0, t1, t_eval, direction)
-    if not all(math.isfinite(t) for t in (t0, *(stop for stop, _ in stops))):
+    samples = _samples(t0, t1, t_eval, direction)
+    if not all(math.isfinite(t) for t in (t0, t1, *samples)):
         raise ValueError("integration times must be finite")
-    a, b, e = _TABLEAUS[cfg.method]
+    a, b, e, dense = _TABLEAUS[cfg.method]
+    # a last stage taken at the new state is the next step's first stage
+    fsal = a[-1] + (0.0,) == b
+    # rk4 steps onto every sample and t1; dopri5 only onto t1
+    ends = [t1] if dense else samples + [t1]
+    # the samples still to record, the next one last
+    pending = samples[::-1]
     t = t0
     y = as_state(x0)
     zero = (0.0,) * len(y)
@@ -435,19 +476,23 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
 
     if t_eval is None:
         record(t, y)
+    elif pending[-1] == t:
+        record(pending.pop(), y)
     h = direction * (cfg.step if e is None else abs(t1 - t0) / 100.0)
-    for stop, recorded in stops:
-        while t != stop:
+    k_first = None
+    for end in ends:
+        while t != end:
             if accepted + rejected >= cfg.max_steps:
                 raise MaxStepsError("step budget exhausted", t, y, trajectory())
             if abs(h) < 1e-15 * max(1.0, abs(t)):
                 raise StepUnderflowError("step size underflow", t, y, trajectory())
-            clipped = (t + h - stop) * direction > 0
-            h_try = stop - t if clipped else h
+            h_try = end - t if (t + h - end) * direction > 0 else h
 
-            k = []
-            for row in a:
-                k.append(f(_combine(y, h_try, row, k) if row else y))
+            if k_first is None:
+                k_first = f(y)
+            k = [k_first]
+            for row in a[1:]:
+                k.append(f(_combine(y, h_try, row, k)))
             y_new = _combine(y, h_try, b, k)
             finite = all(map(math.isfinite, y_new))
             if e is None and not finite:  # rk4 never retries a step
@@ -465,21 +510,28 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
 
             if err <= 1.0:
                 accepted += 1
-                t = t + h_try
-                y = y_new
-                if abs(t - stop) <= 1e-12 * max(1.0, abs(t)):
-                    t = stop
+                t_new = t + h_try
+                if abs(t_new - end) <= 1e-12 * max(1.0, abs(t_new)):
+                    t_new = end
+                while pending and (pending[-1] - t_new) * direction <= 0:
+                    s = pending.pop()
+                    if s == t_new:
+                        record(s, y_new)
+                    else:
+                        record(s, _dense_state(y, h_try, dense, k, (s - t) / h_try))
+                t, y = t_new, y_new
                 if t_eval is None:
                     record(t, y)
-                # a clipped step says nothing about the natural step size
-                if e is not None and not (clipped and abs(h) > abs(h_try)):
+                # the last stage has a non-zero error weight, so an accepted
+                # step (finite estimate) hands on a finite one; a rejected
+                # step keeps its own first stage
+                k_first = k[-1] if fsal else None
+                if e is not None:
                     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
                     h = h_try * factor
             else:
                 rejected += 1
                 h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))
-        if recorded:
-            record(t, y)
     return trajectory()
 
 

@@ -310,6 +310,11 @@ def henon_composite(steps, b, c):
     return [henon(b, c)] * steps, flow
 
 
+def _components(vector, count):
+    """The scalar Hamiltonians H_1..H_count read off a vector-valued one."""
+    return tuple(lambda state, _j=j: vector(state)[_j] for j in range(count))
+
+
 # ---------------------------------------------------------------------------
 # three-point KdV lattice
 
@@ -394,13 +399,10 @@ def kdv3_flow():
     """Flow conserving the first two source coordinates (det J = 1)."""
     mapdesc = kdv3()
 
-    def h1(state):
-        return mapdesc.inverse(state)[0]
+    def vector(state):
+        return mapdesc.inverse(state)[:2]
 
-    def h2(state):
-        return mapdesc.inverse(state)[1]
-
-    return flow_system(mapdesc, (h1, h2))
+    return flow_system(mapdesc, _components(vector, 2), vector)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +613,11 @@ def qp4_flow(a, b, c, normalization=None):
         raise ConfigError(f"unknown qp4 normalization {normalization!r}")
     scale = q * q if normalization == "prop2" else 1.0
 
-    def h1(state):
-        return mapdesc.inverse(state)[0]
+    def vector(state):
+        x, y, _ = mapdesc.inverse(state)
+        return (x, scale * y)
 
-    def h2(state):
-        return scale * mapdesc.inverse(state)[1]
-
-    return flow_system(mapdesc, (h1, h2))
+    return flow_system(mapdesc, _components(vector, 2), vector)
 
 
 # ---------------------------------------------------------------------------

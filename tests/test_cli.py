@@ -327,7 +327,7 @@ def test_chain_command_long_chain_uses_exact_identity(capsys):
 def test_chain_with_no_states_is_a_usage_error(capsys, states):
     code, out, err = run_cli(capsys, "chain", "--states", states)
     assert (code, out) == (2, "")
-    assert err == "mapflow: n_states must be at least 1\n"
+    assert err == "mapflow: --states must be at least 1\n"
 
 
 def test_config_file_provides_defaults_and_flags_override(tmp_path, capsys):

@@ -88,6 +88,72 @@ def test_division_by_zero_in_a_hamiltonian_names_it():
     assert isinstance(err.__cause__, ZeroDivisionError)
 
 
+# each catalog flow at the point its acceptance criterion verifies (qp4 with
+# a=2 at the a=1 point)
+CATALOG_FLOWS = {
+    "henon": ("henon", {"b": 1.0, "c": 0.0}, (1.0,), (0.0, 2.0)),
+    "hermite3": (
+        "hermite", {"m": 3}, (maps.hermite_source_constraint(3, 10.0, 0.5),), (0.5, 2.0)
+    ),
+    "kdv3": ("kdv3", {}, (1.1, 0.9), (1.0, 2.0)),
+    "kdv2": ("kdv2", {"r": 2.0}, (1.0,), (1.0, 2.0)),
+    "qp4": ("qp4", {"a": 1.0, "b": 1.0, "c": 1.0}, (1.0, 1.0), (1.0, 2.0)),
+    "qp4-prop2": (
+        "qp4", {"a": 2.0, "b": 1.0, "c": 1.0, "normalization": "prop2"},
+        (1.0, 1.0), (1.0, 2.0),
+    ),
+}
+
+
+def _vector_and_tuple_agree_bitwise(flow):
+    points = [flow.map.forward(p) for p in core.sample_points(flow.map, 4, seed=7)]
+    for X in points + [core.seed_jets(X) for X in points]:
+        by_tuple = tuple(h(X) for h in flow.hamiltonians)
+        # repr round-trips floats, and a jet's repr lists its value and partials
+        assert repr(flow.hamiltonians_at(X)) == repr(by_tuple)
+
+
+@pytest.mark.parametrize(
+    "map_id, params",
+    [entry[:2] for entry in CATALOG_FLOWS.values()]
+    + [("hermite", {"m": 2}), ("qp4", {"a": 2.0, "normalization": "paper-display"})],
+)
+def test_catalog_hamiltonian_vector_matches_the_tuple_bitwise(map_id, params):
+    flow = maps.build_flow(map_id, params)
+    assert (flow.hamiltonian_vector is not None) == (map_id in ("kdv3", "qp4"))
+    _vector_and_tuple_agree_bitwise(flow)
+
+
+@pytest.mark.parametrize("map_id", ["henon", "kdv3", "qp4"])
+def test_built_hamiltonian_vector_matches_the_tuple_bitwise(map_id):
+    flow = flows.build_hamiltonians(maps.build_map(map_id))
+    assert flow.hamiltonian_vector is not None
+    _vector_and_tuple_agree_bitwise(flow)
+
+
+def test_division_by_zero_in_a_hamiltonian_vector_names_the_component():
+    calls = []
+
+    def vector(s):
+        calls.append(s)
+        return (s[0], 1.0 / s[2])
+
+    fl = flows.FlowSystem(
+        map=maps.kdv3(),
+        time_index=3,
+        hamiltonians=(lambda s: s[0], lambda s: 1.0 / s[2]),
+        det_j_field=core.map_det_field(maps.kdv3()),
+        hamiltonian_vector=vector,
+    )
+    assert fl.hamiltonians_at((1.0, 2.0, 4.0)) == (1.0, 0.25)
+    with pytest.raises(SingularPointError) as exc_info:
+        fl.hamiltonians_at((1.0, 2.0, 0.0))
+    err = exc_info.value
+    assert (err.label, err.point) == ("a denominator of H2", (1.0, 2.0, 0.0))
+    assert isinstance(err.__cause__, ZeroDivisionError)
+    assert len(calls) == 2
+
+
 def test_build_hamiltonians_refuses_when_condition_fails():
     with pytest.raises(DetConditionError) as exc_info:
         flows.build_hamiltonians(maps.hermite_chain(2))
@@ -540,7 +606,7 @@ def test_integrate_error_trajectory_carries_counts_so_far():
         flows.integrate(lambda s: (math.cos(s[0]),), (0.0,), 0.0, 50.0, cfg=cfg)
     stats = exc_info.value.trajectory.stats
     assert stats.accepted + stats.rejected == 3
-    assert stats.rhs_evals == 7 * 3
+    assert stats.rhs_evals == 1 + 6 * 3
     assert len(exc_info.value.trajectory.times) == 1 + stats.accepted
 
 
@@ -635,6 +701,78 @@ def test_dopri5_rejects_a_step_whose_error_estimate_is_nan():
     assert traj.stats.rejected == 1
     assert traj.final_state == pytest.approx((1.0,))
     assert all(math.isfinite(v) for s in traj.states for v in s)
+
+
+def test_dopri5_costs_one_rhs_plus_six_per_attempt():
+    # stage 7 of an accepted step is the next step's stage 1, and a
+    # rejected step keeps its stage 1
+    traj = flows.integrate(lambda s: (math.cos(s[0]),), (0.0,), 0.0, 50.0)
+    stats = traj.stats
+    assert stats.rejected > 0
+    assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
+
+
+def test_dopri5_never_reuses_a_nan_last_stage():
+    # call 13 is stage 7 of the second step; that step is rejected, and
+    # the retry must start from the first step's finite stage 7
+    calls = []
+
+    def rhs(s):
+        calls.append(s)
+        return (math.nan,) if len(calls) == 13 else (1.0,)
+
+    traj = flows.integrate(rhs, (0.0,), 0.0, 1.0, t_eval=[0.5, 1.0])
+    stats = traj.stats
+    assert stats.rejected == 1
+    assert stats.rhs_evals == len(calls) == 1 + 6 * (stats.accepted + 1)
+    assert [s[0] for s in traj.states] == pytest.approx([0.5, 1.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_dopri5_agrees_with_scipy_rk45_on_catalog_flows(run):
+    # scipy's RK45 is the same Dormand-Prince pair with first-same-as-last
+    # reuse and the same continuous extension, but its own first step
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    map_id, params, x0, (t0, t1) = CATALOG_FLOWS[run]
+    fl = maps.build_flow(map_id, params)
+    image0 = fl.map.forward(harness.source_start(fl, x0, t0))
+    t_eval = harness._sample_times(t0, t1, harness.DEFAULT_SAMPLES)
+    traj = flows.integrate_flow(fl, image0, t0, t1, t_eval=t_eval)
+    ref = scipy_integrate.solve_ivp(
+        lambda t, y: flows.nambu_rhs(fl, tuple(y)),
+        (t0, t1),
+        image0,
+        method="RK45",
+        t_eval=t_eval,
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    assert ref.success
+    assert traj.stats.rhs_evals <= 1.05 * ref.nfev + 12
+    for got, want in zip(traj.states, ref.y.T):
+        scale = 1.0 + max(abs(v) for v in want)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize(
+    "run, bound",
+    [
+        ("kdv3", 110),
+        ("qp4", 110),
+        ("qp4-prop2", 115),
+        ("henon", 40),
+        ("kdv2", 210),
+        ("hermite3", 1800),
+    ],
+)
+def test_acceptance_verify_rhs_evaluations_stay_bounded(run, bound):
+    # deterministic counters, comparable across machines; before dense
+    # output and first-same-as-last reuse these were 161, 147, 168, 147,
+    # 287 and 2072
+    map_id, params, x0, t_range = CATALOG_FLOWS[run]
+    report = harness.verify_correspondence(map_id, params, x0=x0, t_range=t_range)
+    assert report.passed
+    assert report.integrator["rhs_evals"] <= bound
 
 
 def test_integrator_config_validation():
