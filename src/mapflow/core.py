@@ -38,8 +38,9 @@ class Jet:
 
     Arithmetic follows the product, quotient and chain rules exactly.  The
     value and partial slots may themselves hold jets; nesting one level
-    gives second derivatives, which is how Jacobian determinants are
-    differentiated inside quadrature integrands.
+    gives second derivatives.  The program nests them only where a
+    quadrature integrand differentiates the Jacobian determinant of a map
+    that declares no closed-form ``det_j``.
     """
 
     __slots__ = ("value", "partials")
@@ -299,10 +300,15 @@ def nambu_bracket(fields, point):
 def map_det_field(mapdesc):
     """Jacobian determinant of the forward map as a scalar field over x-space.
 
-    The returned callable accepts float or jet coordinates; with jets the
-    map is evaluated one seeding level deeper, which supplies the second
-    derivatives the determinant's own gradient needs.
+    The returned callable accepts float or jet coordinates.  It is the
+    descriptor's declared ``det_j`` when there is one, so jet coordinates
+    stay single-level.  Otherwise the determinant of the map's derivative
+    rows is taken; with jets the map is then evaluated one seeding level
+    deeper, which supplies the second derivatives the determinant's own
+    gradient needs.
     """
+    if mapdesc.det_j is not None:
+        return mapdesc.det_j
 
     def field_fn(coords):
         rows = jet_rows(mapdesc.forward, coords)
@@ -315,8 +321,12 @@ def map_det_field(mapdesc):
 # composition
 
 
-def compose_sequence(steps, name, params=None, sample_box=None, det_j=None):
-    """Descriptor for step_k(...step_2(step_1(x))); inverse runs backwards."""
+def compose_sequence(steps, name, params=None, sample_box=None):
+    """Descriptor for step_k(...step_2(step_1(x))); inverse runs backwards.
+
+    When every step declares ``det_j``, so does the composite: by the chain
+    rule it is the product of the step determinants at successive iterates.
+    """
     steps = tuple(steps)
     if not steps:
         raise ValueError("need at least one map to compose")
@@ -325,13 +335,16 @@ def compose_sequence(steps, name, params=None, sample_box=None, det_j=None):
         if s.dimension != dim:
             raise ValueError("composed maps must share a dimension")
 
+    def advance(k, state):
+        try:
+            return steps[k - 1].forward(state)
+        except SingularPointError as exc:
+            raise IterateDomainError(name, k, exc) from exc
+
     def fwd(state):
         cur = state
-        for k, step in enumerate(steps, start=1):
-            try:
-                cur = step.forward(cur)
-            except SingularPointError as exc:
-                raise IterateDomainError(name, k, exc) from exc
+        for k in range(1, len(steps) + 1):
+            cur = advance(k, cur)
         return cur
 
     def inv(state):
@@ -343,13 +356,22 @@ def compose_sequence(steps, name, params=None, sample_box=None, det_j=None):
                 raise IterateDomainError(name + " (inverse)", k, exc) from exc
         return cur
 
+    def det_j(state):
+        cur = state
+        total = steps[0].det_j(cur)
+        for k in range(1, len(steps)):
+            cur = advance(k, cur)
+            total = total * steps[k].det_j(cur)
+        return total
+
+    declared = all(s.det_j is not None for s in steps)
     return MapDescriptor(
         name=name,
         dimension=dim,
         params=dict(params or steps[0].params),
         forward_fn=fwd,
         inverse_fn=inv,
-        det_j=det_j,
+        det_j=det_j if declared else None,
         sample_box=sample_box or steps[0].sample_box,
     )
 

@@ -6,15 +6,19 @@ class MapflowError(Exception):
 
 
 class SingularPointError(MapflowError):
-    """Evaluation hit a pole: a declared denominator vanished."""
+    """Evaluation hit a pole: a declared denominator vanished, at ``point``
+    or somewhere on a path between the two times ``between``."""
 
-    def __init__(self, where, label, point=None):
+    def __init__(self, where, label, point=None, between=None):
         self.where = where
         self.label = label
         self.point = point
+        self.between = between
         msg = f"singular point in {where}: {label} vanishes"
         if point is not None:
             msg += f" at {tuple(point)}"
+        if between is not None:
+            msg += f" between t={between[0]!r} and t={between[1]!r}"
         super().__init__(msg)
 
 

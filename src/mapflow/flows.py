@@ -8,6 +8,11 @@ along the remaining source coordinate.  This module constructs those
 fields (numerically, by quadrature), forms the bracket-based right-hand
 sides in image space and source space, and integrates them with either a
 classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
+
+The determinant field is the map's declared ``det_j``, checked against the
+Jacobian of the map on sampled points before any quadrature is built; only
+a map that declares none has its Jacobian differentiated again, through
+nested jets, inside the quadrature integrand.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Callable
 from . import core
 from .core import as_state, float_value, map_det_field
 from .errors import (
+    ConfigError,
     DetConditionError,
     IntegrationError,
     MaxStepsError,
@@ -31,6 +37,7 @@ from .quadrature import integrate_gk
 DET_CONDITION_TOL = 1e-7
 DET_CONDITION_SAMPLES = 25
 DET_CONDITION_SEED = 42
+DECLARED_DET_TOL = 1e-9
 QUADRATURE_ABS_TOL = 1e-10
 
 
@@ -124,8 +131,9 @@ class DetConditionReport:
 def check_det_condition(mapdesc, time_index, samples):
     """Check d(det J)/dx_time ~ 0 over the sample points.
 
-    The derivative is taken by central differences of the determinant; a
-    sample passes when |d(det J)/dx_t| <= 1e-7 * (1 + |det J|).
+    The derivative is taken by central differences of the determinant
+    field (the declared ``det_j`` when the map has one); a sample passes
+    when |d(det J)/dx_t| <= 1e-7 * (1 + |det J|).
     """
     _check_time_index(mapdesc, time_index)
     det_field = map_det_field(mapdesc)
@@ -159,6 +167,21 @@ def check_det_condition(mapdesc, time_index, samples):
     )
 
 
+def _check_declared_det(mapdesc, samples):
+    """Refuse a declared ``det_j`` that disagrees with the determinant of
+    the map's Jacobian by more than 1e-9 * (1 + |det J|) at a sample point."""
+    if mapdesc.det_j is None:
+        return
+    for x in samples:
+        expected = core.det(core.jacobian(mapdesc, x))
+        declared = float_value(mapdesc.det_j(x))
+        if not abs(declared - expected) <= DECLARED_DET_TOL * (1.0 + abs(expected)):
+            raise ConfigError(
+                f"declared det_j of {mapdesc.name} is {declared!r} at {x}, "
+                f"but the Jacobian determinant there is {expected!r}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian construction
 
@@ -179,16 +202,21 @@ def build_hamiltonians(
     inverse coordinates fixed; changing the reference point only shifts it
     by a constant whenever the determinant condition holds.
 
-    With ``check`` enabled the construction is refused (with the sampled
-    diagnostics attached) when d(det J)/dx_time is not negligible.
+    The determinant is the map's declared ``det_j`` when it has one, and a
+    ``ConfigError`` refuses the construction when that disagrees with the
+    Jacobian determinant at one of the sampled points, whatever ``check``
+    says.  With ``check`` enabled the construction is also refused (with
+    the sampled diagnostics attached) when d(det J)/dx_time is not
+    negligible.
     """
     n = mapdesc.dimension
     t_idx = n if time_index is None else time_index
     _check_time_index(mapdesc, t_idx)
+    samples = core.sample_points(
+        mapdesc, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED
+    )
+    _check_declared_det(mapdesc, samples)
     if check:
-        samples = core.sample_points(
-            mapdesc, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED
-        )
         report = check_det_condition(mapdesc, t_idx, samples)
         if not report.passed:
             raise DetConditionError(report)

@@ -19,7 +19,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from . import chain1d, core, flows, maps
-from .errors import MapflowError
+from .errors import MapflowError, SingularPointError
 from .flows import IntegratorConfig
 
 DEFAULT_TOL_DEVIATION = 1e-6
@@ -100,6 +100,22 @@ def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
     return x_start, flows.integrate_flow(flow, image0, t0, t1, cfg=cfg, t_eval=t_eval)
 
 
+def _source_path(mapdesc, x_start, t_index, times):
+    """The source points of an unconstrained map at the given times, where
+    only the time slot moves.  A forward guard whose sign differs at two
+    consecutive times vanishes between them: that pole on the path is a
+    SingularPointError before anything is integrated towards it."""
+    path = [x_start[:t_index] + (t,) + x_start[t_index + 1 :] for t in times]
+    for label, guard in mapdesc.forward_guards:
+        values = [guard(point) for point in path]
+        for i in range(1, len(path)):
+            if values[i - 1] * values[i] < 0.0:
+                raise SingularPointError(
+                    mapdesc.name, label, between=(times[i - 1], times[i])
+                )
+    return path
+
+
 def _drifts(ham_values):
     """Per Hamiltonian, the largest change from its first value, relative
     to 1 + |first value|."""
@@ -137,13 +153,20 @@ def verify_correspondence(
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_range[0]), float(t_range[1])
 
-    x_start, traj_flow = flow_from_source(flow, x0, t0, t1, cfg, num_samples)
-    t_eval = traj_flow.times
     if constrained:
-        traj_src = flows.integrate_source(flow, x_start, t0, t1, cfg=cfg, t_eval=t_eval)
+        x_start, traj_flow = flow_from_source(flow, x0, t0, t1, cfg, num_samples)
+        traj_src = flows.integrate_source(
+            flow, x_start, t0, t1, cfg=cfg, t_eval=traj_flow.times
+        )
         src_states = traj_src.states
     else:
-        src_states = [source_start(flow, x_start, t) for t in t_eval]
+        src_states = _source_path(
+            flow.map,
+            source_start(flow, x0, t0),
+            flow.time_index - 1,
+            _sample_times(t0, t1, num_samples),
+        )
+        _, traj_flow = flow_from_source(flow, x0, t0, t1, cfg, num_samples)
 
     deviations = []
     for state_flow, state_src in zip(traj_flow.states, src_states):
@@ -166,6 +189,8 @@ def verify_correspondence(
         tol_drift=tol_drift,
         integrator={
             "method": cfg.method,
+            "rel_tol": cfg.rel_tol,
+            "abs_tol": cfg.abs_tol,
             "accepted": traj_flow.stats.accepted,
             "rejected": traj_flow.stats.rejected,
             "rhs_evals": traj_flow.stats.rhs_evals,

@@ -54,29 +54,18 @@ def hermite_chain(m):
     """The chain of steps k = 1..m-1; maps (x, y1) to (x, ym).
 
     Starting from y1 = P_1/P_0 the chain walks the ratio of consecutive
-    recurrence polynomials up to ym = P_m/P_{m-1} evaluated at x.
+    recurrence polynomials up to ym = P_m/P_{m-1} evaluated at x.  Its
+    det J, (m-1)! / (y^(1) ... y^(m-1))^2 with y^(k+1) = x - k/y^(k), is the
+    composite's chain-rule product of the step determinants.
     """
     if m < 2:
         raise ValueError("chain length m must be at least 2")
-    steps = tuple(hermite_step(k) for k in range(1, m))
-
-    def det_j(state):
-        # (m-1)! / (y^(m-1) ... y^(1))^2 with y^(k+1) = x - k/y^(k)
-        x, y = state
-        total = 1.0
-        cur = y
-        for k in range(1, m):
-            total = total * (k / (cur * cur))
-            cur = x - k / cur
-        return total
-
     # the box keeps every intermediate y^(k) away from zero for m <= 10
     return compose_sequence(
-        steps,
+        (hermite_step(k) for k in range(1, m)),
         name=f"hermite[m={m}]",
         params={"m": m},
         sample_box=((6.0, 8.0), (0.8, 1.2)),
-        det_j=det_j,
     )
 
 

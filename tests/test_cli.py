@@ -164,7 +164,9 @@ def test_verify_pass_and_report_schema(capsys):
     assert payload["passed"] is True
     assert payload["max_deviation"] < 1e-6
     assert len(payload["deviations"]) >= 20
-    assert set(payload["integrator"]) == {"method", "accepted", "rejected", "rhs_evals"}
+    assert set(payload["integrator"]) == {
+        "method", "rel_tol", "abs_tol", "accepted", "rejected", "rhs_evals"
+    }
 
 
 def test_verify_qp4_records_normalization_winner(capsys):
@@ -189,6 +191,16 @@ def test_verify_qp4_records_normalization_winner(capsys):
     oracle = payload["normalization_oracle"]
     assert oracle["winner"] == "prop2"
     assert oracle["decisive"] is True
+
+
+def test_verify_pole_on_the_source_path_is_a_numerical_failure(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--map", "kdv3", "--x0", "32.07364999713352,0.7720383563118013",
+        "--t0", "-1.356", "--t1", "-1.242",
+    )
+    assert code == 3
+    assert out == ""
+    assert "1+xy+xy^2z vanishes between t=-1.3503 and t=-1.3446" in err
 
 
 def test_unknown_map_exits_with_usage_code(capsys):

@@ -352,6 +352,30 @@ def test_hermite_chain_det_formula():
         assert det(jacobian(chain, x)) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "composite",
+    [compose(maps.henon(1.3, 0.4), 3)] + [maps.hermite_chain(m) for m in range(2, 7)],
+    ids=lambda d: d.name,
+)
+def test_composite_det_j_is_the_chain_rule_product(composite):
+    for x in core.sample_points(composite, 25):
+        want = det(jacobian(composite, x))
+        assert composite.det_j(x) == pytest.approx(want, rel=1e-12)
+
+
+def test_composite_declares_det_j_only_when_every_step_does():
+    anonymous = core.MapDescriptor(
+        name="identity",
+        dimension=2,
+        params={},
+        forward_fn=lambda s: tuple(s),
+        inverse_fn=lambda s: tuple(s),
+    )
+    h = maps.henon(1.3, 0.4)
+    assert core.compose_sequence((h, anonymous), name="mixed").det_j is None
+    assert core.compose_sequence((h, h), name="declared").det_j is not None
+
+
 def test_compose_iterate_domain_error_carries_step():
     step = maps.hermite_step(1)
     comp = compose(step, 3)

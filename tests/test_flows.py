@@ -1,5 +1,6 @@
 """Flow construction, right-hand sides and integrator tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from mapflow import core, flows, harness, maps
 from mapflow.errors import (
+    ConfigError,
     DetConditionError,
     IntegrationError,
     MapflowError,
@@ -220,9 +222,55 @@ def test_build_hamiltonians_quadrature_field_has_consistent_gradient():
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-7
 
 
+def test_build_hamiltonians_without_det_j_runs_the_jacobian_construction():
+    # the paper's general construction, from the Jacobian alone, must agree
+    # with the quadrature of the declared det J
+    k3 = maps.kdv3()
+    X = k3.forward((1.1, 0.9, 1.0))
+    declared = flows.nambu_rhs(flows.build_hamiltonians(k3), X)
+    jacobian_only = dataclasses.replace(k3, det_j=None)
+    general = flows.nambu_rhs(flows.build_hamiltonians(jacobian_only), X)
+    scale = max(abs(v) for v in general)
+    assert max(abs(a - b) for a, b in zip(declared, general)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_build_hamiltonians_refuses_a_wrong_declared_det_j(check):
+    wrong = dataclasses.replace(maps.kdv3(), det_j=lambda s: 2.0)
+    with pytest.raises(ConfigError) as exc_info:
+        flows.build_hamiltonians(wrong, check=check)
+    message = str(exc_info.value)
+    assert message.startswith("declared det_j of kdv3 is 2.0 at (")
+    assert message.endswith("but the Jacobian determinant there is 1.0")
+
+
+def test_quadrature_rhs_with_declared_det_j_runs_no_nested_jets():
+    # a deterministic work guard: the declared det J keeps every jet that
+    # reaches the map single-level; without it the integrand nests them
+    def nested_calls(det_j):
+        k3 = maps.kdv3()
+        calls = []
+
+        def forward_fn(state):
+            calls.append(
+                any(isinstance(c, core.Jet) and isinstance(c.value, core.Jet) for c in state)
+            )
+            return k3.forward_fn(state)
+
+        wrapped = dataclasses.replace(k3, forward_fn=forward_fn, det_j=det_j)
+        fs = flows.build_hamiltonians(wrapped)
+        X = k3.forward((1.1, 0.9, 1.0))
+        calls.clear()
+        flows.nambu_rhs(fs, X)
+        return sum(calls)
+
+    assert nested_calls(maps.kdv3().det_j) == 0
+    assert nested_calls(None) > 0
+
+
 def test_numeric_flow_drives_integration_henon():
-    # the quadrature-built Hamiltonian, differentiated by nested jets,
-    # must integrate to the same endpoint as the map
+    # the quadrature-built Hamiltonian, differentiated by jets, must
+    # integrate to the same endpoint as the map
     h = maps.henon(1.0, 0.0)
     fs = flows.build_hamiltonians(h)
     X0 = h.forward((1.0, 0.0))

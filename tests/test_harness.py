@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mapflow import flows, harness, maps
+from mapflow.errors import SingularPointError
 
 
 def test_verify_kdv3_passes():
@@ -159,6 +160,29 @@ def test_scan_records_a_division_by_zero_and_continues():
         "SingularPointError: singular point in hermite[m=3]: a denominator of H1 "
     )
     assert scan.summary["failed"] == 1
+
+
+def test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch):
+    # the forward guard 1+xy+xy^2z is linear in the time slot z and
+    # vanishes between the second and third sample times; integrating into
+    # that pole would burn the whole step budget
+    calls = []
+    nambu_rhs = flows.nambu_rhs
+
+    def counted(flow, x):
+        calls.append(x)
+        return nambu_rhs(flow, x)
+
+    monkeypatch.setattr(flows, "nambu_rhs", counted)
+    with pytest.raises(SingularPointError) as exc_info:
+        harness.verify_correspondence(
+            "kdv3", x0=(32.07364999713352, 0.7720383563118013), t_range=(-1.356, -1.242)
+        )
+    err = exc_info.value
+    assert err.label == "1+xy+xy^2z"
+    times = harness._sample_times(-1.356, -1.242, harness.DEFAULT_SAMPLES)
+    assert err.between == (times[1], times[2])
+    assert calls == []
 
 
 def test_scan_grid_axes_end_exactly_on_hi():
