@@ -222,17 +222,28 @@ def grad(f, point):
     return tuple(float(p) for p in row)
 
 
-def jet_rows(func, coords):
-    """Derivative rows of a vector function; coords may carry jets.
+def jet_values_rows(func, coords):
+    """Values and derivative rows of a vector function from one seeded
+    evaluation; coords may carry jets.
 
     The one place points are seeded and partials read off: a component
     that does not depend on the coordinates gives a zero row.
     """
     n = len(coords)
-    return [
-        list(comp.partials) if isinstance(comp, Jet) else [0.0] * n
-        for comp in func(seed_jets(coords))
-    ]
+    values, rows = [], []
+    for comp in func(seed_jets(coords)):
+        if isinstance(comp, Jet):
+            values.append(comp.value)
+            rows.append(list(comp.partials))
+        else:
+            values.append(comp)
+            rows.append([0.0] * n)
+    return values, rows
+
+
+def jet_rows(func, coords):
+    """Derivative rows of a vector function; coords may carry jets."""
+    return jet_values_rows(func, coords)[1]
 
 
 def jacobian(mapdesc, point):

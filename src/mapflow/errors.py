@@ -22,6 +22,20 @@ class SingularPointError(MapflowError):
         super().__init__(msg)
 
 
+class LevelSetError(MapflowError):
+    """Newton found no source point on the level set H(F(x)) = H(F(x_start))
+    at the sample time ``time``; ``point`` is its last iterate."""
+
+    def __init__(self, where, time, point):
+        self.where = where
+        self.time = time
+        self.point = point
+        super().__init__(
+            f"level set of {where} not reached at t={time!r}: "
+            f"Newton stopped at {tuple(point)}"
+        )
+
+
 class NonFiniteStateError(MapflowError, ValueError):
     """A phase-space point has a NaN or infinite coordinate."""
 

@@ -5,8 +5,9 @@ a source point and compares it, at a fixed grid of sample times, against
 the map applied to the moving source point.  Maps whose Jacobian
 determinant depends on the time coordinate (the recurrence chain, the
 planar lattice reduction) only reproduce the flow along a constrained
-source curve; that curve is exactly what the source-space velocity field
-integrates, so the same procedure covers both cases.
+source curve, the level set of the Hamiltonians through the start; the
+harness solves for its points by Newton, so the oracle integrates
+nothing and the same comparison covers both cases.
 
 All reports are deterministic for identical inputs: sampling grids are
 fixed, random draws are seeded, and JSON serialization is canonical.
@@ -19,7 +20,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from . import chain1d, core, flows, maps
-from .errors import MapflowError, SingularPointError
+from .errors import LevelSetError, MapflowError, SingularPointError
 from .flows import IntegratorConfig
 
 DEFAULT_TOL_DEVIATION = 1e-6
@@ -29,6 +30,8 @@ QP4_ORACLE_POINTS = 25
 QP4_ORACLE_FD_STEP = 1e-6
 DEFAULT_SAMPLES = 21
 DEFAULT_SEED = 42
+LEVEL_SET_MAX_ITERATIONS = 30
+LEVEL_SET_STEP_TOL = 1e-13
 
 
 def _inf_norm(vec):
@@ -54,6 +57,7 @@ class CorrespondenceReport:
     tol_deviation: float
     tol_drift: float
     integrator: dict
+    oracle: dict
     passed: bool
 
     def to_dict(self):
@@ -87,33 +91,124 @@ def source_start(flow, x0, t0):
     return tuple(coords)
 
 
-def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
-    """Integrate the flow from the image of the source point at t0, sampled
-    at num_samples evenly spaced times from t0 to t1.
+def flow_from_source(map_id, flow, x0, t0, t1, cfg, num_samples):
+    """The source path at num_samples evenly spaced times from t0 to t1, its
+    oracle record (see ``_source_path``), and the flow of the catalog map
+    ``map_id`` integrated from the image of the path's first point, sampled
+    at those times.
 
-    Returns the source point and the trajectory.
+    The path is found, and checked for poles, before anything is
+    integrated.
     """
     t0, t1 = float(t0), float(t1)
+    times = _sample_times(t0, t1, num_samples)
     x_start = source_start(flow, x0, t0)
-    image0 = flow.map.forward(x_start)
-    t_eval = _sample_times(t0, t1, num_samples)
-    return x_start, flows.integrate_flow(flow, image0, t0, t1, cfg=cfg, t_eval=t_eval)
+    constrained = maps.get_entry(map_id).needs_source_constraint
+    path, oracle = _source_path(flow, x_start, times, constrained)
+    traj = flows.integrate_flow(
+        flow, flow.map.forward(x_start), t0, t1, cfg=cfg, t_eval=times
+    )
+    return path, oracle, traj
 
 
-def _source_path(mapdesc, x_start, t_index, times):
-    """The source points of an unconstrained map at the given times, where
-    only the time slot moves.  A forward guard whose sign differs at two
-    consecutive times vanishes between them: that pole on the path is a
-    SingularPointError before anything is integrated towards it."""
-    path = [x_start[:t_index] + (t,) + x_start[t_index + 1 :] for t in times]
-    for label, guard in mapdesc.forward_guards:
+def _solve(a, d, b):
+    """x with a x = b by Cramer's rule, where d = det(a) is non-zero."""
+    return [
+        core.det([row[:k] + [b_i] + row[k + 1 :] for row, b_i in zip(a, b)]) / d
+        for k in range(len(a))
+    ]
+
+
+def _level_set_path(flow, x_start, times):
+    """The source points on the level set H(F(x)) = H(F(x_start)) with the
+    time slot at each time, and the solve's oracle record.
+
+    At each time Newton moves the n-1 other slots, from the previous time's
+    point.  An iteration reads G(x) = H(F(x)) - H(F(x_start)) and its
+    derivative rows off one jet evaluation and solves dG/dx_free dx = -G by
+    Cramer's rule.  It stops when |dx| <= 1e-13 (1 + |x|), or when |dx|
+    has shrunk and then stops shrinking (rounding noise in G); a solve
+    that does neither within LEVEL_SET_MAX_ITERATIONS is a LevelSetError.
+    det(dG/dx_free), which equals det J for the flow's own Hamiltonians,
+    may neither vanish nor change sign between two times.  The record's
+    ``max_residual`` is the largest |G_j| / (1 + |H_j|) at the last
+    iterate a solve evaluated.
+    """
+    t_index = flow.time_index - 1
+    free = [k for k in range(len(x_start)) if k != t_index]
+    name = flow.map.name
+    target = flow.hamiltonian_values(flow.map.forward(x_start))
+
+    def level(src):
+        return flow.hamiltonians_at(flow.map.forward(src))
+
+    path = []
+    iterations = 0
+    residual = 0.0
+    x = x_start
+    for i, t in enumerate(times):
+        x = x[:t_index] + (t,) + x[t_index + 1 :]
+        sizes = []
+        for _ in range(LEVEL_SET_MAX_ITERATIONS):
+            iterations += 1
+            values, rows = core.jet_values_rows(level, x)
+            g = [core.float_value(v) - h for v, h in zip(values, target)]
+            a = [[float(row[k]) for k in free] for row in rows]
+            d = float(core.det(a))
+            if abs(d) <= core.GUARD_CUTOFF:
+                raise SingularPointError(name, "det J", x)
+            dx = _solve(a, d, [-v for v in g])
+            sizes.append(max(map(abs, dx)))
+            dx.insert(t_index, 0.0)
+            x = tuple(v + s for v, s in zip(x, dx))
+            if not math.isfinite(sizes[-1]):
+                raise LevelSetError(name, t, x)
+            scale = 1.0 + max(abs(x[k]) for k in free)
+            if sizes[-1] <= LEVEL_SET_STEP_TOL * scale:
+                break
+            if len(sizes) > 2 and sizes[-3] > sizes[-2] <= sizes[-1]:
+                break  # the step shrank, then stopped shrinking: rounding noise
+        else:
+            raise LevelSetError(name, t, x)
+        if i > 0 and d * last_det < 0.0:
+            raise SingularPointError(name, "det J", between=(times[i - 1], t))
+        last_det = d
+        residual = max(
+            [residual] + [abs(v) / (1.0 + abs(h)) for v, h in zip(g, target)]
+        )
+        path.append(x)
+    oracle = {
+        "method": "level-set",
+        "newton_iterations": iterations,
+        "max_residual": residual,
+    }
+    return path, oracle
+
+
+def _source_path(flow, x_start, times, constrained):
+    """The source points at the given times, whose images the flow must
+    retrace, and the oracle record saying how they were found.
+
+    An unconstrained map moves only the time slot (``time-slot``); a
+    constrained one follows its level set (``level-set``, see
+    ``_level_set_path``).  A forward guard whose sign differs at two
+    consecutive points vanishes between them: that pole on the path is a
+    SingularPointError before anything is integrated towards it.
+    """
+    if constrained:
+        path, oracle = _level_set_path(flow, x_start, times)
+    else:
+        t_index = flow.time_index - 1
+        path = [x_start[:t_index] + (t,) + x_start[t_index + 1 :] for t in times]
+        oracle = {"method": "time-slot"}
+    for label, guard in flow.map.forward_guards:
         values = [guard(point) for point in path]
         for i in range(1, len(path)):
             if values[i - 1] * values[i] < 0.0:
                 raise SingularPointError(
-                    mapdesc.name, label, between=(times[i - 1], times[i])
+                    flow.map.name, label, between=(times[i - 1], times[i])
                 )
-    return path
+    return path, oracle
 
 
 def _drifts(ham_values):
@@ -142,32 +237,19 @@ def verify_correspondence(
     source coordinates stay fixed while the time slot sweeps the sample
     times.  Maps flagged as constraint-bound (the recurrence chain, the
     planar lattice reduction) only reproduce the flow along a moving
-    source curve, which is obtained by integrating the source velocity
-    field.  ``flow`` overrides the catalog flow (used by the negative
-    controls).
+    source curve, whose points are solved for on the level set (see
+    ``_level_set_path``); the report's ``oracle`` record says which.
+    ``flow`` overrides the catalog flow (used by the negative controls).
     """
     params = maps.resolve_params(map_id, params)
-    constrained = maps.get_entry(map_id).needs_source_constraint
     if flow is None:
         flow = maps.build_flow(map_id, params)
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_range[0]), float(t_range[1])
 
-    if constrained:
-        x_start, traj_flow = flow_from_source(flow, x0, t0, t1, cfg, num_samples)
-        traj_src = flows.integrate_source(
-            flow, x_start, t0, t1, cfg=cfg, t_eval=traj_flow.times
-        )
-        src_states = traj_src.states
-    else:
-        src_states = _source_path(
-            flow.map,
-            source_start(flow, x0, t0),
-            flow.time_index - 1,
-            _sample_times(t0, t1, num_samples),
-        )
-        _, traj_flow = flow_from_source(flow, x0, t0, t1, cfg, num_samples)
-
+    src_states, oracle, traj_flow = flow_from_source(
+        map_id, flow, x0, t0, t1, cfg, num_samples
+    )
     deviations = []
     for state_flow, state_src in zip(traj_flow.states, src_states):
         deviations.append(_relative_deviation(state_flow, flow.map.forward(state_src)))
@@ -195,6 +277,7 @@ def verify_correspondence(
             "rejected": traj_flow.stats.rejected,
             "rhs_evals": traj_flow.stats.rhs_evals,
         },
+        oracle=oracle,
         passed=bool(passed),
     )
 
@@ -258,6 +341,7 @@ def conservation_scan(
                 "max_deviation": rep.max_deviation,
                 "max_drift": max(rep.ham_drift),
                 "passed": rep.passed,
+                "oracle": rep.oracle,
                 "error": None,
             }
         except (MapflowError, ArithmeticError) as exc:
@@ -266,6 +350,7 @@ def conservation_scan(
                 "max_deviation": None,
                 "max_drift": None,
                 "passed": False,
+                "oracle": None,
                 "error": f"{type(exc).__name__}: {exc}",
             }
 
@@ -349,7 +434,7 @@ def composition_check(
     ham_ok = None
     if flow is not None:
         t0, t1 = t_range or (1.0, 2.0)
-        _, traj = flow_from_source(flow, x0, t0, t1, cfg, DEFAULT_SAMPLES)
+        _, _, traj = flow_from_source(map_id, flow, x0, t0, t1, cfg, DEFAULT_SAMPLES)
         ham_drift = max(_drifts(traj.ham_values))
         ham_ok = ham_drift <= DEFAULT_TOL_DRIFT
 

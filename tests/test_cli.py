@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from mapflow import maps
+from mapflow import flows, harness, maps
 from mapflow.cli import main
 
 
@@ -201,6 +201,54 @@ def test_verify_pole_on_the_source_path_is_a_numerical_failure(capsys):
     assert code == 3
     assert out == ""
     assert "1+xy+xy^2z vanishes between t=-1.3503 and t=-1.3446" in err
+
+
+def test_flow_refuses_a_pole_on_the_source_path_before_integrating(
+    capsys, monkeypatch
+):
+    calls = []
+    nambu_rhs = flows.nambu_rhs
+
+    def counted(flow, x):
+        calls.append(x)
+        return nambu_rhs(flow, x)
+
+    monkeypatch.setattr(flows, "nambu_rhs", counted)
+    code, out, err = run_cli(
+        capsys, "flow", "--map", "kdv3", "--x0", "32.07364999713352,0.7720383563118013",
+        "--t0", "-1.356", "--t1", "-1.242", "--max-steps", "3000",
+    )
+    assert (code, out) == (3, "")
+    assert "1+xy+xy^2z vanishes between t=-1.3503 and t=-1.3446" in err
+    assert calls == []
+
+
+def test_verify_reports_how_its_oracle_was_found(capsys):
+    runs = {
+        "kdv2": ["--map", "kdv2", "--x0", "1", "--t0", "1", "--t1", "2"],
+        "henon": HENON_RUN,
+    }
+    oracles = {}
+    for name, run in runs.items():
+        code, out, _ = run_cli(capsys, "verify", *run)
+        assert code == 0
+        oracles[name] = json.loads(out)["oracle"]
+    assert oracles["henon"] == {"method": "time-slot"}
+    assert set(oracles["kdv2"]) == {"method", "newton_iterations", "max_residual"}
+    assert oracles["kdv2"]["method"] == "level-set"
+
+
+def test_level_set_that_is_not_reached_is_a_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "LEVEL_SET_MAX_ITERATIONS", 1)
+    code, out, err = run_cli(
+        capsys, "verify", "--map", "hermite", "--param", "m=3", "--x0", "42",
+        "--t0", "0.5", "--t1", "2",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "mapflow: numerical failure: level set of hermite[m=3] not reached at t="
+    )
+    assert err.count("\n") == 1
 
 
 def test_unknown_map_exits_with_usage_code(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mapflow import flows, harness, maps
-from mapflow.errors import SingularPointError
+from mapflow.errors import LevelSetError, MapflowError, SingularPointError
 
 
 def test_verify_kdv3_passes():
@@ -284,3 +284,173 @@ def test_chain_suite_passes():
     assert suite["passed"]
     suite3 = harness.chain_suite(m=3, a=0.5, c=0.0, n_states=10)
     assert suite3["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the level-set oracle of the constrained maps
+
+
+def _level_set(map_id, params, x0, t_range):
+    flow = maps.build_flow(map_id, params)
+    times = harness._sample_times(*t_range, harness.DEFAULT_SAMPLES)
+    x_start = harness.source_start(flow, x0, t_range[0])
+    path, oracle = harness._source_path(flow, x_start, times, constrained=True)
+    return flow, x_start, times, path, oracle
+
+
+# the m=3 Hamiltonian reads X - Y = 2/(x - 1/y), a difference of nearly
+# equal numbers, so G itself is only known to a few parts in 1e12 there
+# (2.9e-12 measured; the m=2 path lands within 1e-14)
+@pytest.mark.parametrize("m,tol", [(2, 1e-12), (3, 5e-12)])
+def test_level_set_path_follows_the_hermite_constraint_curve(m, tol):
+    c = 10.0
+    x0 = maps.hermite_source_constraint(m, c, 0.5)
+    _, _, times, path, oracle = _level_set("hermite", {"m": m}, (x0,), (0.5, 2.0))
+    for t, (x, y) in zip(times, path):
+        assert y == t
+        want = maps.hermite_source_constraint(m, c, t)
+        assert abs(x - want) <= tol * abs(want)
+    assert oracle["method"] == "level-set"
+    assert oracle["max_residual"] <= 1e-12
+
+
+def test_level_set_path_keeps_the_kdv2_source_hamiltonian():
+    _, _, _, path, _ = _level_set("kdv2", {"r": 2.0}, (1.0,), (1.0, 2.0))
+    ham = maps.kdv2_hamiltonian_source(2.0)
+    values = [ham(point) for point in path]
+    assert max(abs(v - values[0]) for v in values) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "map_id,params,x0,t_range",
+    [
+        ("hermite", {"m": 3}, (42.0,), (0.5, 2.0)),
+        ("kdv2", {"r": 2.0}, (1.0,), (1.0, 2.0)),
+    ],
+)
+def test_level_set_path_agrees_with_the_integrated_source_path(
+    map_id, params, x0, t_range
+):
+    flow, x_start, times, path, _ = _level_set(map_id, params, x0, t_range)
+    cfg = flows.IntegratorConfig(rel_tol=1e-12)
+    traj = flows.integrate_source(flow, x_start, *t_range, cfg=cfg, t_eval=times)
+    for got, want in zip(path, traj.states):
+        assert harness._relative_deviation(got, want) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "map_id,params,x0,t_range",
+    [
+        ("kdv3", None, (1.1, 0.9), (1.0, 2.0)),
+        ("qp4", {"a": 2.0, "normalization": "prop2"}, (1.0, 1.1), (1.0, 1.5)),
+    ],
+)
+def test_level_set_path_of_an_unconstrained_map_moves_only_time(
+    map_id, params, x0, t_range
+):
+    # two Hamiltonians, so each Newton step solves a 2x2 system
+    flow, x_start, times, path, _ = _level_set(map_id, params, x0, t_range)
+    for t, point in zip(times, path):
+        assert point[2] == t
+        assert max(abs(p - q) for p, q in zip(point[:2], x_start[:2])) <= 1e-13
+
+
+def test_constrained_verify_integrates_no_source_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the source path was integrated")
+
+    monkeypatch.setattr(flows, "integrate_source", refuse)
+    monkeypatch.setattr(flows, "source_rhs", refuse)
+    for map_id, params, x0, t_range in [
+        ("hermite", {"m": 3}, (42.0,), (0.5, 2.0)),
+        ("kdv2", {"r": 2.0}, (1.0,), (1.0, 2.0)),
+    ]:
+        report = harness.verify_correspondence(map_id, params, x0=x0, t_range=t_range)
+        assert report.passed
+        assert report.oracle["method"] == "level-set"
+        assert report.oracle["newton_iterations"] >= harness.DEFAULT_SAMPLES
+
+
+def test_unconstrained_verify_and_scan_record_the_time_slot_oracle():
+    report = harness.verify_correspondence("kdv3", x0=(1.1, 0.9), t_range=(1.0, 2.0))
+    assert report.oracle == {"method": "time-slot"}
+    scan = harness.conservation_scan(
+        "kdv3", grid=((-0.9, 1.1, 2), (0.9, 0.9, 1)), t_range=(1.0, 2.0)
+    )
+    assert [r["oracle"] for r in scan.results] == [None, {"method": "time-slot"}]
+    scan = harness.conservation_scan("kdv2", grid=((1.0, 1.0, 1),), t_range=(1.0, 2.0))
+    assert scan.results[0]["oracle"]["method"] == "level-set"
+
+
+def test_level_set_solve_that_does_not_converge_is_named(monkeypatch):
+    monkeypatch.setattr(harness, "LEVEL_SET_MAX_ITERATIONS", 1)
+    with pytest.raises(LevelSetError) as exc_info:
+        harness.verify_correspondence(
+            "hermite", {"m": 3}, x0=(42.0,), t_range=(0.5, 2.0)
+        )
+    err = exc_info.value
+    times = harness._sample_times(0.5, 2.0, harness.DEFAULT_SAMPLES)
+    assert err.time == times[1]  # the start is on its own level set
+    assert err.point[1] == times[1]
+
+
+def test_level_set_with_no_x_dependence_is_a_vanishing_det_j():
+    # X - Y = 1/y along the two-step chain, so G does not move with x
+    good = maps.build_flow("hermite", {"m": 2})
+    blind = flows.FlowSystem(
+        map=good.map,
+        time_index=good.time_index,
+        hamiltonians=(lambda s: s[0] - s[1],),
+        det_j_field=good.det_j_field,
+    )
+    with pytest.raises(SingularPointError) as exc_info:
+        harness.verify_correspondence(
+            "hermite", {"m": 2}, x0=(2.0,), t_range=(0.5, 1.0), flow=blind
+        )
+    assert exc_info.value.label == "det J"
+
+
+def test_level_set_whose_det_changes_sign_is_refused_before_integrating(monkeypatch):
+    # H = X (X - Y) = x / y along the two-step chain: dG/dx = 1/y changes
+    # sign where y crosses zero, between the tenth and eleventh samples
+    good = maps.build_flow("hermite", {"m": 2})
+    flipping = flows.FlowSystem(
+        map=good.map,
+        time_index=good.time_index,
+        hamiltonians=(lambda s: s[0] * (s[0] - s[1]),),
+        det_j_field=good.det_j_field,
+    )
+    calls = []
+    monkeypatch.setattr(flows, "nambu_rhs", lambda flow, x: calls.append(x))
+    with pytest.raises(SingularPointError) as exc_info:
+        harness.verify_correspondence(
+            "hermite", {"m": 2}, x0=(2.0,), t_range=(-1.0, 1.1), flow=flipping
+        )
+    times = harness._sample_times(-1.0, 1.1, harness.DEFAULT_SAMPLES)
+    assert exc_info.value.label == "det J"
+    assert exc_info.value.between == (times[9], times[10])
+    assert calls == []
+
+
+def test_constrained_verify_into_a_pole_ends_before_integrating(monkeypatch):
+    # y, the time slot of the chain, crosses zero, where the source curve
+    # x = c/y^2 + 1/y has a pole; the chain declares no forward guard, and
+    # integrating the image flow into the pole used to burn the whole budget
+    calls = []
+    nambu_rhs = flows.nambu_rhs
+
+    def counted(flow, x):
+        calls.append(x)
+        return nambu_rhs(flow, x)
+
+    monkeypatch.setattr(flows, "nambu_rhs", counted)
+    x0 = maps.hermite_source_constraint(3, 10.0, -0.5)
+    with pytest.raises(MapflowError):
+        harness.verify_correspondence(
+            "hermite",
+            {"m": 3},
+            x0=(x0,),
+            t_range=(-0.5, 0.55),
+            cfg=flows.IntegratorConfig(max_steps=3000),
+        )
+    assert calls == []
