@@ -215,7 +215,7 @@ def cmd_jacobian(args):
 def cmd_flow(args):
     flow = maps.build_flow(args.map, dict(args.param))
     _, _, traj = harness.flow_from_source(
-        args.map, flow, args.x0, args.t0, args.t1, integrator_config(args), args.samples
+        flow, args.x0, args.t0, args.t1, integrator_config(args), args.samples
     )
     emit(trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)), args.out)
     return EXIT_PASS

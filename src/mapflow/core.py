@@ -192,7 +192,7 @@ class MapDescriptor:
                 raise SingularPointError(where, label, point)
         out = tuple(fn(state))
         if not all(math.isfinite(float_value(c)) for c in out):
-            raise SingularPointError(self.name, "non-finite result", point)
+            raise SingularPointError(where, SingularPointError.NON_FINITE, point)
         return out
 
     def box(self):
@@ -335,6 +335,7 @@ def map_det_field(mapdesc):
 def compose_sequence(steps, name, params=None, sample_box=None):
     """Descriptor for step_k(...step_2(step_1(x))); inverse runs backwards.
 
+    Its guards are the first step's forward and the last step's inverse ones.
     When every step declares ``det_j``, so does the composite: by the chain
     rule it is the product of the step determinants at successive iterates.
     """
@@ -382,6 +383,8 @@ def compose_sequence(steps, name, params=None, sample_box=None):
         params=dict(params or steps[0].params),
         forward_fn=fwd,
         inverse_fn=inv,
+        forward_guards=steps[0].forward_guards,
+        inverse_guards=steps[-1].inverse_guards,
         det_j=det_j if declared else None,
         sample_box=sample_box or steps[0].sample_box,
     )
@@ -393,9 +396,4 @@ def compose(mapdesc, m):
         raise ValueError("composition count must be a positive integer")
     if m == 1:
         return mapdesc
-    return compose_sequence(
-        (mapdesc,) * m,
-        name=f"{mapdesc.name}^{m}",
-        params=mapdesc.params,
-        sample_box=mapdesc.sample_box,
-    )
+    return compose_sequence((mapdesc,) * m, name=f"{mapdesc.name}^{m}")

@@ -9,12 +9,16 @@ class SingularPointError(MapflowError):
     """Evaluation hit a pole: a declared denominator vanished, at ``point``
     or somewhere on a path between the two times ``between``."""
 
+    NON_FINITE = "non-finite result"  # the label when a map's output is not finite
+
     def __init__(self, where, label, point=None, between=None):
         self.where = where
         self.label = label
         self.point = point
         self.between = between
-        msg = f"singular point in {where}: {label} vanishes"
+        msg = f"singular point in {where}: {label}"
+        if label != self.NON_FINITE:
+            msg += " vanishes"
         if point is not None:
             msg += f" at {tuple(point)}"
         if between is not None:

@@ -91,20 +91,22 @@ def source_start(flow, x0, t0):
     return tuple(coords)
 
 
-def flow_from_source(map_id, flow, x0, t0, t1, cfg, num_samples):
+def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
     """The source path at num_samples evenly spaced times from t0 to t1, its
-    oracle record (see ``_source_path``), and the flow of the catalog map
-    ``map_id`` integrated from the image of the path's first point, sampled
-    at those times.
-
-    The path is found, and checked for poles, before anything is
-    integrated.
+    oracle record (see ``_source_path``), and the flow integrated from the
+    image of the path's first point, sampled at those times.  The path,
+    found and checked for poles first, follows the level set exactly where
+    the map, not the Hamiltonians, fails the determinant condition on the
+    seeded points of ``build_hamiltonians``.
     """
     t0, t1 = float(t0), float(t1)
     times = _sample_times(t0, t1, num_samples)
     x_start = source_start(flow, x0, t0)
-    constrained = maps.get_entry(map_id).needs_source_constraint
-    path, oracle = _source_path(flow, x_start, times, constrained)
+    samples = core.sample_points(
+        flow.map, flows.DET_CONDITION_SAMPLES, seed=flows.DET_CONDITION_SEED
+    )
+    report = flows.check_det_condition(flow.map, flow.time_index, samples)
+    path, oracle = _source_path(flow, x_start, times, not report.passed)
     traj = flows.integrate_flow(
         flow, flow.map.forward(x_start), t0, t1, cfg=cfg, t_eval=times
     )
@@ -233,12 +235,12 @@ def verify_correspondence(
 ):
     """Integrate the flow and compare against the map at sampled times.
 
-    The oracle is the map itself: for most catalog maps the non-time
-    source coordinates stay fixed while the time slot sweeps the sample
-    times.  Maps flagged as constraint-bound (the recurrence chain, the
-    planar lattice reduction) only reproduce the flow along a moving
+    The oracle is the map itself: where det J does not depend on the time
+    slot the non-time source coordinates stay fixed while the time slot
+    sweeps the sample times.  Otherwise (the recurrence chain, the planar
+    lattice reduction) the map reproduces the flow only along a moving
     source curve, whose points are solved for on the level set (see
-    ``_level_set_path``); the report's ``oracle`` record says which.
+    ``flow_from_source``); the report's ``oracle`` record says which.
     ``flow`` overrides the catalog flow (used by the negative controls).
     """
     params = maps.resolve_params(map_id, params)
@@ -248,7 +250,7 @@ def verify_correspondence(
     t0, t1 = float(t_range[0]), float(t_range[1])
 
     src_states, oracle, traj_flow = flow_from_source(
-        map_id, flow, x0, t0, t1, cfg, num_samples
+        flow, x0, t0, t1, cfg, num_samples
     )
     deviations = []
     for state_flow, state_src in zip(traj_flow.states, src_states):
@@ -325,16 +327,17 @@ def conservation_scan(
     t_range=(1.0, 2.0),
     cfg=None,
 ):
-    """Per grid point, run the correspondence check; failures (including a
-    division by zero or an overflow) are recorded and the scan continues.
-    Points run one after another in grid order."""
+    """Per grid point, in grid order, run the correspondence check on one
+    flow built before the first; a point's failure (including a division
+    by zero or an overflow) is recorded and the scan continues."""
     params = maps.resolve_params(map_id, params)
     points = _grid_points(grid)
+    flow = maps.build_flow(map_id, params)
 
     def run_point(pt):
         try:
             rep = verify_correspondence(
-                map_id, params, x0=pt, t_range=t_range, cfg=cfg
+                map_id, params, x0=pt, t_range=t_range, cfg=cfg, flow=flow
             )
             return {
                 "point": list(pt),
@@ -434,7 +437,7 @@ def composition_check(
     ham_ok = None
     if flow is not None:
         t0, t1 = t_range or (1.0, 2.0)
-        _, _, traj = flow_from_source(map_id, flow, x0, t0, t1, cfg, DEFAULT_SAMPLES)
+        _, _, traj = flow_from_source(flow, x0, t0, t1, cfg, DEFAULT_SAMPLES)
         ham_drift = max(_drifts(traj.ham_values))
         ham_ok = ham_drift <= DEFAULT_TOL_DRIFT
 

@@ -628,7 +628,6 @@ class CatalogEntry:
     param_schema: dict  # name -> default value, whose type the value takes
     build: Callable | None
     flow: Callable | None
-    needs_source_constraint: bool = False
     extra_flags: tuple = ()  # non-numeric parameters, e.g. qp4 normalization
     composite: Callable | None = None
     composition_x0: tuple | None = None  # start of composition checks
@@ -640,7 +639,6 @@ CATALOG = {
         param_schema={"m": 2},
         build=hermite_chain,
         flow=hermite_flow,
-        needs_source_constraint=True,
         composite=hermite_composite,
         composition_x0=(7.0, 1.0),  # keeps every intermediate denominator positive
     ),
@@ -662,7 +660,6 @@ CATALOG = {
         param_schema={"r": 2.0},
         build=kdv2,
         flow=kdv2_flow,
-        needs_source_constraint=True,
     ),
     "qp4": CatalogEntry(
         description="q-difference three-point map, det J = (abc)^2",
@@ -696,7 +693,7 @@ def get_entry(map_id):
 def resolve_params(map_id, overrides=None):
     """Merge user parameters over the schema defaults, rejecting unknown
     names and schema parameters that are not finite real numbers (or not
-    integral where the default is an int)."""
+    integral where the default is an int); each takes its default's type."""
     entry = get_entry(map_id)
     params = dict(entry.param_schema)
     for name, value in (overrides or {}).items():
@@ -713,6 +710,7 @@ def resolve_params(map_id, overrides=None):
                     f"map {map_id!r} parameter {name!r} must be {kind}, "
                     f"got {value!r}"
                 )
+            value = type(entry.param_schema[name])(value)
         elif name not in entry.extra_flags:
             raise ConfigError(f"map {map_id!r} has no parameter {name!r}")
         params[name] = value
@@ -720,12 +718,8 @@ def resolve_params(map_id, overrides=None):
 
 
 def _schema_kwargs(entry, params):
-    """Resolved schema parameters as constructor keywords, each converted to
-    its default's type (the hermite chain length m is an int)."""
-    return {
-        name: type(default)(params[name])
-        for name, default in entry.param_schema.items()
-    }
+    """Resolved schema parameters as constructor keywords."""
+    return {name: params[name] for name in entry.param_schema}
 
 
 def build_map(map_id, params=None):
@@ -741,9 +735,7 @@ def build_flow(map_id, params=None):
     entry = get_entry(map_id)
     if entry.flow is None:
         raise ConfigError(f"{map_id!r} has no associated flow")
-    params = resolve_params(map_id, params)
-    flags = {name: params[name] for name in entry.extra_flags if name in params}
-    return entry.flow(**_schema_kwargs(entry, params), **flags)
+    return entry.flow(**resolve_params(map_id, params))
 
 
 def build_composite(map_id, params, steps):
@@ -752,5 +744,5 @@ def build_composite(map_id, params, steps):
     entry = get_entry(map_id)
     if entry.composite is None:
         return [build_map(map_id, params)] * steps, None
-    kwargs = _schema_kwargs(entry, resolve_params(map_id, params))
-    return entry.composite(steps, **kwargs)
+    params = resolve_params(map_id, params)
+    return entry.composite(steps, **_schema_kwargs(entry, params))

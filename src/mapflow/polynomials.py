@@ -93,7 +93,6 @@ class ExactPolynomial:
         return out
 
 
-ZERO = ExactPolynomial(())
 ONE = ExactPolynomial.of(1)
 X = ExactPolynomial.of(0, 1)
 

@@ -223,6 +223,18 @@ def test_flow_refuses_a_pole_on_the_source_path_before_integrating(
     assert calls == []
 
 
+def test_scan_configuration_error_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--map", "qp4", "--param", "a=2",
+        "--grid", "0.9:1.1:2,0.9:1.1:1", "--t0", "1", "--t1", "1.2",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "mapflow: qp4 with |abc| != 1 needs normalization='prop2' or "
+        "'paper-display'\n"
+    )
+
+
 def test_verify_reports_how_its_oracle_was_found(capsys):
     runs = {
         "kdv2": ["--map", "kdv2", "--x0", "1", "--t0", "1", "--t1", "2"],

@@ -431,6 +431,16 @@ def test_non_finite_jet_output_raises_under_jacobian():
     assert exc_info.value.point == (1.0, 2.0)
 
 
+def test_non_finite_inverse_result_names_the_inverse_direction():
+    with pytest.raises(SingularPointError) as exc_info:
+        maps.kdv3().inverse((1e200, 1e200, 1e200))
+    err = exc_info.value
+    assert (err.where, err.label) == ("kdv3 (inverse)", "non-finite result")
+    assert str(err) == (
+        "singular point in kdv3 (inverse): non-finite result at (1e+200, 1e+200, 1e+200)"
+    )
+
+
 def test_inverse_guard_names_the_inverse_direction_on_jets():
     k3 = maps.kdv3()
     with pytest.raises(SingularPointError) as exc_info:

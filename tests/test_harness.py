@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mapflow import flows, harness, maps
-from mapflow.errors import LevelSetError, MapflowError, SingularPointError
+from mapflow.errors import ConfigError, LevelSetError, MapflowError, SingularPointError
 
 
 def test_verify_kdv3_passes():
@@ -380,6 +380,83 @@ def test_unconstrained_verify_and_scan_record_the_time_slot_oracle():
     assert [r["oracle"] for r in scan.results] == [None, {"method": "time-slot"}]
     scan = harness.conservation_scan("kdv2", grid=((1.0, 1.0, 1),), t_range=(1.0, 2.0))
     assert scan.results[0]["oracle"]["method"] == "level-set"
+
+
+@pytest.mark.parametrize(
+    "map_id,params,x0,t_range,method",
+    [
+        ("hermite", {"m": 2}, (2.5,), (0.5, 1.0), "level-set"),
+        ("hermite", {"m": 3}, (42.0,), (0.5, 1.0), "level-set"),
+        ("kdv2", {"r": 2.0}, (1.0,), (1.0, 2.0), "level-set"),
+        ("henon", {"b": 1.0, "c": 0.0}, (1.0,), (0.0, 1.0), "time-slot"),
+        ("kdv3", None, (1.1, 0.9), (1.0, 1.3), "time-slot"),
+        ("qp4", None, (1.0, 1.0), (1.0, 1.5), "time-slot"),
+        ("qp4", {"a": 2.0, "normalization": "prop2"}, (1.0, 1.0), (1.0, 1.5),
+         "time-slot"),
+    ],
+    ids=["hermite-m2", "hermite-m3", "kdv2", "henon", "kdv3", "qp4", "qp4-prop2"],
+)
+def test_oracle_follows_the_determinant_condition_of_each_catalog_map(
+    map_id, params, x0, t_range, method
+):
+    report = harness.verify_correspondence(map_id, params, x0=x0, t_range=t_range)
+    assert report.passed
+    assert report.oracle["method"] == method
+
+
+# rk4 with a coarse step keeps the quadrature-built flows to a few rhs calls
+COARSE = flows.IntegratorConfig(method="rk4", step=0.05)
+
+
+def test_flow_from_source_follows_the_level_set_of_a_flow_outside_the_catalog():
+    # det J = 1/y^2 depends on the time slot y; the quadrature Hamiltonian
+    # from x = 0 is x/y^2 over the source, so the path is x = c y^2
+    flow = flows.build_hamiltonians(
+        maps.hermite_chain(2), ref_point=(0.0, 1.0), check=False
+    )
+    c = 10.0
+    x0 = maps.hermite_source_constraint(2, c, 0.5)
+    path, oracle, traj = harness.flow_from_source(flow, (x0,), 0.5, 0.6, COARSE, 3)
+    assert oracle["method"] == "level-set"
+    for t, (x, y) in zip(traj.times, path):
+        assert y == t
+        assert abs(x - c * t * t) <= 1e-9 * c * t * t
+
+
+def test_flow_from_source_moves_only_the_time_slot_when_det_j_is_constant():
+    flow = flows.build_hamiltonians(maps.kdv3(), time_index=1)
+    path, oracle, _ = harness.flow_from_source(flow, (0.9, 1.1), 1.0, 1.1, COARSE, 3)
+    assert oracle == {"method": "time-slot"}
+    assert [p[1:] for p in path] == [(0.9, 1.1)] * 3
+    assert [p[0] for p in path] == harness._sample_times(1.0, 1.1, 3)
+
+
+def test_flow_from_source_refuses_the_hermite_pole_before_integrating(monkeypatch):
+    # the chain carries its step's forward guard y, which crosses zero
+    # between the tenth and eleventh samples of x = 2 y^2
+    calls = []
+    nambu_rhs = flows.nambu_rhs
+
+    def counted(flow, x):
+        calls.append(x)
+        return nambu_rhs(flow, x)
+
+    monkeypatch.setattr(flows, "nambu_rhs", counted)
+    flow = maps.build_flow("hermite", {"m": 2})
+    cfg = flows.IntegratorConfig(max_steps=3000)
+    with pytest.raises(SingularPointError) as exc_info:
+        harness.flow_from_source(flow, (2.0,), -1.0, 1.1, cfg, harness.DEFAULT_SAMPLES)
+    err = exc_info.value
+    assert err.label == "y"
+    assert err.between[0] < 0.0 < err.between[1]
+    assert calls == []
+
+
+def test_scan_with_a_configuration_error_raises_before_any_point():
+    with pytest.raises(ConfigError, match="needs normalization"):
+        harness.conservation_scan(
+            "qp4", {"a": 2.0}, grid=((0.9, 1.1, 2), (0.9, 1.1, 1)), t_range=(1.0, 1.2)
+        )
 
 
 def test_level_set_solve_that_does_not_converge_is_named(monkeypatch):

@@ -518,6 +518,11 @@ def test_resolve_params_rejects_non_finite_and_non_integral_values():
     ).forward(point)
 
 
+def test_resolve_params_gives_each_schema_value_its_default_type():
+    assert type(maps.resolve_params("hermite", {"m": 3.0})["m"]) is int
+    assert type(maps.resolve_params("qp4", {"a": 2})["a"]) is float
+
+
 def test_unknown_map_id_raises():
     with pytest.raises(UnknownMapError):
         maps.get_entry("lorenz")
