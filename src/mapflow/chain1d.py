@@ -79,7 +79,7 @@ def chain_propagate(spec, q_m, q_m1, a):
     for k in range(m - 2, -1, -1):
         try:
             q[k] = spec.alpha(q[k + 1]) - spec.beta(q[k + 2])
-        except Exception as exc:
+        except ArithmeticError as exc:  # a pole of a link; other errors propagate
             raise SingularPointError(spec.label, f"link evaluation at k={k}") from exc
     return ChainState(q=tuple(q), a=a)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, neg, sub
 from typing import Callable, Mapping
 
 from .errors import (
@@ -40,7 +42,9 @@ class Jet:
     value and partial slots may themselves hold jets; nesting one level
     gives second derivatives.  The program nests them only where a
     quadrature integrand differentiates the Jacobian determinant of a map
-    that declares no closed-form ``det_j``.
+    that declares no closed-form ``det_j``.  ``Jet(value, partials)``
+    copies the partials into a tuple; the operators build their results
+    with ``_jet``, which keeps the tuple it is given.
     """
 
     __slots__ = ("value", "partials")
@@ -54,55 +58,48 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(
-                self.value + other.value,
-                tuple(a + b for a, b in zip(self.partials, other.partials)),
-            )
-        return Jet(self.value + other, self.partials)
+            partials = tuple(map(add, self.partials, other.partials))
+            return _jet(self.value + other.value, partials)
+        return _jet(self.value + other, self.partials)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.value, tuple(-p for p in self.partials))
+        return _jet(-self.value, tuple(map(neg, self.partials)))
 
+    # x - y is x + (-y) bit for bit in IEEE 754, so no negated jet is built
     def __sub__(self, other):
-        return self.__add__(-other)
+        if isinstance(other, Jet):
+            partials = tuple(map(sub, self.partials, other.partials))
+            return _jet(self.value - other.value, partials)
+        return _jet(self.value - other, self.partials)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return _jet(other - self.value, tuple(map(neg, self.partials)))
 
     def __mul__(self, other):
+        sv, sp = self.value, self.partials
         if isinstance(other, Jet):
-            return Jet(
-                self.value * other.value,
-                tuple(
-                    p * other.value + self.value * q
-                    for p, q in zip(self.partials, other.partials)
-                ),
-            )
-        return Jet(self.value * other, tuple(p * other for p in self.partials))
+            ov, op = other.value, other.partials
+            return _jet(sv * ov, tuple([p * ov + sv * q for p, q in zip(sp, op)]))
+        return _jet(sv * other, tuple([p * other for p in sp]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        sv, sp = self.value, self.partials
         if isinstance(other, Jet):
-            inv = other.value
-            return Jet(
-                self.value / inv,
-                tuple(
-                    (p * inv - self.value * q) / (inv * inv)
-                    for p, q in zip(self.partials, other.partials)
-                ),
-            )
-        return Jet(self.value / other, tuple(p / other for p in self.partials))
+            ov, op = other.value, other.partials
+            sq = ov * ov
+            partials = [(p * ov - sv * q) / sq for p, q in zip(sp, op)]
+            return _jet(sv / ov, tuple(partials))
+        return _jet(sv / other, tuple([p / other for p in sp]))
 
     def __rtruediv__(self, other):
         # other / self with other constant along the seeded directions
-        v = self.value
-        return Jet(
-            other / v,
-            tuple(-other * p / (v * v) for p in self.partials),
-        )
+        v, c = self.value, -other
+        sq = v * v
+        return _jet(other / v, tuple([c * p / sq for p in self.partials]))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -110,11 +107,19 @@ class Jet:
         if exponent < 0:
             return (1.0 / self) ** (-exponent)
         if exponent == 0:
-            return Jet(1.0, tuple(0.0 for _ in self.partials))
+            return _jet(1.0, (0.0,) * len(self.partials))
         out = self
         for _ in range(exponent - 1):
             out = out * self
         return out
+
+
+def _jet(value, partials, _new=object.__new__):
+    """A Jet holding the tuple ``partials`` itself, not a copy."""
+    out = _new(Jet)
+    out.value = value
+    out.partials = partials
+    return out
 
 
 def jet_log(x):
@@ -126,23 +131,24 @@ def jet_log(x):
     return math.log(x)
 
 
+@lru_cache(maxsize=16)
+def _unit_seeds(n):
+    """The n unit partial tuples; shared, since tuples are immutable."""
+    return tuple(tuple(1.0 if i == j else 0.0 for i in range(n)) for j in range(n))
+
+
 def seed_jets(coords):
     """Attach unit derivative seeds to each coordinate of a point."""
-    n = len(coords)
-    return tuple(
-        Jet(coords[j], tuple(1.0 if i == j else 0.0 for i in range(n)))
-        for j in range(n)
-    )
+    return tuple(map(_jet, coords, _unit_seeds(len(coords))))
 
 
 def as_state(coords):
     """Validate a phase-space point: finite floats, at least one coordinate."""
-    out = tuple(float(c) for c in coords)
+    out = tuple(map(float, coords))
     if not out:
         raise ValueError("state vector must have at least one coordinate")
-    for c in out:
-        if not math.isfinite(c):
-            raise NonFiniteStateError(f"non-finite coordinate in state {out}")
+    if not all(map(math.isfinite, out)):
+        raise NonFiniteStateError(f"non-finite coordinate in state {out}")
     return out
 
 
@@ -185,13 +191,13 @@ class MapDescriptor:
             raise ValueError(
                 f"{where} takes {self.dimension} coordinates, got {len(state)}"
             )
-        point = tuple(float_value(c) for c in state)
+        point = tuple(map(float_value, state))
         scale = 1.0 + max(map(abs, point), default=0.0)
         for label, guard in guards:
             if abs(guard(point)) <= GUARD_CUTOFF * scale:
                 raise SingularPointError(where, label, point)
         out = tuple(fn(state))
-        if not all(math.isfinite(float_value(c)) for c in out):
+        if not all(map(math.isfinite, map(float_value, out))):
             raise SingularPointError(where, SingularPointError.NON_FINITE, point)
         return out
 

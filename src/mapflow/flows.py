@@ -9,6 +9,10 @@ fields (numerically, by quadrature), forms the bracket-based right-hand
 sides in image space and source space, and integrates them with either a
 classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 
+A velocity is the signed minors of the Hamiltonians' gradient rows, read
+off one seeded jet evaluation.  A Runge-Kutta stage state sums weight *
+stage component by component over the non-zero weights in stage order.
+
 The determinant field is the map's declared ``det_j``, checked against the
 Jacobian of the map on sampled points before any quadrature is built; only
 a map that declares none has its Jacobian differentiated again, through
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from . import core
@@ -93,7 +98,17 @@ class FlowSystem:
         raise failure
 
     def hamiltonian_values(self, point):
-        return tuple(float_value(v) for v in self.hamiltonians_at(as_state(point)))
+        return tuple(map(float_value, self.hamiltonians_at(as_state(point))))
+
+    @cached_property
+    def fails_det_condition(self):
+        """Whether the map fails the determinant condition for this time slot
+        on the seeded points ``build_hamiltonians`` checks.  It reads only
+        ``map`` and ``time_index``, so a flow classifies itself once."""
+        samples = core.sample_points(
+            self.map, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED
+        )
+        return not check_det_condition(self.map, self.time_index, samples).passed
 
 
 def _check_time_index(mapdesc, time_index):
@@ -264,15 +279,15 @@ def _bracket_velocity(hamiltonians_of, x):
     """det of (rows + [e_j]) for each j, via signed minors of the last row,
     where the rows are the float gradients of ``hamiltonians_of`` at x."""
     n = len(x)
-    rows = [
-        [float(p) for p in row] for row in core.jet_rows(hamiltonians_of, x)
-    ]
-    out = []
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in rows]
-        sign = 1.0 if (n + j + 1) % 2 == 0 else -1.0
-        out.append(sign * float(core.det(minor)))
-    return tuple(out)
+    rows = [list(map(float, row)) for row in core.jet_rows(hamiltonians_of, x)]
+    if n == 2:  # the minors are the 1x1 entries, signed - and +
+        ((g0, g1),) = rows
+        return (-g1, g0)
+    return tuple(
+        (1.0 if (n + j + 1) % 2 == 0 else -1.0)
+        * float(core.det([row[:j] + row[j + 1 :] for row in rows]))
+        for j in range(n)
+    )
 
 
 def nambu_rhs(flow, point):
@@ -424,13 +439,15 @@ def _samples(t0, t1, t_eval, direction):
 
 def _combine(y, h, weights, k):
     """y + h * (sum of weight * stage over the non-zero weights, in stage
-    order), component by component."""
-    acc = None
-    for w, k_i in zip(weights, k):
-        if w:
-            terms = [w * v for v in k_i]
-            acc = terms if acc is None else [a + t for a, t in zip(acc, terms)]
-    return tuple(y_i + h * a for y_i, a in zip(y, acc))
+    order), accumulated component by component."""
+    (w0, k0), *rest = [(w, k_i) for w, k_i in zip(weights, k) if w]
+    out = []
+    for c, y_c in enumerate(y):
+        acc = w0 * k0[c]
+        for w, k_i in rest:
+            acc += w * k_i[c]
+        out.append(y_c + h * acc)
+    return tuple(out)
 
 
 def _dense_state(y, h, dense, k, x):
@@ -495,7 +512,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     def f(y):
         nonlocal evals
         evals += 1
-        out = tuple(float(v) for v in rhs(y))
+        out = tuple(map(float, rhs(y)))
         if len(out) != len(y):
             raise ValueError(
                 f"rhs returned {len(out)} components for {len(y)} coordinates"

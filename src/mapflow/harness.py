@@ -97,16 +97,12 @@ def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
     image of the path's first point, sampled at those times.  The path,
     found and checked for poles first, follows the level set exactly where
     the map, not the Hamiltonians, fails the determinant condition on the
-    seeded points of ``build_hamiltonians``.
+    seeded points of ``build_hamiltonians`` (``flow.fails_det_condition``).
     """
     t0, t1 = float(t0), float(t1)
     times = _sample_times(t0, t1, num_samples)
     x_start = source_start(flow, x0, t0)
-    samples = core.sample_points(
-        flow.map, flows.DET_CONDITION_SAMPLES, seed=flows.DET_CONDITION_SEED
-    )
-    report = flows.check_det_condition(flow.map, flow.time_index, samples)
-    path, oracle = _source_path(flow, x_start, times, not report.passed)
+    path, oracle = _source_path(flow, x_start, times, flow.fails_det_condition)
     traj = flows.integrate_flow(
         flow, flow.map.forward(x_start), t0, t1, cfg=cfg, t_eval=times
     )

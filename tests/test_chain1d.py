@@ -22,6 +22,7 @@ from mapflow.chain1d import (
     chain_to_henon_point,
     verify_chain_hamilton,
 )
+from mapflow.errors import SingularPointError
 
 
 def dense_A(diag, sup):
@@ -68,6 +69,19 @@ def test_chain_propagate_degenerate_beta_zero():
     # with beta = 0 each value is just alpha of its neighbour
     assert state.q[1] == 6.0
     assert state.q[0] == 12.0
+
+
+def test_chain_propagate_names_a_link_pole():
+    spec = ChainSpec(m=3, alpha=lambda q: 1.0 / q, beta=lambda q: q, label="pole")
+    with pytest.raises(SingularPointError, match="link evaluation at k=1") as exc:
+        chain_propagate(spec, 1.0, 0.0, a=0.0)
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+def test_chain_propagate_lets_a_programming_error_through():
+    spec = ChainSpec(m=3, alpha=lambda q: q.upper(), beta=lambda q: q)
+    with pytest.raises(AttributeError):
+        chain_propagate(spec, 1.0, 2.0, 0.0)
 
 
 def test_chain_resolve_up_inverts_propagation():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from mapflow import core, maps
@@ -80,6 +80,143 @@ def test_jet_integer_pow_matches_repeated_multiplication():
     assert (x**3).value == (x * x * x).value
     assert (x**0).value == 1.0
     assert (x**-2).value == pytest.approx(1.5**-2)
+
+
+# Reference jet arithmetic on plain data: a float, or a (value, partials)
+# pair whose slots hold either.  Each operation follows Python's operator
+# dispatch (float op jet reaches the jet's reflected method) and the product,
+# quotient and chain rules in the order the formulas below write them; a
+# difference is the sum with the negation.
+
+
+def _as_plain(x):
+    if isinstance(x, Jet):
+        return (_as_plain(x.value), tuple(_as_plain(p) for p in x.partials))
+    return x
+
+
+def _ref_neg(x):
+    if isinstance(x, tuple):
+        return (_ref_neg(x[0]), tuple(_ref_neg(p) for p in x[1]))
+    return -x
+
+
+def _ref_add(x, y):
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        partials = tuple(_ref_add(p, q) for p, q in zip(x[1], y[1]))
+        return (_ref_add(x[0], y[0]), partials)
+    if isinstance(x, tuple):
+        return (_ref_add(x[0], y), x[1])
+    if isinstance(y, tuple):
+        return (_ref_add(y[0], x), y[1])
+    return x + y
+
+
+def _ref_sub(x, y):
+    if isinstance(x, tuple):
+        return _ref_add(x, _ref_neg(y))
+    if isinstance(y, tuple):
+        return _ref_add(_ref_neg(y), x)
+    return x - y
+
+
+def _ref_mul(x, y):
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        (sv, sp), (ov, op) = x, y
+        return (
+            _ref_mul(sv, ov),
+            tuple(_ref_add(_ref_mul(p, ov), _ref_mul(sv, q)) for p, q in zip(sp, op)),
+        )
+    if isinstance(x, tuple):
+        return (_ref_mul(x[0], y), tuple(_ref_mul(p, y) for p in x[1]))
+    if isinstance(y, tuple):
+        return _ref_mul(y, x)
+    return x * y
+
+
+def _ref_div(x, y):
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        (sv, sp), (d, dp) = x, y
+        return (
+            _ref_div(sv, d),
+            tuple(
+                _ref_div(_ref_sub(_ref_mul(p, d), _ref_mul(sv, q)), _ref_mul(d, d))
+                for p, q in zip(sp, dp)
+            ),
+        )
+    if isinstance(x, tuple):
+        return (_ref_div(x[0], y), tuple(_ref_div(p, y) for p in x[1]))
+    if isinstance(y, tuple):
+        v, vp = y
+        partials = tuple(_ref_div(_ref_mul(-x, p), _ref_mul(v, v)) for p in vp)
+        return (_ref_div(x, v), partials)
+    return x / y
+
+
+def _ref_pow(x, exponent):
+    if exponent < 0:
+        return _ref_pow(_ref_div(1.0, x), -exponent)
+    if exponent == 0:
+        return (1.0, tuple(0.0 for _ in x[1]))
+    out = x
+    for _ in range(exponent - 1):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _same_bits(compute, reference):
+    try:
+        want = repr(reference())
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            compute()
+        return
+    # repr round-trips every float and tells -0.0 from 0.0
+    assert repr(_as_plain(compute())) == want
+
+
+any_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def jet_operands(draw):
+    """Two operands, at least one a jet; the jets are flat or, with inner
+    jets in their value and some partial slots, nested one level."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    nested = draw(st.booleans())
+
+    def flat(size):
+        return Jet(draw(any_float), [draw(any_float) for _ in range(size)])
+
+    def operand():
+        if not nested:
+            return flat(n)
+        slots = [flat(m) if draw(st.booleans()) else draw(any_float) for _ in range(n)]
+        return Jet(flat(m), slots)
+
+    left = operand()
+    right = operand() if draw(st.booleans()) else draw(any_float)
+    return (left, right) if draw(st.booleans()) else (right, left)
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(jet_operands(), st.integers(-3, 3))
+def test_jet_operators_match_the_reference_bit_for_bit(operands, exponent):
+    x, y = operands
+    px, py = _as_plain(x), _as_plain(y)
+    _same_bits(lambda: x + y, lambda: _ref_add(px, py))
+    _same_bits(lambda: x - y, lambda: _ref_sub(px, py))
+    _same_bits(lambda: x * y, lambda: _ref_mul(px, py))
+    _same_bits(lambda: x / y, lambda: _ref_div(px, py))
+    for jet, plain in ((x, px), (y, py)):
+        if isinstance(jet, Jet):
+            _same_bits(lambda: -jet, lambda: _ref_neg(plain))
+            _same_bits(lambda: jet**exponent, lambda: _ref_pow(plain, exponent))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Flow construction, right-hand sides and integrator tests."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from mapflow import core, flows, harness, maps
+from mapflow import cli, core, flows, harness, maps
 from mapflow.errors import (
     ConfigError,
     DetConditionError,
@@ -751,6 +752,38 @@ def test_dopri5_rejects_a_step_whose_error_estimate_is_nan():
     assert all(math.isfinite(v) for s in traj.states for v in s)
 
 
+def _combine_reference(y, h, weights, k):
+    # left to right: the first non-zero weight's term, plus each later one
+    acc = None
+    for w, k_i in zip(weights, k):
+        if w:
+            terms = [w * v for v in k_i]
+            acc = terms if acc is None else [a + t for a, t in zip(acc, terms)]
+    return tuple(y_i + h * a for y_i, a in zip(y, acc))
+
+
+@pytest.mark.parametrize("method", ["rk4", "dopri5"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_combine_matches_the_left_to_right_sum_bit_for_bit(method, n):
+    a, b, e, dense = flows._TABLEAUS[method]
+    rows = [row for row in a if row] + [b] + ([e] if e else [])
+    if dense:
+        rows += [
+            [x * (p1 + x * (p2 + x * (p3 + x * p4))) for p1, p2, p3, p4 in dense]
+            for x in (0.25, 0.5, 0.9)
+        ]
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        pool = [0.0, -0.0, *rng.uniform(-1e3, 1e3, 4), *rng.uniform(-1e-12, 1e-12, 2)]
+        k = [tuple(float(rng.choice(pool)) for _ in range(n)) for _ in range(len(b))]
+        y = tuple(float(rng.choice(pool)) for _ in range(n))
+        h = float(rng.choice([1e-3, -0.02, 0.7]))
+        for row in rows:
+            got = flows._combine(y, h, row, k)
+            # repr round-trips every float and tells -0.0 from 0.0
+            assert repr(got) == repr(_combine_reference(y, h, row, k)), (trial, row)
+
+
 def test_dopri5_costs_one_rhs_plus_six_per_attempt():
     # stage 7 of an accepted step is the next step's stage 1, and a
     # rejected step keeps its stage 1
@@ -821,6 +854,57 @@ def test_acceptance_verify_rhs_evaluations_stay_bounded(run, bound):
     report = harness.verify_correspondence(map_id, params, x0=x0, t_range=t_range)
     assert report.passed
     assert report.integrator["rhs_evals"] <= bound
+
+
+def _cli_run(map_id, params, x0, t_range):
+    run = ["--map", map_id, "--x0", ",".join(repr(float(v)) for v in x0)]
+    run += ["--t0", repr(float(t_range[0])), "--t1", repr(float(t_range[1]))]
+    for name, value in params.items():
+        text = repr(value) if isinstance(value, float) else str(value)
+        run += ["--param", f"{name}={text}"]
+    return run
+
+
+# sha256 of the CLI output files, recorded before the jet and Runge-Kutta
+# kernels were rewritten; every floating-point operation and its order was
+# kept, so the bytes must not move
+GOLDEN_VERIFY_SHA256 = {
+    "henon": "a8d8321fe40139a82a95de1d4096ecf2ca2bd5abf5ff6763e3f715101f12e69c",
+    "hermite3": "440536997804224a4274df24eb0843102cf9f5a8e35d34fc36ca91f458daf5e8",
+    "kdv3": "5f4f863a5aa806dcf096a9524492595b01c28a7f2339627ff189346c070ed55f",
+    "kdv2": "7a78738b095dc5109c70c8618a4e2806d7ac4e01c9f89c802a51f8b95f3b4425",
+    "qp4": "1d3c5bd02b7cfd0ee2c6e1422cfa2c04ab3ca1147585f718fa2792d5d13d2a1e",
+    "qp4-prop2": "d551cef40a98b3f0b8342e73cae4c8fb910888d253144e02ab40923b1c429882",
+}
+GOLDEN_KDV3_RK4_FLOW_SHA256 = (
+    "57ab2b18ee36b2f6763768c5c1e4316feca01c53b57d5774f0690b6612087544"
+)
+GOLDEN_KDV3_SCAN_SHA256 = (
+    "29c0c2e6810d9f301aa5e1cdab000f33ca22c2b71222a0c5137339260115619a"
+)
+
+
+def _sha256_of_cli_output(tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_verify_output_bytes_match_the_pinned_digest(tmp_path, run):
+    argv = ["verify", *_cli_run(*CATALOG_FLOWS[run])]
+    assert _sha256_of_cli_output(tmp_path, argv) == GOLDEN_VERIFY_SHA256[run]
+
+
+def test_rk4_flow_csv_bytes_match_the_pinned_digest(tmp_path):
+    run = _cli_run(*CATALOG_FLOWS["kdv3"]) + ["--method", "rk4", "--step", "2e-3"]
+    digest = _sha256_of_cli_output(tmp_path, ["flow", *run])
+    assert digest == GOLDEN_KDV3_RK4_FLOW_SHA256
+
+
+def test_scan_output_bytes_match_the_pinned_digest(tmp_path):
+    run = ["--map", "kdv3", "--grid", "0.5:1.5:3,0.5:1.5:3", "--t0", "1", "--t1", "2"]
+    assert _sha256_of_cli_output(tmp_path, ["scan", *run]) == GOLDEN_KDV3_SCAN_SHA256
 
 
 def test_integrator_config_validation():

@@ -121,6 +121,22 @@ def test_scan_kdv3_grid_all_pass():
     assert scan.summary["max_drift"] < 1e-7
 
 
+def test_scan_classifies_its_flow_once(monkeypatch):
+    calls = []
+    check = flows.check_det_condition
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(flows, "check_det_condition", counted)
+    scan = harness.conservation_scan(
+        "kdv3", grid=((0.5, 1.5, 3), (0.5, 1.5, 3)), t_range=(1.0, 2.0)
+    )
+    assert scan.summary["points"] == 9
+    assert len(calls) == 1
+
+
 def test_scan_qp4_unit_parameters():
     scan = harness.conservation_scan(
         "qp4",
