@@ -29,7 +29,6 @@ from .flows import (
     flow_system,
     integrate,
     integrate_flow,
-    integrate_source,
     nambu_rhs,
     source_rhs,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "grad",
     "integrate",
     "integrate_flow",
-    "integrate_source",
     "jacobian",
     "nambu_bracket",
     "nambu_rhs",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -297,9 +298,11 @@ def add_span(parser):
     parser.add_argument("--t1", type=finite_float)
 
 
+@functools.cache
 def build_parser():
-    """The parser; each subcommand's ``required`` lists the options that
-    must be set once a config file is merged."""
+    """The parser, built on first use and shared by later calls; each
+    subcommand's ``required`` lists the options that must be set once a
+    config file is merged."""
     parser = argparse.ArgumentParser(
         prog="mapflow",
         description=(

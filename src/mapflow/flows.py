@@ -101,14 +101,13 @@ class FlowSystem:
         return tuple(map(float_value, self.hamiltonians_at(as_state(point))))
 
     @cached_property
-    def fails_det_condition(self):
-        """Whether the map fails the determinant condition for this time slot
-        on the seeded points ``build_hamiltonians`` checks.  It reads only
-        ``map`` and ``time_index``, so a flow classifies itself once."""
-        samples = core.sample_points(
-            self.map, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED
+    def det_condition(self):
+        """The map's determinant-condition report for this time slot on the
+        seeded points (``DetConditionReport``).  It reads only ``map`` and
+        ``time_index``, so a flow checks itself once."""
+        return check_det_condition(
+            self.map, self.time_index, _det_condition_samples(self.map)
         )
-        return not check_det_condition(self.map, self.time_index, samples).passed
 
 
 def _check_time_index(mapdesc, time_index):
@@ -182,6 +181,11 @@ def check_det_condition(mapdesc, time_index, samples):
     )
 
 
+def _det_condition_samples(mapdesc):
+    """The seeded points on which a map's determinant is checked."""
+    return core.sample_points(mapdesc, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED)
+
+
 def _check_declared_det(mapdesc, samples):
     """Refuse a declared ``det_j`` that disagrees with the determinant of
     the map's Jacobian by more than 1e-9 * (1 + |det J|) at a sample point."""
@@ -220,21 +224,14 @@ def build_hamiltonians(
     The determinant is the map's declared ``det_j`` when it has one, and a
     ``ConfigError`` refuses the construction when that disagrees with the
     Jacobian determinant at one of the sampled points, whatever ``check``
-    says.  With ``check`` enabled the construction is also refused (with
-    the sampled diagnostics attached) when d(det J)/dx_time is not
-    negligible.
+    says.  With ``check`` enabled the construction is also refused when
+    d(det J)/dx_time is not negligible, with the flow's ``det_condition``
+    report attached.
     """
     n = mapdesc.dimension
     t_idx = n if time_index is None else time_index
     _check_time_index(mapdesc, t_idx)
-    samples = core.sample_points(
-        mapdesc, DET_CONDITION_SAMPLES, seed=DET_CONDITION_SEED
-    )
-    _check_declared_det(mapdesc, samples)
-    if check:
-        report = check_det_condition(mapdesc, t_idx, samples)
-        if not report.passed:
-            raise DetConditionError(report)
+    _check_declared_det(mapdesc, _det_condition_samples(mapdesc))
 
     ref = (1.0,) * n if ref_point is None else as_state(ref_point)
     *coords, q = [j for j in range(n) if j != t_idx - 1]
@@ -262,13 +259,16 @@ def build_hamiltonians(
 
     hams = [lambda point, _j=j: mapdesc.inverse(point)[_j] for j in coords]
     hams.append(lambda point: quad_value(mapdesc.inverse(point)))
-    return FlowSystem(
+    flow = FlowSystem(
         map=mapdesc,
         time_index=t_idx,
         hamiltonians=tuple(hams),
         det_j_field=det_field,
         hamiltonian_vector=vector,
     )
+    if check and not flow.det_condition.passed:
+        raise DetConditionError(flow.det_condition)
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +488,6 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     a, b, e, dense = _TABLEAUS[cfg.method]
     # a last stage taken at the new state is the next step's first stage
     fsal = a[-1] + (0.0,) == b
-    # rk4 steps onto every sample and t1; dopri5 only onto t1
-    ends = [t1] if dense else samples + [t1]
     # the samples still to record, the next one last
     pending = samples[::-1]
     t = t0
@@ -525,58 +523,59 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         record(pending.pop(), y)
     h = direction * (cfg.step if e is None else abs(t1 - t0) / 100.0)
     k_first = None
-    for end in ends:
-        while t != end:
-            if accepted + rejected >= cfg.max_steps:
-                raise MaxStepsError("step budget exhausted", t, y, trajectory())
-            if abs(h) < 1e-15 * max(1.0, abs(t)):
-                raise StepUnderflowError("step size underflow", t, y, trajectory())
-            h_try = end - t if (t + h - end) * direction > 0 else h
+    while t != t1:
+        # rk4 steps onto each sample in turn, then t1; dopri5 only onto t1
+        end = pending[-1] if dense is None and pending else t1
+        if accepted + rejected >= cfg.max_steps:
+            raise MaxStepsError("step budget exhausted", t, y, trajectory())
+        if abs(h) < 1e-15 * max(1.0, abs(t)):
+            raise StepUnderflowError("step size underflow", t, y, trajectory())
+        h_try = end - t if (t + h - end) * direction > 0 else h
 
-            if k_first is None:
-                k_first = f(y)
-            k = [k_first]
-            for row in a[1:]:
-                k.append(f(_combine(y, h_try, row, k)))
-            y_new = _combine(y, h_try, b, k)
-            finite = all(map(math.isfinite, y_new))
-            if e is None and not finite:  # rk4 never retries a step
-                raise IntegrationError("non-finite state", t, y, trajectory())
-            err = 0.0
+        if k_first is None:
+            k_first = f(y)
+        k = [k_first]
+        for row in a[1:]:
+            k.append(f(_combine(y, h_try, row, k)))
+        y_new = _combine(y, h_try, b, k)
+        finite = all(map(math.isfinite, y_new))
+        if e is None and not finite:  # rk4 never retries a step
+            raise IntegrationError("non-finite state", t, y, trajectory())
+        err = 0.0
+        if e is not None:
+            # adding to zero is exact, so this is h_try * sum(e_i * k_i)
+            ratios = [
+                abs(d) / (cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v)))
+                for d, u, v in zip(_combine(zero, h_try, e, k), y, y_new)
+            ]
+            # max() skips a NaN, and an infinite scale can hide an overflow
+            finite = finite and all(map(math.isfinite, ratios))
+            err = max(ratios) if finite else math.inf
+
+        if err <= 1.0:
+            accepted += 1
+            t_new = t + h_try
+            if abs(t_new - end) <= 1e-12 * max(1.0, abs(t_new)):
+                t_new = end
+            while pending and (pending[-1] - t_new) * direction <= 0:
+                s = pending.pop()
+                if s == t_new:
+                    record(s, y_new)
+                else:
+                    record(s, _dense_state(y, h_try, dense, k, (s - t) / h_try))
+            t, y = t_new, y_new
+            if t_eval is None:
+                record(t, y)
+            # the last stage has a non-zero error weight, so an accepted
+            # step (finite estimate) hands on a finite one; a rejected
+            # step keeps its own first stage
+            k_first = k[-1] if fsal else None
             if e is not None:
-                # adding to zero is exact, so this is h_try * sum(e_i * k_i)
-                ratios = [
-                    abs(d) / (cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v)))
-                    for d, u, v in zip(_combine(zero, h_try, e, k), y, y_new)
-                ]
-                # max() skips a NaN, and an infinite scale can hide an overflow
-                finite = finite and all(map(math.isfinite, ratios))
-                err = max(ratios) if finite else math.inf
-
-            if err <= 1.0:
-                accepted += 1
-                t_new = t + h_try
-                if abs(t_new - end) <= 1e-12 * max(1.0, abs(t_new)):
-                    t_new = end
-                while pending and (pending[-1] - t_new) * direction <= 0:
-                    s = pending.pop()
-                    if s == t_new:
-                        record(s, y_new)
-                    else:
-                        record(s, _dense_state(y, h_try, dense, k, (s - t) / h_try))
-                t, y = t_new, y_new
-                if t_eval is None:
-                    record(t, y)
-                # the last stage has a non-zero error weight, so an accepted
-                # step (finite estimate) hands on a finite one; a rejected
-                # step keeps its own first stage
-                k_first = k[-1] if fsal else None
-                if e is not None:
-                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-                    h = h_try * factor
-            else:
-                rejected += 1
-                h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+                h = h_try * factor
+        else:
+            rejected += 1
+            h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))
     return trajectory()
 
 
@@ -590,11 +589,3 @@ def integrate_flow(flow, x0, t0, t1, cfg=None, t_eval=None):
         rhs, x0, t0, t1, cfg=cfg, t_eval=t_eval, observe=flow.hamiltonian_values
     )
 
-
-def integrate_source(flow, x0, t0, t1, cfg=None, t_eval=None):
-    """Integrate the source-space motion that pushes forward onto the flow."""
-
-    def rhs(state):
-        return source_rhs(flow, state)
-
-    return integrate(rhs, x0, t0, t1, cfg=cfg, t_eval=t_eval)

@@ -97,12 +97,12 @@ def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
     image of the path's first point, sampled at those times.  The path,
     found and checked for poles first, follows the level set exactly where
     the map, not the Hamiltonians, fails the determinant condition on the
-    seeded points of ``build_hamiltonians`` (``flow.fails_det_condition``).
+    seeded points of ``build_hamiltonians`` (``flow.det_condition``).
     """
     t0, t1 = float(t0), float(t1)
     times = _sample_times(t0, t1, num_samples)
     x_start = source_start(flow, x0, t0)
-    path, oracle = _source_path(flow, x_start, times, flow.fails_det_condition)
+    path, oracle = _source_path(flow, x_start, times)
     traj = flows.integrate_flow(
         flow, flow.map.forward(x_start), t0, t1, cfg=cfg, t_eval=times
     )
@@ -183,17 +183,17 @@ def _level_set_path(flow, x_start, times):
     return path, oracle
 
 
-def _source_path(flow, x_start, times, constrained):
+def _source_path(flow, x_start, times):
     """The source points at the given times, whose images the flow must
     retrace, and the oracle record saying how they were found.
 
-    An unconstrained map moves only the time slot (``time-slot``); a
-    constrained one follows its level set (``level-set``, see
-    ``_level_set_path``).  A forward guard whose sign differs at two
-    consecutive points vanishes between them: that pole on the path is a
-    SingularPointError before anything is integrated towards it.
+    A map that passes the flow's ``det_condition`` moves only the time
+    slot (``time-slot``); a constrained one follows its level set
+    (``level-set``, see ``_level_set_path``).  A forward guard changing
+    sign between two consecutive points vanishes there: that pole on the
+    path is a SingularPointError before anything is integrated towards it.
     """
-    if constrained:
+    if not flow.det_condition.passed:
         path, oracle = _level_set_path(flow, x_start, times)
     else:
         t_index = flow.time_index - 1

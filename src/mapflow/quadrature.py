@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 from .core import Jet
 from .errors import QuadratureError
@@ -58,6 +59,9 @@ def _flatten(x, out):
 def _norm(x):
     comps = []
     _flatten(x, comps)
+    # max() skips a NaN that is not the first component
+    if not all(map(math.isfinite, comps)):
+        raise QuadratureError("non-finite quadrature panel estimate")
     return max(abs(c) for c in comps)
 
 
@@ -88,8 +92,9 @@ def integrate_gk(f, a, b, abs_tol=1e-10, max_panels=512):
     """Integral of ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``f`` may return floats or jets; the error is measured over every
-    component.  Raises :class:`QuadratureError` when the panel budget is
-    exhausted before the tolerance is met.
+    component.  Raises :class:`QuadratureError` when a panel's estimate is
+    not finite, or when the panel budget is exhausted before the tolerance
+    is met.
     """
     if a == b:
         return 0.0 * f(a)

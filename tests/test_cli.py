@@ -1,5 +1,6 @@
 """Command-line interface tests: formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import warnings
 
 import pytest
 
-from mapflow import flows, harness, maps
+from mapflow import cli, flows, harness, maps
 from mapflow.cli import main
 
 
@@ -269,6 +270,35 @@ def test_unknown_map_exits_with_usage_code(capsys):
     )
     assert code == 2
     assert "unknown map id" in err
+
+
+def test_a_map_without_a_flow_exits_with_usage_code(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--map", "chain1d-henon",
+        "--x0", "1", "--t0", "0", "--t1", "1",
+    )
+    assert code == 2
+    assert "has no associated flow" in err
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert run_cli(capsys, "list")[0] == 0
+        assert built  # the first call builds the parser and its subparsers
+        first = len(built)
+        assert run_cli(capsys, "list")[0] == 0
+        assert len(built) == first
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_unknown_parameter_exits_with_usage_code(capsys):

@@ -163,6 +163,46 @@ def test_build_hamiltonians_refuses_when_condition_fails():
     assert exc_info.value.report.entries  # diagnostic samples attached
 
 
+def test_a_division_by_zero_that_no_entry_repeats_propagates():
+    # the vector divides by zero where each entry on its own evaluates, so
+    # no H_j can be named and the original error is the one raised
+    def vector(s):
+        raise ZeroDivisionError("only the vector divides")
+
+    fl = flows.FlowSystem(
+        map=maps.kdv3(),
+        time_index=3,
+        hamiltonians=(lambda s: s[0], lambda s: s[1]),
+        det_j_field=core.map_det_field(maps.kdv3()),
+        hamiltonian_vector=vector,
+    )
+    with pytest.raises(ZeroDivisionError, match="only the vector divides"):
+        fl.hamiltonians_at((1.0, 2.0, 3.0))
+
+
+def test_build_and_verify_check_the_determinant_condition_once(monkeypatch):
+    calls = []
+    check = flows.check_det_condition
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(flows, "check_det_condition", counted)
+    flow = flows.build_hamiltonians(maps.build_map("kdv3"))
+    report = harness.verify_correspondence(
+        "kdv3", x0=(1.1, 0.9), t_range=(1.0, 1.3), flow=flow
+    )
+    assert report.passed
+    assert report.oracle == {"method": "time-slot"}
+    assert len(calls) == 1
+    # a refused build attaches the report of the flow it built
+    with pytest.raises(DetConditionError) as exc_info:
+        flows.build_hamiltonians(maps.hermite_chain(2))
+    assert len(exc_info.value.report.entries) == flows.DET_CONDITION_SAMPLES
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # numeric Hamiltonian builder
 
@@ -965,7 +1005,9 @@ def test_push_forward_consistency_hermite():
     x0 = (maps.hermite_source_constraint(3, 10.0, t0), t0)
     t_eval = np.linspace(t0, t1, 21)
     X0 = fl.map.forward(x0)
-    traj_x = flows.integrate_source(fl, x0, t0, t1, t_eval=t_eval)
+    traj_x = flows.integrate(
+        lambda x: flows.source_rhs(fl, x), x0, t0, t1, t_eval=t_eval
+    )
     traj_X = flows.integrate_flow(fl, X0, t0, t1, t_eval=t_eval)
     for sx, sX in zip(traj_x.states, traj_X.states):
         push = fl.map.forward(sx)

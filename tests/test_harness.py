@@ -310,7 +310,7 @@ def _level_set(map_id, params, x0, t_range):
     flow = maps.build_flow(map_id, params)
     times = harness._sample_times(*t_range, harness.DEFAULT_SAMPLES)
     x_start = harness.source_start(flow, x0, t_range[0])
-    path, oracle = harness._source_path(flow, x_start, times, constrained=True)
+    path, oracle = harness._level_set_path(flow, x_start, times)
     return flow, x_start, times, path, oracle
 
 
@@ -349,7 +349,9 @@ def test_level_set_path_agrees_with_the_integrated_source_path(
 ):
     flow, x_start, times, path, _ = _level_set(map_id, params, x0, t_range)
     cfg = flows.IntegratorConfig(rel_tol=1e-12)
-    traj = flows.integrate_source(flow, x_start, *t_range, cfg=cfg, t_eval=times)
+    traj = flows.integrate(
+        lambda x: flows.source_rhs(flow, x), x_start, *t_range, cfg=cfg, t_eval=times
+    )
     for got, want in zip(path, traj.states):
         assert harness._relative_deviation(got, want) <= 1e-9
 
@@ -375,7 +377,6 @@ def test_constrained_verify_integrates_no_source_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the source path was integrated")
 
-    monkeypatch.setattr(flows, "integrate_source", refuse)
     monkeypatch.setattr(flows, "source_rhs", refuse)
     for map_id, params, x0, t_range in [
         ("hermite", {"m": 3}, (42.0,), (0.5, 2.0)),

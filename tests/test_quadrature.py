@@ -51,3 +51,18 @@ def test_panel_budget_exhaustion_raises():
     rough = lambda s: math.sin(1.0 / (s + 1e-6)) / (s + 1e-6)
     with pytest.raises(QuadratureError):
         integrate_gk(rough, 0.0, 1.0, abs_tol=1e-13, max_panels=8)
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [
+        lambda u: float("nan"),
+        lambda u: math.inf,
+        # max() over the components alone would skip this NaN partial
+        lambda u: Jet(1.0, (float("nan"),)),
+    ],
+    ids=["nan", "inf", "nan-partial"],
+)
+def test_non_finite_panel_estimate_raises(integrand):
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_gk(integrand, 0.0, 1.0)
