@@ -45,6 +45,13 @@ class Jet:
     that declares no closed-form ``det_j``.  ``Jet(value, partials)``
     copies the partials into a tuple; the operators build their results
     with ``_jet``, which keeps the tuple it is given.
+
+    For 2 and 3 partials each operator writes its partials out one by one;
+    any other count goes through a comprehension.  Both compute every
+    partial as the same expression in the same operand order, so they
+    agree bit for bit.  The two operands of a binary operator must carry
+    the same number of partials, as jets seeded together by ``seed_jets``
+    do.
     """
 
     __slots__ = ("value", "partials")
@@ -58,48 +65,112 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            partials = tuple(map(add, self.partials, other.partials))
+            sp, op = self.partials, other.partials
+            n = len(sp)
+            if n == 2:
+                (p0, p1), (q0, q1) = sp, op
+                partials = (p0 + q0, p1 + q1)
+            elif n == 3:
+                (p0, p1, p2), (q0, q1, q2) = sp, op
+                partials = (p0 + q0, p1 + q1, p2 + q2)
+            else:
+                partials = tuple(map(add, sp, op))
             return _jet(self.value + other.value, partials)
         return _jet(self.value + other, self.partials)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(-self.value, tuple(map(neg, self.partials)))
+        return _jet(-self.value, _negated(self.partials))
 
     # x - y is x + (-y) bit for bit in IEEE 754, so no negated jet is built
     def __sub__(self, other):
         if isinstance(other, Jet):
-            partials = tuple(map(sub, self.partials, other.partials))
+            sp, op = self.partials, other.partials
+            n = len(sp)
+            if n == 2:
+                (p0, p1), (q0, q1) = sp, op
+                partials = (p0 - q0, p1 - q1)
+            elif n == 3:
+                (p0, p1, p2), (q0, q1, q2) = sp, op
+                partials = (p0 - q0, p1 - q1, p2 - q2)
+            else:
+                partials = tuple(map(sub, sp, op))
             return _jet(self.value - other.value, partials)
         return _jet(self.value - other, self.partials)
 
     def __rsub__(self, other):
-        return _jet(other - self.value, tuple(map(neg, self.partials)))
+        return _jet(other - self.value, _negated(self.partials))
 
     def __mul__(self, other):
         sv, sp = self.value, self.partials
+        n = len(sp)
         if isinstance(other, Jet):
             ov, op = other.value, other.partials
-            return _jet(sv * ov, tuple([p * ov + sv * q for p, q in zip(sp, op)]))
-        return _jet(sv * other, tuple([p * other for p in sp]))
+            if n == 2:
+                (p0, p1), (q0, q1) = sp, op
+                partials = (p0 * ov + sv * q0, p1 * ov + sv * q1)
+            elif n == 3:
+                (p0, p1, p2), (q0, q1, q2) = sp, op
+                partials = (p0 * ov + sv * q0, p1 * ov + sv * q1, p2 * ov + sv * q2)
+            else:
+                partials = tuple([p * ov + sv * q for p, q in zip(sp, op)])
+            return _jet(sv * ov, partials)
+        if n == 2:
+            p0, p1 = sp
+            partials = (p0 * other, p1 * other)
+        elif n == 3:
+            p0, p1, p2 = sp
+            partials = (p0 * other, p1 * other, p2 * other)
+        else:
+            partials = tuple([p * other for p in sp])
+        return _jet(sv * other, partials)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         sv, sp = self.value, self.partials
+        n = len(sp)
         if isinstance(other, Jet):
             ov, op = other.value, other.partials
             sq = ov * ov
-            partials = [(p * ov - sv * q) / sq for p, q in zip(sp, op)]
-            return _jet(sv / ov, tuple(partials))
-        return _jet(sv / other, tuple([p / other for p in sp]))
+            if n == 2:
+                (p0, p1), (q0, q1) = sp, op
+                partials = ((p0 * ov - sv * q0) / sq, (p1 * ov - sv * q1) / sq)
+            elif n == 3:
+                (p0, p1, p2), (q0, q1, q2) = sp, op
+                partials = (
+                    (p0 * ov - sv * q0) / sq,
+                    (p1 * ov - sv * q1) / sq,
+                    (p2 * ov - sv * q2) / sq,
+                )
+            else:
+                partials = tuple([(p * ov - sv * q) / sq for p, q in zip(sp, op)])
+            return _jet(sv / ov, partials)
+        if n == 2:
+            p0, p1 = sp
+            partials = (p0 / other, p1 / other)
+        elif n == 3:
+            p0, p1, p2 = sp
+            partials = (p0 / other, p1 / other, p2 / other)
+        else:
+            partials = tuple([p / other for p in sp])
+        return _jet(sv / other, partials)
 
     def __rtruediv__(self, other):
         # other / self with other constant along the seeded directions
-        v, c = self.value, -other
+        v, c, sp = self.value, -other, self.partials
         sq = v * v
-        return _jet(other / v, tuple([c * p / sq for p in self.partials]))
+        n = len(sp)
+        if n == 2:
+            p0, p1 = sp
+            partials = (c * p0 / sq, c * p1 / sq)
+        elif n == 3:
+            p0, p1, p2 = sp
+            partials = (c * p0 / sq, c * p1 / sq, c * p2 / sq)
+        else:
+            partials = tuple([c * p / sq for p in sp])
+        return _jet(other / v, partials)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -122,12 +193,25 @@ def _jet(value, partials, _new=object.__new__):
     return out
 
 
+def _negated(partials):
+    """The partials of a negated jet, for ``-x`` and ``c - x``."""
+    n = len(partials)
+    if n == 2:
+        p0, p1 = partials
+        return (-p0, -p1)
+    if n == 3:
+        p0, p1, p2 = partials
+        return (-p0, -p1, -p2)
+    return tuple(map(neg, partials))
+
+
 def jet_log(x):
     """Natural log for floats and jets, guarding the domain."""
     if float_value(x) <= 0.0:
         raise LogDomainError(f"log of non-positive value {float_value(x)!r}")
     if isinstance(x, Jet):
-        return Jet(jet_log(x.value), tuple(p / x.value for p in x.partials))
+        v = x.value
+        return _jet(jet_log(v), tuple([p / v for p in x.partials]))
     return math.log(x)
 
 

@@ -10,8 +10,10 @@ sides in image space and source space, and integrates them with either a
 classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 
 A velocity is the signed minors of the Hamiltonians' gradient rows, read
-off one seeded jet evaluation.  A Runge-Kutta stage state sums weight *
-stage component by component over the non-zero weights in stage order.
+off one seeded jet evaluation; for n = 2 and n = 3 the minors are written
+out, bit for bit the signed ``core.det`` values that larger n computes.
+A Runge-Kutta stage state sums weight * stage component by component over
+the non-zero weights in stage order.
 
 The determinant field is the map's declared ``det_j``, checked against the
 Jacobian of the map on sampled points before any quadrature is built; only
@@ -283,6 +285,9 @@ def _bracket_velocity(hamiltonians_of, x):
     if n == 2:  # the minors are the 1x1 entries, signed - and +
         ((g0, g1),) = rows
         return (-g1, g0)
+    if n == 3:  # core.det's 2x2 closed form, signed +, - and +
+        (g0, g1, g2), (h0, h1, h2) = rows
+        return (g1 * h2 - g2 * h1, -(g0 * h2 - g2 * h0), g0 * h1 - g1 * h0)
     return tuple(
         (1.0 if (n + j + 1) % 2 == 0 else -1.0)
         * float(core.det([row[:j] + row[j + 1 :] for row in rows]))

@@ -93,11 +93,13 @@ def integrate_gk(f, a, b, abs_tol=1e-10, max_panels=512):
 
     ``f`` may return floats or jets; the error is measured over every
     component.  Raises :class:`QuadratureError` when a panel's estimate is
-    not finite, or when the panel budget is exhausted before the tolerance
-    is met.
+    not finite (over a zero-width interval, when ``f(a)`` is not), or when
+    the panel budget is exhausted before the tolerance is met.
     """
     if a == b:
-        return 0.0 * f(a)
+        fa = f(a)
+        _norm(fa)
+        return 0.0 * fa
     value, err = _kronrod(f, a, b)
     counter = itertools.count()
     heap = [(-err, next(counter), a, b, value)]

@@ -164,6 +164,13 @@ def _ref_pow(x, exponent):
     return out
 
 
+def _ref_log(x):
+    if isinstance(x, tuple):
+        v, vp = x
+        return (_ref_log(v), tuple(_ref_div(p, v) for p in vp))
+    return math.log(x)
+
+
 def _same_bits(compute, reference):
     try:
         want = repr(reference())
@@ -182,24 +189,25 @@ any_float = st.one_of(
 
 
 @st.composite
-def jet_operands(draw):
+def jet_operands(draw, max_partials=3, max_inner=2, values=any_float):
     """Two operands, at least one a jet; the jets are flat or, with inner
-    jets in their value and some partial slots, nested one level."""
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
+    jets in their value and some partial slots, nested one level.  Jets
+    carry 1..max_partials partials, and inner jets 1..max_inner."""
+    n = draw(st.integers(1, max_partials))
+    m = draw(st.integers(1, max_inner))
     nested = draw(st.booleans())
 
     def flat(size):
-        return Jet(draw(any_float), [draw(any_float) for _ in range(size)])
+        return Jet(draw(values), [draw(values) for _ in range(size)])
 
     def operand():
         if not nested:
             return flat(n)
-        slots = [flat(m) if draw(st.booleans()) else draw(any_float) for _ in range(n)]
+        slots = [flat(m) if draw(st.booleans()) else draw(values) for _ in range(n)]
         return Jet(flat(m), slots)
 
     left = operand()
-    right = operand() if draw(st.booleans()) else draw(any_float)
+    right = operand() if draw(st.booleans()) else draw(values)
     return (left, right) if draw(st.booleans()) else (right, left)
 
 
@@ -217,6 +225,34 @@ def test_jet_operators_match_the_reference_bit_for_bit(operands, exponent):
         if isinstance(jet, Jet):
             _same_bits(lambda: -jet, lambda: _ref_neg(plain))
             _same_bits(lambda: jet**exponent, lambda: _ref_pow(plain, exponent))
+
+
+# The operators write out the bodies for 2 and 3 partials and keep the
+# general path for any other count; 1-4 partials, at both levels of a nested
+# jet, reach all three.  Moderate floats round a reordered expression
+# differently more often than any_float's extremes and small integers do.
+bounded_or_any_float = st.one_of(any_float, st.floats(-100.0, 100.0))
+
+
+@seed(16)
+@settings(max_examples=500, deadline=None)
+@given(
+    jet_operands(max_partials=4, max_inner=4, values=bounded_or_any_float),
+    st.integers(-3, 3),
+)
+def test_unrolled_and_general_jet_bodies_match_the_reference(operands, exponent):
+    x, y = operands
+    px, py = _as_plain(x), _as_plain(y)
+    _same_bits(lambda: x + y, lambda: _ref_add(px, py))
+    _same_bits(lambda: x - y, lambda: _ref_sub(px, py))
+    _same_bits(lambda: x * y, lambda: _ref_mul(px, py))
+    _same_bits(lambda: x / y, lambda: _ref_div(px, py))
+    for jet, plain in ((x, px), (y, py)):
+        if isinstance(jet, Jet):
+            _same_bits(lambda: -jet, lambda: _ref_neg(plain))
+            _same_bits(lambda: jet**exponent, lambda: _ref_pow(plain, exponent))
+            if core.float_value(jet) > 0.0:
+                _same_bits(lambda: core.jet_log(jet), lambda: _ref_log(plain))
 
 
 # ---------------------------------------------------------------------------

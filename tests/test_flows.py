@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -465,6 +467,50 @@ def test_nambu_rhs_matches_explicit_bracket_calls():
             coord = (lambda idx: lambda s: s[idx])(j)
             direct = core.nambu_bracket(list(fl.hamiltonians) + [coord], X)
             assert fast[j] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def _gradient_rows_field(rows):
+    """Hamiltonians whose gradient rows are exactly ``rows``."""
+    return lambda s: [core.Jet(0.0, row) for row in rows]
+
+
+def _signed_det_minors(rows):
+    """det of (rows + [e_j]) for each j, as +-1.0 times core.det of a minor."""
+    n = len(rows[0])
+    return tuple(
+        (1.0 if (n + j + 1) % 2 == 0 else -1.0)
+        * core.det([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(n)
+    )
+
+
+def test_3d_bracket_minors_equal_the_signed_dets_bit_for_bit():
+    special = (0.0, -0.0, 1.0, -1.0)
+    cases = [list(entries) for entries in itertools.product(special, repeat=6)]
+    rng = random.Random(16)
+    for _ in range(2000):
+        cases.append(
+            [
+                rng.choice(special) if rng.random() < 0.3 else rng.uniform(-1e3, 1e3)
+                for _ in range(6)
+            ]
+        )
+    for entries in cases:
+        rows = [entries[:3], entries[3:]]
+        got = flows._bracket_velocity(_gradient_rows_field(rows), (0.5, 1.0, 1.5))
+        # repr tells -0.0 from 0.0
+        assert repr(got) == repr(_signed_det_minors(rows)), rows
+
+
+def test_4d_bracket_takes_its_minors_from_core_det(monkeypatch):
+    rows = [[1.5, -0.0, 2.0, 0.25], [0.0, 3.0, -1.0, 1.0], [2.0, 1.0, 0.5, -4.0]]
+    want = _signed_det_minors(rows)
+    minors = []
+    det = core.det
+    monkeypatch.setattr(core, "det", lambda m: minors.append(m) or det(m))
+    got = flows._bracket_velocity(_gradient_rows_field(rows), (1.0, 2.0, 3.0, 4.0))
+    assert [len(m) for m in minors] == [3, 3, 3, 3]
+    assert repr(got) == repr(want)
 
 
 def test_source_rhs_kdv3_moves_only_time():

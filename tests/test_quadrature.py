@@ -66,3 +66,13 @@ def test_panel_budget_exhaustion_raises():
 def test_non_finite_panel_estimate_raises(integrand):
     with pytest.raises(QuadratureError, match="non-finite"):
         integrate_gk(integrand, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [lambda u: float("nan"), lambda u: -math.inf],
+    ids=["nan", "inf"],
+)
+def test_non_finite_integrand_on_a_zero_width_interval_raises(integrand):
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_gk(integrand, 0.5, 0.5)
