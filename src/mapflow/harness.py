@@ -27,7 +27,6 @@ DEFAULT_TOL_DEVIATION = 1e-6
 DEFAULT_TOL_DRIFT = 1e-7
 DET_PRODUCT_TOL = 1e-8
 QP4_ORACLE_POINTS = 25
-QP4_ORACLE_FD_STEP = 1e-6
 DEFAULT_SAMPLES = 21
 DEFAULT_SEED = 42
 LEVEL_SET_MAX_ITERATIONS = 30
@@ -459,12 +458,13 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
     """Determinant identities plus Hamilton-equation checks for the
     quadratic-action chain, over seeded random states.
 
-    The finite-difference Hamilton check runs for m in {2, 3}, where the
-    central-difference oracle is inside its validity window; longer
-    chains amplify curvature enough that the truncation error swamps the
-    tolerance, so they are verified through the exact identity between
-    the jet gradient of the propagated bottom value and the tridiagonal
-    determinant response instead.
+    The closed-form Hamiltonian and the Hamilton-equation check run for
+    m in {2, 3} only.  The closed form exists only there.  The check
+    re-solves the chain upward from (q_0, q_1), which cancels terms that
+    grow with m: over these states its error reaches about 1.3e-6 at
+    m = 5, above its 1e-6 tolerance.  Every m is verified through the
+    exact identity between the jet gradient of the propagated bottom value
+    and the tridiagonal determinant response.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
@@ -473,7 +473,7 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
 
     worst_closed = 0.0
     hamilton_ok = True if m in (2, 3) else None
-    worst_fd = 0.0
+    worst_hamilton = 0.0
     worst_gradient = 0.0
     for _ in range(n_states):
         q_m, q_m1 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
@@ -486,7 +486,7 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
             )
             rep = chain1d.verify_chain_hamilton(spec, state)
             hamilton_ok = hamilton_ok and rep.passed
-            worst_fd = max(worst_fd, rep.err_dq, rep.err_dp, rep.err_bar_a)
+            worst_hamilton = max(worst_hamilton, rep.err_dq, rep.err_dp, rep.err_bar_a)
         _, dh_dp = chain1d.hamiltonian_gradient(spec, qq, pp, state.a)
         coeffs = chain1d.chain_coefficients(spec, state)
         bar = chain1d.tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])
@@ -540,7 +540,7 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
         "closed_form_max_rel_err": worst_closed if m in (2, 3) else None,
         "closed_form_ok": closed_ok,
         "hamilton_ok": hamilton_ok,
-        "hamilton_max_rel_err": worst_fd if m in (2, 3) else None,
+        "hamilton_max_rel_err": worst_hamilton if m in (2, 3) else None,
         "gradient_identity_max_rel_err": worst_gradient,
         "gradient_identity_ok": bool(gradient_ok),
         "det_recurrence_max_rel_err": worst_det,
@@ -575,10 +575,11 @@ class NormalizationReport:
 def qp4_normalization_report(a, b, c, seed=DEFAULT_SEED):
     """Decide which second-Hamiltonian scaling reproduces the map.
 
-    Central finite differences of the map along its time coordinate are
-    the ground truth; each candidate flow's bracket velocity is compared
-    against them.  The explicit rational velocity formulas are measured as
-    well, as corroboration.
+    The ground truth is the map's velocity along its time coordinate, the
+    time column of its Jacobian, read off the same seeded evaluation that
+    gives the image point; each candidate flow's bracket velocity is
+    compared against it.  The explicit rational velocity formulas are
+    measured as well, as corroboration.
     """
     mapdesc = maps.qp4(a, b, c)
     candidates = {
@@ -590,15 +591,8 @@ def qp4_normalization_report(a, b, c, seed=DEFAULT_SEED):
     display_res = 0.0
     for _ in range(QP4_ORACLE_POINTS):
         src = tuple(rng.uniform(0.4, 1.6) for _ in range(3))
-        up = list(src)
-        dn = list(src)
-        h = QP4_ORACLE_FD_STEP * (1.0 + abs(src[2]))
-        up[2] += h
-        dn[2] -= h
-        f_up = mapdesc.forward(up)
-        f_dn = mapdesc.forward(dn)
-        truth = tuple((u - d) / (2 * h) for u, d in zip(f_up, f_dn))
-        image = mapdesc.forward(src)
+        image, rows = core.jet_values_rows(mapdesc.forward, src)
+        truth = [row[2] for row in rows]
         for name, flow in candidates.items():
             cand = flows.nambu_rhs(flow, image)
             residuals[name] = max(

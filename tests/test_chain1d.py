@@ -1,6 +1,7 @@
 """Three-term chain tests: propagation, determinants, Hamilton equations."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -284,10 +285,18 @@ def test_verify_chain_hamilton_random_states(m):
         assert report.passed, report
 
 
+def test_verify_chain_hamilton_at_m4():
+    # seeding q_1 leaves only the upward re-solve's rounding: 2.7e-12 here
+    rng = random.Random(1)
+    spec = henon_chain_spec(4, c=0.0)
+    for _ in range(20):
+        q_m, q_m1 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        assert verify_chain_hamilton(spec, chain_propagate(spec, q_m, q_m1, 0.0)).passed
+
+
 def test_longer_chain_gradient_equals_determinant():
-    """For m = 4 the finite differences lose accuracy to curvature, but the
-    jet gradient of the propagated bottom value must still equal the
-    tridiagonal determinant response exactly."""
+    """For m = 4 the jet gradient of the propagated bottom value must equal
+    the tridiagonal determinant response exactly."""
     rng = np.random.default_rng(48)
     spec = henon_chain_spec(4, c=0.0)
     from mapflow.core import Jet

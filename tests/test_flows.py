@@ -61,6 +61,62 @@ def test_det_condition_synthetic_fails():
     assert report.max_partial == pytest.approx(2.0, rel=1e-4)
 
 
+def test_det_condition_synthetic_partial_is_exact():
+    syn = synthetic_failing_map()
+    report = flows.check_det_condition(syn, 2, [(1.0, 1.0), (0.5, 1.5)])
+    assert report.max_partial == 2.0
+
+
+def test_det_condition_nan_determinant_fails():
+    nan_det = dataclasses.replace(maps.henon(1.0, 0.0), det_j=lambda s: math.nan * s[1])
+    report = flows.check_det_condition(nan_det, 2, [(1.0, 1.0), (0.5, 1.5)])
+    assert not report.passed
+    assert math.isnan(report.max_partial)
+    assert math.isnan(report.max_ratio)
+    # a closed-form flow on such a map must not get the time-slot oracle
+    assert not flows.flow_system(nan_det, (lambda s: s[0],)).det_condition.passed
+
+
+def _det_condition_cases():
+    """(map, declared det_j or None, time slot) over six catalog maps."""
+    for map_id, params in [
+        ("henon", {}),
+        ("kdv3", {}),
+        ("qp4", {"a": 2.0}),
+        ("kdv2", {}),
+        ("hermite", {"m": 2}),
+        ("hermite", {"m": 3}),
+    ]:
+        mapdesc = maps.build_map(map_id, params)
+        for declared in (True, False):
+            for t_idx in range(1, mapdesc.dimension + 1):
+                yield pytest.param(
+                    mapdesc if declared else dataclasses.replace(mapdesc, det_j=None),
+                    t_idx,
+                    id=f"{map_id}{params.get('m', '')}-{declared}-t{t_idx}",
+                )
+
+
+@pytest.mark.parametrize("mapdesc, t_idx", _det_condition_cases())
+def test_det_condition_partial_matches_central_differences(mapdesc, t_idx):
+    det_field = core.map_det_field(mapdesc)
+    report = flows.check_det_condition(
+        mapdesc, t_idx, flows._det_condition_samples(mapdesc)
+    )
+    for x, d0, partial in report.entries:
+        h = 1e-6 * (1.0 + abs(x[t_idx - 1]))
+        up, dn = list(x), list(x)
+        up[t_idx - 1] += h
+        dn[t_idx - 1] -= h
+        fd = (core.float_value(det_field(up)) - core.float_value(det_field(dn))) / (
+            2 * h
+        )
+        tol = flows.DET_CONDITION_TOL * (1.0 + abs(d0))
+        assert (abs(partial) <= tol) == (abs(fd) <= tol)
+        if abs(partial) > 1e-8:
+            assert partial == pytest.approx(fd, rel=1e-6)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -959,8 +1015,8 @@ GOLDEN_VERIFY_SHA256 = {
     "hermite3": "440536997804224a4274df24eb0843102cf9f5a8e35d34fc36ca91f458daf5e8",
     "kdv3": "5f4f863a5aa806dcf096a9524492595b01c28a7f2339627ff189346c070ed55f",
     "kdv2": "7a78738b095dc5109c70c8618a4e2806d7ac4e01c9f89c802a51f8b95f3b4425",
-    "qp4": "1d3c5bd02b7cfd0ee2c6e1422cfa2c04ab3ca1147585f718fa2792d5d13d2a1e",
-    "qp4-prop2": "d551cef40a98b3f0b8342e73cae4c8fb910888d253144e02ab40923b1c429882",
+    "qp4": "d10a2e828ca419ac97e51dd7ddf11b46726c6c359d14984704f6973436c68dcf",
+    "qp4-prop2": "5d29df96bd0e9b19d5fa116f262dddc004a3cb5b8df88647d2911dd0cb73a715",
 }
 GOLDEN_KDV3_RK4_FLOW_SHA256 = (
     "57ab2b18ee36b2f6763768c5c1e4316feca01c53b57d5774f0690b6612087544"

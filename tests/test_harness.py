@@ -279,6 +279,8 @@ def test_qp4_oracle_selects_determinant_scaling():
     assert report.winner == "prop2"
     assert report.decisive
     assert report.residuals["prop2"] <= 1e-5
+    # the truth is the exact time column of the Jacobian
+    assert report.residuals["prop2"] <= 1e-12
     assert report.residuals["paper-display"] > 1e-5
     # the explicit velocity formulas agree with the winning flow
     assert report.display_formula_residual <= 1e-5
@@ -300,6 +302,13 @@ def test_chain_suite_passes():
     assert suite["passed"]
     suite3 = harness.chain_suite(m=3, a=0.5, c=0.0, n_states=10)
     assert suite3["passed"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_chain_suite_hamilton_check_is_exact(m):
+    suite = harness.chain_suite(m=m)
+    assert suite["hamilton_ok"] is True
+    assert suite["hamilton_max_rel_err"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
