@@ -17,6 +17,8 @@ from typing import Callable
 from .core import float_value, grad, jet_rows
 from .errors import SingularPointError
 
+HAMILTON_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -247,7 +249,7 @@ class ChainHamiltonReport:
     passed: bool
 
 
-def verify_chain_hamilton(spec, state, rel_tol=1e-6):
+def verify_chain_hamilton(spec, state):
     """Check the Hamilton equations of the chain at a state.
 
     dq/dq_1 and dp/dq_1 are read off one re-solve of the chain upward
@@ -255,7 +257,7 @@ def verify_chain_hamilton(spec, state, rel_tol=1e-6):
     from jet differentiation of the propagated q_0.  The dq/dq_1 response
     is also compared against the tridiagonal determinant built from the
     abar and c coefficients.  Each comparison is relative to
-    1 + |response| and passes within ``rel_tol``.
+    1 + |response| and passes within ``HAMILTON_REL_TOL``.
     """
     _require_unit_volume(spec, state)
     m = state.m
@@ -293,5 +295,5 @@ def verify_chain_hamilton(spec, state, rel_tol=1e-6):
         err_dq=err_dq,
         err_dp=err_dp,
         err_bar_a=err_bar,
-        passed=bool(err_dq <= rel_tol and err_dp <= rel_tol and err_bar <= rel_tol),
+        passed=all(e <= HAMILTON_REL_TOL for e in (err_dq, err_dp, err_bar)),
     )

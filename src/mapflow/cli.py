@@ -234,9 +234,7 @@ def cmd_verify(args):
     payload = report.to_dict()
     if args.map == "qp4":
         p = report.params
-        oracle = harness.qp4_normalization_report(
-            p["a"], p["b"], p["c"], seed=args.seed
-        )
+        oracle = harness.qp4_normalization_report(p["a"], p["b"], p["c"])
         payload["normalization_oracle"] = oracle.to_dict()
     emit(json_text(payload), args.out)
     return EXIT_PASS if report.passed else EXIT_VERIFY_FAIL
@@ -311,7 +309,7 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    x0_help = "comma-separated non-time source coordinates"
+    x0_help = "comma-separated source coordinates, one per non-time slot"
     samples, seed = harness.DEFAULT_SAMPLES, harness.DEFAULT_SEED
 
     p = sub.add_parser("list", help="show the map catalog")
@@ -342,12 +340,6 @@ def build_parser():
     p.add_argument("--x0", type=parse_floats, help=x0_help)
     add_span(p)
     p.add_argument("--samples", type=int, default=samples)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=seed,
-        help="qp4 normalization oracle seed (default %(default)s)",
-    )
     p.set_defaults(fn=cmd_verify, required=("map", "x0", "t0", "t1"))
 
     p = sub.add_parser("scan", help="correspondence scan over a source grid")
@@ -355,7 +347,7 @@ def build_parser():
     p.add_argument(
         "--grid",
         type=parse_grid,
-        help="per-coordinate axes lo:hi:count, comma separated",
+        help="one lo:hi:count axis per non-time coordinate, comma separated",
     )
     add_span(p)
     p.set_defaults(fn=cmd_scan, required=("map", "grid", "t0", "t1"))

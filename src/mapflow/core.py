@@ -46,12 +46,14 @@ class Jet:
     copies the partials into a tuple; the operators build their results
     with ``_jet``, which keeps the tuple it is given.
 
-    For 2 and 3 partials each operator writes its partials out one by one;
-    any other count goes through a comprehension.  Both compute every
-    partial as the same expression in the same operand order, so they
-    agree bit for bit.  The two operands of a binary operator must carry
-    the same number of partials, as jets seeded together by ``seed_jets``
-    do.
+    ``+``, ``*`` and ``/`` by a jet and ``*`` by a scalar at 2 and 3
+    partials, ``/`` by a scalar at 3, and ``-`` of two jets, reflected
+    ``/`` and negation (``-x``, ``c - x``) at 2 write their partials out
+    one by one; every other case goes through a comprehension.  Both
+    compute every partial as the same expression in the same operand
+    order, so they agree bit for bit.  The two operands of a binary
+    operator must carry the same number of partials, as jets seeded
+    together by ``seed_jets`` do.
     """
 
     __slots__ = ("value", "partials")
@@ -87,13 +89,9 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             sp, op = self.partials, other.partials
-            n = len(sp)
-            if n == 2:
+            if len(sp) == 2:
                 (p0, p1), (q0, q1) = sp, op
                 partials = (p0 - q0, p1 - q1)
-            elif n == 3:
-                (p0, p1, p2), (q0, q1, q2) = sp, op
-                partials = (p0 - q0, p1 - q1, p2 - q2)
             else:
                 partials = tuple(map(sub, sp, op))
             return _jet(self.value - other.value, partials)
@@ -147,10 +145,7 @@ class Jet:
             else:
                 partials = tuple([(p * ov - sv * q) / sq for p, q in zip(sp, op)])
             return _jet(sv / ov, partials)
-        if n == 2:
-            p0, p1 = sp
-            partials = (p0 / other, p1 / other)
-        elif n == 3:
+        if n == 3:
             p0, p1, p2 = sp
             partials = (p0 / other, p1 / other, p2 / other)
         else:
@@ -161,13 +156,9 @@ class Jet:
         # other / self with other constant along the seeded directions
         v, c, sp = self.value, -other, self.partials
         sq = v * v
-        n = len(sp)
-        if n == 2:
+        if len(sp) == 2:
             p0, p1 = sp
             partials = (c * p0 / sq, c * p1 / sq)
-        elif n == 3:
-            p0, p1, p2 = sp
-            partials = (c * p0 / sq, c * p1 / sq, c * p2 / sq)
         else:
             partials = tuple([c * p / sq for p in sp])
         return _jet(other / v, partials)
@@ -195,13 +186,9 @@ def _jet(value, partials, _new=object.__new__):
 
 def _negated(partials):
     """The partials of a negated jet, for ``-x`` and ``c - x``."""
-    n = len(partials)
-    if n == 2:
+    if len(partials) == 2:
         p0, p1 = partials
         return (-p0, -p1)
-    if n == 3:
-        p0, p1, p2 = partials
-        return (-p0, -p1, -p2)
     return tuple(map(neg, partials))
 
 

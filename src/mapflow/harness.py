@@ -74,19 +74,15 @@ def _sample_times(t0, t1, count):
 
 
 def source_start(flow, x0, t0):
-    """Assemble the full source point, placing t0 at the time coordinate."""
+    """The full source point: the n-1 non-time coordinates x0, t0 in the time slot."""
     n = flow.map.dimension
-    t_idx = flow.time_index - 1
     coords = [float(v) for v in x0]
-    if len(coords) == n - 1:
-        coords.insert(t_idx, float(t0))
-    elif len(coords) == n:
-        coords[t_idx] = float(t0)
-    else:
+    if len(coords) != n - 1:
         raise ValueError(
-            f"initial state needs {n - 1} non-time coordinates (or {n} with "
-            f"the time slot overwritten), got {len(coords)}"
+            f"initial state needs exactly {n - 1} non-time coordinates "
+            f"(t0 fills the time slot), got {len(coords)}"
         )
+    coords.insert(flow.time_index - 1, float(t0))
     return tuple(coords)
 
 
@@ -432,7 +428,8 @@ def composition_check(
     ham_ok = None
     if flow is not None:
         t0, t1 = t_range or (1.0, 2.0)
-        _, _, traj = flow_from_source(flow, x0, t0, t1, cfg, DEFAULT_SAMPLES)
+        free = x0[: flow.time_index - 1] + x0[flow.time_index :]
+        _, _, traj = flow_from_source(flow, free, t0, t1, cfg, DEFAULT_SAMPLES)
         ham_drift = max(_drifts(traj.ham_values))
         ham_ok = ham_drift <= DEFAULT_TOL_DRIFT
 
@@ -462,9 +459,9 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
     m in {2, 3} only.  The closed form exists only there.  The check
     re-solves the chain upward from (q_0, q_1), which cancels terms that
     grow with m: over these states its error reaches about 1.3e-6 at
-    m = 5, above its 1e-6 tolerance.  Every m is verified through the
-    exact identity between the jet gradient of the propagated bottom value
-    and the tridiagonal determinant response.
+    m = 5, above ``chain1d.HAMILTON_REL_TOL`` = 1e-6.  Every m is verified
+    through the exact identity between the jet gradient of the propagated
+    bottom value and the tridiagonal determinant response.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
@@ -572,7 +569,7 @@ class NormalizationReport:
         return out
 
 
-def qp4_normalization_report(a, b, c, seed=DEFAULT_SEED):
+def qp4_normalization_report(a, b, c):
     """Decide which second-Hamiltonian scaling reproduces the map.
 
     The ground truth is the map's velocity along its time coordinate, the
@@ -586,7 +583,7 @@ def qp4_normalization_report(a, b, c, seed=DEFAULT_SEED):
         name: maps.qp4_flow(a, b, c, name) for name in maps.QP4_NORMALIZATIONS
     }
     display = maps.qp4_velocity(a, b, c)
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     residuals = {name: 0.0 for name in candidates}
     display_res = 0.0
     for _ in range(QP4_ORACLE_POINTS):

@@ -100,8 +100,9 @@ def hermite_source_constraint(m, c, y):
 
 
 def hermite_flow(m):
-    """Flow whose trajectories retrace the chain as y varies."""
-    return flow_system(hermite_chain(m), (hermite_hamiltonian(m),))
+    """Flow whose trajectories retrace the chain as y varies; m in {2, 3}."""
+    ham = hermite_hamiltonian(m)  # first: rejects m before the O(m) chain
+    return flow_system(hermite_chain(m), (ham,))
 
 
 def hermite_composite(steps, m):

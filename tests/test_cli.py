@@ -421,7 +421,7 @@ def test_chain_command_long_chain_uses_exact_identity(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert payload["hamilton_ok"] is None  # finite differences out of scope
+    assert payload["hamilton_ok"] is None  # chain_suite checks it at m in {2, 3} only
     assert payload["gradient_identity_max_rel_err"] < 1e-10
 
 
@@ -658,6 +658,31 @@ def test_jacobian_at_a_point_of_the_wrong_length_is_a_usage_error(
     code, out, err = run_cli(capsys, "jacobian", "--map", map_id, "--point", point)
     assert (code, out) == (2, "")
     assert err == f"mapflow: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--map", "kdv3", "--x0", "1.1,0.9,77", "--t0", "1", "--t1", "1.5"],
+        ["scan", "--map", "kdv3", "--grid", "1:1.2:2,0.9:1:1,5:7:2",
+         "--t0", "1", "--t1", "1.5"],
+    ],
+    ids=["verify", "scan"],
+)
+def test_a_full_point_with_the_time_slot_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "needs exactly 2 non-time coordinates" in err
+
+
+def test_verify_has_no_seed(tmp_path, capsys):
+    code, _ = exit_code(capsys, "verify", *HENON_RUN, "--seed", "7")
+    assert code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    code, err = exit_code(capsys, "verify", "--config", str(cfg), *HENON_RUN)
+    assert code == 2
+    assert "seed" in err
 
 
 def test_overflowing_integration_is_a_numerical_failure(capsys):

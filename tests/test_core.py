@@ -558,6 +558,17 @@ def test_compose_iterate_domain_error_carries_step():
     assert exc_info.value.step == 2
 
 
+def test_composite_inverse_domain_error_carries_step():
+    # the inverse runs the steps backwards: step 2's inverse takes (2, 1)
+    # to (2, 2), where step 1's inverse guard X - Y vanishes
+    with pytest.raises(IterateDomainError) as exc_info:
+        maps.hermite_chain(3).inverse((2.0, 1.0))
+    err = exc_info.value
+    assert err.step == 2
+    assert isinstance(err.cause, SingularPointError)
+    assert err.cause.label == "X - Y"
+
+
 def test_singular_point_error_names_guard():
     k3 = maps.kdv3()
     # at (1, 1, -1/2) the denominator 1 + zx + x^2 y z hits zero exactly

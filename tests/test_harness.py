@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mapflow import flows, harness, maps
+from mapflow import core, flows, harness, maps
 from mapflow.errors import ConfigError, LevelSetError, MapflowError, SingularPointError
 
 
@@ -27,11 +27,12 @@ def test_verify_henon_passes():
     assert report.max_deviation < 1e-6
 
 
-def test_verify_accepts_full_state_with_time_slot():
-    report = harness.verify_correspondence(
-        "henon", {"b": 1.0, "c": 0.0}, x0=(1.0, 99.0), t_range=(0.0, 1.0)
-    )
-    assert report.passed  # the 99 in the time slot is replaced by t0
+def test_verify_rejects_full_state_with_time_slot():
+    # t0 fills the time slot, so a value there would be silently discarded
+    with pytest.raises(ValueError, match="exactly 1 non-time coordinates"):
+        harness.verify_correspondence(
+            "henon", {"b": 1.0, "c": 0.0}, x0=(1.0, 99.0), t_range=(0.0, 1.0)
+        )
 
 
 def test_verify_rejects_wrong_state_length():
@@ -447,6 +448,40 @@ def test_flow_from_source_follows_the_level_set_of_a_flow_outside_the_catalog():
     for t, (x, y) in zip(traj.times, path):
         assert y == t
         assert abs(x - c * t * t) <= 1e-9 * c * t * t
+
+
+def test_level_set_newton_solves_for_two_free_slots(monkeypatch):
+    # squashing z before kdv3 makes det J = 1/(1+z)^2 depend on the time
+    # slot, so the oracle's Newton moves x and y with a 2x2 Cramer solve
+    squash = core.MapDescriptor(
+        name="squash",
+        dimension=3,
+        params={},
+        forward_fn=lambda s: (s[0], s[1], s[2] / (1 + s[2])),
+        inverse_fn=lambda s: (s[0], s[1], s[2] / (1 - s[2])),
+        forward_guards=(("1+z", lambda p: 1 + p[2]),),
+        inverse_guards=(("1-Z", lambda p: 1 - p[2]),),
+        det_j=lambda s: 1 / (1 + s[2]) ** 2,
+    )
+    composite = core.compose_sequence([squash, maps.kdv3()], name="squash-kdv3")
+    flow = flows.build_hamiltonians(composite, check=False)
+    sizes = []
+    solve = harness._solve
+
+    def recorded(a, d, b):
+        sizes.append(len(a))
+        return solve(a, d, b)
+
+    monkeypatch.setattr(harness, "_solve", recorded)
+    report = harness.verify_correspondence(
+        "kdv3", x0=(1.1, 0.9), t_range=(1.0, 2.0), flow=flow
+    )
+    assert report.passed
+    assert report.max_deviation <= 1e-9
+    assert report.oracle["method"] == "level-set"
+    assert report.oracle["max_residual"] <= 1e-12
+    assert len(sizes) == report.oracle["newton_iterations"] >= harness.DEFAULT_SAMPLES
+    assert set(sizes) == {2}
 
 
 def test_flow_from_source_moves_only_the_time_slot_when_det_j_is_constant():

@@ -53,6 +53,16 @@ def test_hermite_hamiltonian_values():
         maps.hermite_hamiltonian(4)
 
 
+def test_hermite_flow_rejects_m_before_building_the_chain(monkeypatch):
+    # the chain costs O(m) memory, so an m with no Hamiltonian must not build it
+    def refuse(m):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(maps, "hermite_chain", refuse)
+    with pytest.raises(ValueError, match="m=4"):
+        maps.hermite_flow(4)
+
+
 def test_hermite_hamiltonian_invariant_under_chain_on_constraint():
     for m, c in ((2, 10.0), (3, 10.0)):
         ham = maps.hermite_hamiltonian(m)
