@@ -11,6 +11,7 @@ bottom value q_0 is itself the conserved Hamiltonian of the induced
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,7 +73,9 @@ def chain_propagate(spec, q_m, q_m1, a):
     """Fill q_{m-2}..q_0 downward from the top pair; a is carried along.
 
     Accepts floats or jets in (q_m, q_m1); the parameter a never enters
-    the recursion itself.
+    the recursion itself.  A link that raises an ArithmeticError, or a
+    value q_k that is not finite (an overflow), is a SingularPointError
+    naming k.
     """
     m = spec.m
     q = [None] * (m + 1)
@@ -83,6 +86,9 @@ def chain_propagate(spec, q_m, q_m1, a):
             q[k] = spec.alpha(q[k + 1]) - spec.beta(q[k + 2])
         except ArithmeticError as exc:  # a pole of a link; other errors propagate
             raise SingularPointError(spec.label, f"link evaluation at k={k}") from exc
+        if not math.isfinite(float_value(q[k])):
+            where = f"{spec.label} at k={k}"
+            raise SingularPointError(where, SingularPointError.NON_FINITE)
     return ChainState(q=tuple(q), a=a)
 
 
@@ -183,14 +189,13 @@ def canonical_pair(state):
     return state.q[-1], state.q[-2] - state.a
 
 
-def _require_unit_volume(spec, state):
-    coeffs = chain_coefficients(spec, state)
-    for k in range(1, state.m):
-        if abs(coeffs.c[k] - 1.0) > 1e-12:
-            raise ValueError(
-                f"{spec.label}: Hamiltonian available in closed form only for "
-                "chains with unit beta derivative along the state"
-            )
+def _require_unit_volume(spec, coeffs):
+    """Refuse a state whose coefficients c_1..c_{m-1} are not all one."""
+    if any(abs(ck - 1.0) > 1e-12 for ck in coeffs.c[1:-2]):
+        raise ValueError(
+            f"{spec.label}: Hamiltonian available in closed form only for "
+            "chains with unit beta derivative along the state"
+        )
 
 
 def chain_hamiltonian(spec, state):
@@ -199,7 +204,7 @@ def chain_hamiltonian(spec, state):
     Only valid when the product of the c coefficients is one (beta is the
     identity along the state), which covers the quadratic-action chain.
     """
-    _require_unit_volume(spec, state)
+    _require_unit_volume(spec, chain_coefficients(spec, state))
     return state.q[0]
 
 
@@ -256,10 +261,12 @@ def verify_chain_hamilton(spec, state):
     with q_1 seeded as a jet and q_0 held fixed; dH/dq and dH/dp come
     from jet differentiation of the propagated q_0.  The dq/dq_1 response
     is also compared against the tridiagonal determinant built from the
-    abar and c coefficients.  Each comparison is relative to
+    abar and c coefficients, built once and also used to require a unit
+    beta derivative along the state.  Each comparison is relative to
     1 + |response| and passes within ``HAMILTON_REL_TOL``.
     """
-    _require_unit_volume(spec, state)
+    coeffs = chain_coefficients(spec, state)
+    _require_unit_volume(spec, coeffs)
     m = state.m
     q0 = state.q[0]
     q1 = state.q[1]
@@ -274,7 +281,6 @@ def verify_chain_hamilton(spec, state):
 
     dh_dq, dh_dp = hamiltonian_gradient(spec, q, p, a)
 
-    coeffs = chain_coefficients(spec, state)
     bar_a = tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])  # indices 1..m-1 and 2..m-1
 
     scale_q = 1.0 + abs(dq_dq1)

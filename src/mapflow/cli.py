@@ -60,11 +60,12 @@ def json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def trajectory_csv(traj, dimension, n_hams):
+def trajectory_csv(traj, dimension):
+    """CSV columns t, X1..Xn and H1..H{n-1}, n = dimension, one row per sample."""
     header = (
         ["t"]
         + [f"X{i}" for i in range(1, dimension + 1)]
-        + [f"H{j}" for j in range(1, n_hams + 1)]
+        + [f"H{j}" for j in range(1, dimension)]
     )
     lines = [",".join(header)]
     for t, state, hams in zip(traj.times, traj.states, traj.ham_values):
@@ -218,7 +219,7 @@ def cmd_flow(args):
     _, _, traj = harness.flow_from_source(
         flow, args.x0, args.t0, args.t1, integrator_config(args), args.samples
     )
-    emit(trajectory_csv(traj, flow.map.dimension, len(flow.hamiltonians)), args.out)
+    emit(trajectory_csv(traj, flow.map.dimension), args.out)
     return EXIT_PASS
 
 

@@ -169,8 +169,8 @@ def check_det_condition(mapdesc, time_index, samples):
     return DetConditionReport(
         map_name=mapdesc.name,
         time_index=time_index,
-        max_partial=_max_keeping_nan([abs(p) for _, _, p in entries]),
-        max_ratio=_max_keeping_nan([abs(p) / (1.0 + abs(d0)) for _, d0, p in entries]),
+        max_partial=max_keeping_nan([abs(p) for _, _, p in entries]),
+        max_ratio=max_keeping_nan([abs(p) / (1.0 + abs(d0)) for _, d0, p in entries]),
         passed=all(
             abs(p) <= DET_CONDITION_TOL * (1.0 + abs(d0)) for _, d0, p in entries
         ),
@@ -178,7 +178,7 @@ def check_det_condition(mapdesc, time_index, samples):
     )
 
 
-def _max_keeping_nan(values):
+def max_keeping_nan(values):
     """The largest value, NaN if any is NaN, 0.0 if there are none."""
     return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
 
@@ -379,7 +379,8 @@ _TABLEAUS = {
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration settings: adaptive dopri5 (default) or fixed-step rk4."""
+    """Integration settings: adaptive dopri5 (default) or fixed-step rk4;
+    the tolerances and the step must be finite and positive."""
 
     method: str = "dopri5"
     rel_tol: float = 1e-10
@@ -390,8 +391,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in _TABLEAUS:
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.step > 0):  # NaN fails
-            raise ValueError("integrator tolerances and step must be positive")
+        if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.step)):
+            raise ValueError("integrator tolerances and step must be finite and > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

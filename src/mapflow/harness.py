@@ -41,8 +41,18 @@ def _relative_deviation(a, b):
     return _inf_norm([x - y for x, y in zip(a, b)]) / (1.0 + _inf_norm(b))
 
 
+class _Report:
+    """Base of the harness reports: ``to_dict`` gives the fields plus the
+    class's ``TYPE`` under ``type``."""
+
+    def to_dict(self):
+        return {**asdict(self), "type": self.TYPE}
+
+
 @dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(_Report):
+    TYPE = "correspondence"
+
     map_id: str
     params: dict
     time_index: int
@@ -58,11 +68,6 @@ class CorrespondenceReport:
     integrator: dict
     oracle: dict
     passed: bool
-
-    def to_dict(self):
-        out = asdict(self)
-        out["type"] = "correspondence"
-        return out
 
 
 def _sample_times(t0, t1, count):
@@ -217,14 +222,16 @@ def _drifts(ham_values):
 def verify_correspondence(
     map_id,
     params=None,
-    x0=(1.0,),
-    t_range=(0.0, 1.0),
+    *,
+    x0,
+    t_range,
     cfg=None,
     flow=None,
     num_samples=DEFAULT_SAMPLES,
     tol_drift=DEFAULT_TOL_DRIFT,
 ):
-    """Integrate the flow and compare against the map at sampled times.
+    """Integrate the flow from the n-1 non-time coordinates ``x0`` over
+    ``t_range`` = (t0, t1) and compare against the map at sampled times.
 
     The oracle is the map itself: where det J does not depend on the time
     slot the non-time source coordinates stay fixed while the time slot
@@ -266,9 +273,7 @@ def verify_correspondence(
             "method": cfg.method,
             "rel_tol": cfg.rel_tol,
             "abs_tol": cfg.abs_tol,
-            "accepted": traj_flow.stats.accepted,
-            "rejected": traj_flow.stats.rejected,
-            "rhs_evals": traj_flow.stats.rhs_evals,
+            **asdict(traj_flow.stats),
         },
         oracle=oracle,
         passed=bool(passed),
@@ -280,7 +285,9 @@ def verify_correspondence(
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Report):
+    TYPE = "scan"
+
     map_id: str
     params: dict
     grid: tuple
@@ -288,11 +295,6 @@ class ScanReport:
     t1: float
     results: tuple
     summary: dict
-
-    def to_dict(self):
-        out = asdict(self)
-        out["type"] = "scan"
-        return out
 
 
 def _grid_points(grid):
@@ -311,42 +313,43 @@ def _grid_points(grid):
     return points
 
 
-def conservation_scan(
-    map_id,
-    params=None,
-    grid=((0.5, 1.5, 3),),
-    t_range=(1.0, 2.0),
-    cfg=None,
-):
-    """Per grid point, in grid order, run the correspondence check on one
-    flow built before the first; a point's failure (including a division
-    by zero or an overflow) is recorded and the scan continues."""
+def conservation_scan(map_id, params=None, *, grid, t_range, cfg=None):
+    """Per point of ``grid``, one (lo, hi, count) axis per non-time
+    coordinate, in grid order, run the correspondence check over
+    ``t_range`` on one flow built before the first; a point's failure
+    (including a division by zero or an overflow) is recorded in its
+    ``error`` and the scan continues."""
     params = maps.resolve_params(map_id, params)
     points = _grid_points(grid)
     flow = maps.build_flow(map_id, params)
+    axes = flow.map.dimension - 1
+    if len(grid) != axes:
+        raise ValueError(
+            f"grid needs exactly {axes} axes, one per non-time coordinate, "
+            f"got {len(grid)}"
+        )
 
     def run_point(pt):
+        record = {
+            "point": list(pt),
+            "max_deviation": None,
+            "max_drift": None,
+            "passed": False,
+            "oracle": None,
+            "error": None,
+        }
         try:
             rep = verify_correspondence(
                 map_id, params, x0=pt, t_range=t_range, cfg=cfg, flow=flow
             )
-            return {
-                "point": list(pt),
-                "max_deviation": rep.max_deviation,
-                "max_drift": max(rep.ham_drift),
-                "passed": rep.passed,
-                "oracle": rep.oracle,
-                "error": None,
-            }
         except (MapflowError, ArithmeticError) as exc:
-            return {
-                "point": list(pt),
-                "max_deviation": None,
-                "max_drift": None,
-                "passed": False,
-                "oracle": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+            record["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            record["max_deviation"] = rep.max_deviation
+            record["max_drift"] = max(rep.ham_drift)
+            record["passed"] = rep.passed
+            record["oracle"] = rep.oracle
+        return record
 
     results = tuple(run_point(pt) for pt in points)
 
@@ -376,7 +379,9 @@ def conservation_scan(
 
 
 @dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(_Report):
+    TYPE = "composition"
+
     map_id: str
     params: dict
     steps: int
@@ -388,22 +393,13 @@ class CompositionReport:
     ham_ok: bool | None
     passed: bool
 
-    def to_dict(self):
-        out = asdict(self)
-        out["type"] = "composition"
-        return out
 
-
-def composition_check(
-    map_id,
-    params=None,
-    steps=2,
-    x0=None,
-    t_range=None,
-    cfg=None,
-):
-    """Determinant multiplicativity for the steps-fold composite, plus
-    conservation of the composite's closed-form Hamiltonian where known."""
+def composition_check(map_id, params=None, steps=2, x0=None):
+    """Determinant multiplicativity for the steps-fold composite at ``x0``
+    (the catalog's composition point, else the first seeded sample), plus
+    conservation of the composite's closed-form Hamiltonian where known,
+    along its flow from x0's non-time coordinates over t in [1, 2] with
+    the default integrator."""
     params = maps.resolve_params(map_id, params)
     step_maps, flow = maps.build_composite(map_id, params, steps)
     composite = core.compose_sequence(
@@ -424,12 +420,10 @@ def composition_check(
     det_rel = abs(det_comp - det_prod) / max(1.0, abs(det_prod))
     det_ok = det_rel <= DET_PRODUCT_TOL
 
-    ham_drift = None
-    ham_ok = None
+    ham_drift = ham_ok = None
     if flow is not None:
-        t0, t1 = t_range or (1.0, 2.0)
         free = x0[: flow.time_index - 1] + x0[flow.time_index :]
-        _, _, traj = flow_from_source(flow, free, t0, t1, cfg, DEFAULT_SAMPLES)
+        _, _, traj = flow_from_source(flow, free, 1.0, 2.0, None, DEFAULT_SAMPLES)
         ham_drift = max(_drifts(traj.ham_values))
         ham_ok = ham_drift <= DEFAULT_TOL_DRIFT
 
@@ -455,46 +449,38 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
     """Determinant identities plus Hamilton-equation checks for the
     quadratic-action chain, over seeded random states.
 
-    The closed-form Hamiltonian and the Hamilton-equation check run for
-    m in {2, 3} only.  The closed form exists only there.  The check
+    Each state gets one ``chain1d.verify_chain_hamilton`` report.  Every
+    m is verified through the exact identity between its jet gradient
+    dH/dp of the propagated bottom value and its barA determinant.  The
+    closed-form Hamiltonian and the Hamilton verdict count for m in
+    {2, 3} only.  The closed form exists only there.  The Hamilton check
     re-solves the chain upward from (q_0, q_1), which cancels terms that
     grow with m: over these states its error reaches about 1.3e-6 at
-    m = 5, above ``chain1d.HAMILTON_REL_TOL`` = 1e-6.  Every m is verified
-    through the exact identity between the jet gradient of the propagated
-    bottom value and the tridiagonal determinant response.
+    m = 5, above ``chain1d.HAMILTON_REL_TOL`` = 1e-6.  A NaN error makes
+    its maximum NaN and fails the check; a state whose propagation
+    overflows is a SingularPointError.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     spec = chain1d.henon_chain_spec(m, c)
     rng = random.Random(seed)
+    closed_form = m in (2, 3)
 
-    worst_closed = 0.0
-    hamilton_ok = True if m in (2, 3) else None
-    worst_hamilton = 0.0
-    worst_gradient = 0.0
+    closed_errs, hamilton_errs, gradient_errs = [], [], []
     for _ in range(n_states):
         q_m, q_m1 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
         state = chain1d.chain_propagate(spec, q_m, q_m1, float(a))
-        qq, pp = chain1d.canonical_pair(state)
-        if m in (2, 3):
-            closed = chain1d.henon_chain_closed_hamiltonian(m, qq, pp, state.a, c)
-            worst_closed = max(
-                worst_closed, abs(closed - state.q[0]) / (1.0 + abs(state.q[0]))
-            )
-            rep = chain1d.verify_chain_hamilton(spec, state)
-            hamilton_ok = hamilton_ok and rep.passed
-            worst_hamilton = max(worst_hamilton, rep.err_dq, rep.err_dp, rep.err_bar_a)
-        _, dh_dp = chain1d.hamiltonian_gradient(spec, qq, pp, state.a)
-        coeffs = chain1d.chain_coefficients(spec, state)
-        bar = chain1d.tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])
-        worst_gradient = max(
-            worst_gradient,
-            abs(dh_dp - bar) / (1.0 + abs(bar)),
+        rep = chain1d.verify_chain_hamilton(spec, state)
+        gradient_errs.append(
+            abs(rep.dh_dp - rep.bar_a_1_m1) / (1.0 + abs(rep.bar_a_1_m1))
         )
+        if closed_form:
+            closed = chain1d.henon_chain_closed_hamiltonian(m, rep.q, rep.p, rep.a, c)
+            closed_errs.append(abs(closed - state.q[0]) / (1.0 + abs(state.q[0])))
+            hamilton_errs += [rep.err_dq, rep.err_dp, rep.err_bar_a]
 
     # recurrence determinants vs dense evaluation on random coefficients
-    worst_det = 0.0
-    worst_identity = 0.0
+    det_errs, identity_errs = [], []
     for _ in range(n_states):
         size = rng.randint(1, 8)
         diag = [rng.uniform(-2.0, 2.0) for _ in range(size)]
@@ -507,7 +493,7 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
                 dense[i][i + 1] = sup[i]
                 dense[i + 1][i] = 1.0
         ref = core.det(dense)
-        worst_det = max(worst_det, abs(rec - ref) / (1.0 + abs(ref)))
+        det_errs.append(abs(rec - ref) / (1.0 + abs(ref)))
 
         # abar = a * c identity: bar determinant equals prod(c) * A
         cs = [rng.uniform(0.5, 2.0) for _ in range(size)]
@@ -515,37 +501,25 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
         bar = chain1d.tridiag_det(abar, cs[1:])
         plain = chain1d.tridiag_det(diag, [1.0 / k for k in cs[:-1]])
         want = math.prod(cs) * plain
-        worst_identity = max(worst_identity, abs(bar - want) / (1.0 + abs(want)))
+        identity_errs.append(abs(bar - want) / (1.0 + abs(want)))
 
-    det_ok = worst_det <= 1e-12
-    identity_ok = worst_identity <= 1e-10
-    gradient_ok = worst_gradient <= 1e-10
-    closed_ok = worst_closed <= 1e-10 if m in (2, 3) else None
-    passed = (
-        det_ok
-        and identity_ok
-        and gradient_ok
-        and (hamilton_ok is None or hamilton_ok)
-        and (closed_ok is None or closed_ok)
-    )
-    return {
-        "type": "chain-suite",
-        "m": m,
-        "a": float(a),
-        "c": float(c),
-        "states": n_states,
-        "closed_form_max_rel_err": worst_closed if m in (2, 3) else None,
-        "closed_form_ok": closed_ok,
-        "hamilton_ok": hamilton_ok,
-        "hamilton_max_rel_err": worst_hamilton if m in (2, 3) else None,
-        "gradient_identity_max_rel_err": worst_gradient,
-        "gradient_identity_ok": bool(gradient_ok),
-        "det_recurrence_max_rel_err": worst_det,
-        "det_recurrence_ok": bool(det_ok),
-        "bar_identity_max_rel_err": worst_identity,
-        "bar_identity_ok": bool(identity_ok),
-        "passed": bool(passed),
+    checks = {  # name: (errors, tolerance)
+        "gradient_identity": (gradient_errs, 1e-10),
+        "det_recurrence": (det_errs, 1e-12),
+        "bar_identity": (identity_errs, 1e-10),
     }
+    if closed_form:
+        checks["closed_form"] = (closed_errs, 1e-10)
+        checks["hamilton"] = (hamilton_errs, chain1d.HAMILTON_REL_TOL)
+    report = dict(type="chain-suite", m=m, a=float(a), c=float(c), states=n_states)
+    for name in ("closed_form", "hamilton"):
+        report[f"{name}_max_rel_err"] = report[f"{name}_ok"] = None
+    for name, (errs, tol) in checks.items():
+        worst = flows.max_keeping_nan(errs)
+        report[f"{name}_max_rel_err"] = worst
+        report[f"{name}_ok"] = bool(worst <= tol)
+    report["passed"] = all(report[f"{name}_ok"] for name in checks)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +527,9 @@ def chain_suite(m=2, a=0.0, c=0.0, n_states=20, seed=DEFAULT_SEED):
 
 
 @dataclass(frozen=True)
-class NormalizationReport:
+class NormalizationReport(_Report):
+    TYPE = "qp4-normalization"
+
     a: float
     b: float
     c: float
@@ -563,11 +539,6 @@ class NormalizationReport:
     winner: str
     decisive: bool
 
-    def to_dict(self):
-        out = asdict(self)
-        out["type"] = "qp4-normalization"
-        return out
-
 
 def qp4_normalization_report(a, b, c):
     """Decide which second-Hamiltonian scaling reproduces the map.
@@ -576,31 +547,26 @@ def qp4_normalization_report(a, b, c):
     time column of its Jacobian, read off the same seeded evaluation that
     gives the image point; each candidate flow's bracket velocity is
     compared against it.  The explicit rational velocity formulas are
-    measured as well, as corroboration.
+    measured at the same points, as corroboration.
     """
     mapdesc = maps.qp4(a, b, c)
-    candidates = {
-        name: maps.qp4_flow(a, b, c, name) for name in maps.QP4_NORMALIZATIONS
+    velocities = {
+        # flows.nambu_rhs is looked up per call, so a rebinding of it is seen
+        name: lambda x, flow=maps.qp4_flow(a, b, c, name): flows.nambu_rhs(flow, x)
+        for name in maps.QP4_NORMALIZATIONS
     }
-    display = maps.qp4_velocity(a, b, c)
+    velocities["display_formula_residual"] = maps.qp4_velocity(a, b, c)
     rng = random.Random(DEFAULT_SEED)
-    residuals = {name: 0.0 for name in candidates}
-    display_res = 0.0
+    residuals = dict.fromkeys(velocities, 0.0)
     for _ in range(QP4_ORACLE_POINTS):
         src = tuple(rng.uniform(0.4, 1.6) for _ in range(3))
         image, rows = core.jet_values_rows(mapdesc.forward, src)
         truth = [row[2] for row in rows]
-        for name, flow in candidates.items():
-            cand = flows.nambu_rhs(flow, image)
-            residuals[name] = max(
-                residuals[name],
-                max(abs(u - w) / (1.0 + abs(w)) for u, w in zip(cand, truth)),
-            )
-        disp = display(image)
-        display_res = max(
-            display_res,
-            max(abs(u - w) / (1.0 + abs(w)) for u, w in zip(disp, truth)),
-        )
+        for name, velocity in velocities.items():
+            pairs = zip(velocity(image), truth)
+            err = max(abs(u - w) / (1.0 + abs(w)) for u, w in pairs)
+            residuals[name] = max(residuals[name], err)
+    display_res = residuals.pop("display_formula_residual")
     winner = min(residuals, key=residuals.get)
     losers = [n for n in residuals if n != winner]
     decisive = residuals[winner] <= 1e-5 and all(

@@ -85,6 +85,15 @@ def test_chain_propagate_lets_a_programming_error_through():
         chain_propagate(spec, 1.0, 2.0, 0.0)
 
 
+def test_chain_propagate_names_an_overflow():
+    # q_2 = alpha(0) - 1e200 = -1e200, and q_1 = alpha(q_2) squares it past
+    # the float range
+    spec = henon_chain_spec(4)
+    with pytest.raises(SingularPointError, match="at k=1: non-finite result") as exc:
+        chain_propagate(spec, 1e200, 0.0, a=0.0)
+    assert exc.value.label == SingularPointError.NON_FINITE
+
+
 def test_chain_resolve_up_inverts_propagation():
     spec = henon_chain_spec(4, c=0.3)
     state = chain_propagate(spec, 0.7, -0.4, a=0.2)

@@ -425,6 +425,30 @@ def test_chain_command_long_chain_uses_exact_identity(capsys):
     assert payload["gradient_identity_max_rel_err"] < 1e-10
 
 
+@pytest.mark.parametrize("m, expected", [("10", 0), ("11", 3), ("13", 3)])
+def test_chain_that_overflows_is_a_numerical_failure(capsys, m, expected):
+    # over the 20 default states, q_0 first overflows at m = 11
+    code, out, err = run_cli(capsys, "chain", "--m", m)
+    assert code == expected
+    if expected == 0:
+        assert json.loads(out)["passed"] is True
+    else:
+        assert out == ""
+        assert "non-finite result" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--step"])
+def test_non_finite_integrator_settings_are_usage_errors(capsys, flag, value):
+    method = "rk4" if flag == "--step" else "dopri5"
+    code, out, err = run_cli(
+        capsys, "verify", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1",
+        "--t1", "2", "--method", method, flag, value,
+    )
+    assert (code, out) == (2, "")
+    assert err == "mapflow: integrator tolerances and step must be finite and > 0\n"
+
+
 @pytest.mark.parametrize("states", ["0", "-3"])
 def test_chain_with_no_states_is_a_usage_error(capsys, states):
     code, out, err = run_cli(capsys, "chain", "--states", states)
@@ -661,18 +685,21 @@ def test_jacobian_at_a_point_of_the_wrong_length_is_a_usage_error(
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", "--map", "kdv3", "--x0", "1.1,0.9,77", "--t0", "1", "--t1", "1.5"],
-        ["scan", "--map", "kdv3", "--grid", "1:1.2:2,0.9:1:1,5:7:2",
-         "--t0", "1", "--t1", "1.5"],
+        (["verify", "--map", "kdv3", "--x0", "1.1,0.9,77",
+          "--t0", "1", "--t1", "1.5"],
+         "needs exactly 2 non-time coordinates"),
+        (["scan", "--map", "kdv3", "--grid", "1:1.2:2,0.9:1:1,5:7:2",
+          "--t0", "1", "--t1", "1.5"],
+         "grid needs exactly 2 axes, one per non-time coordinate, got 3"),
     ],
     ids=["verify", "scan"],
 )
-def test_a_full_point_with_the_time_slot_is_a_usage_error(capsys, argv):
+def test_a_full_point_with_the_time_slot_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "needs exactly 2 non-time coordinates" in err
+    assert message in err
 
 
 def test_verify_has_no_seed(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Harness tests: correspondence, scans, composition, determinism."""
 
+import dataclasses
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from mapflow import core, flows, harness, maps
+from mapflow import chain1d, core, flows, harness, maps
 from mapflow.errors import ConfigError, LevelSetError, MapflowError, SingularPointError
 
 
@@ -312,6 +317,23 @@ def test_chain_suite_hamilton_check_is_exact(m):
     assert suite["hamilton_max_rel_err"] <= 1e-12
 
 
+def test_chain_suite_keeps_a_nan_error_in_its_maximum(monkeypatch):
+    verify = chain1d.verify_chain_hamilton
+    reports = []
+
+    def third_state_nan(spec, state):
+        rep = verify(spec, state)
+        reports.append(rep)
+        return dataclasses.replace(rep, dh_dp=math.nan) if len(reports) == 3 else rep
+
+    monkeypatch.setattr(chain1d, "verify_chain_hamilton", third_state_nan)
+    suite = harness.chain_suite(m=4)
+    assert len(reports) == suite["states"]
+    assert math.isnan(suite["gradient_identity_max_rel_err"])
+    assert suite["gradient_identity_ok"] is False
+    assert suite["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # the level-set oracle of the constrained maps
 
@@ -513,6 +535,32 @@ def test_flow_from_source_refuses_the_hermite_pole_before_integrating(monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "map_id, params, grid",
+    [
+        ("kdv3", None, ((1.0, 1.2, 2),)),
+        ("kdv3", None, ((1.0, 1.2, 2), (0.9, 1.0, 1), (5.0, 7.0, 2))),
+        ("hermite", {"m": 2}, ((1.5, 2.5, 2), (0.5, 0.5, 1))),
+    ],
+)
+def test_scan_refuses_a_grid_with_the_wrong_number_of_axes(
+    monkeypatch, map_id, params, grid
+):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(harness, "verify_correspondence", counted)
+    axes = maps.build_flow(map_id, params).map.dimension - 1
+    with pytest.raises(ValueError) as exc_info:
+        harness.conservation_scan(map_id, params, grid=grid, t_range=(1.0, 1.5))
+    assert str(exc_info.value) == (
+        f"grid needs exactly {axes} axes, one per non-time coordinate, got {len(grid)}"
+    )
+    assert calls == []
+
+
 def test_scan_with_a_configuration_error_raises_before_any_point():
     with pytest.raises(ConfigError, match="needs normalization"):
         harness.conservation_scan(
@@ -592,3 +640,54 @@ def test_constrained_verify_into_a_pole_ends_before_integrating(monkeypatch):
             cfg=flows.IntegratorConfig(max_steps=3000),
         )
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# bounded work
+
+
+# the six cases of the verify-catalog benchmark workload
+CATALOG_CASES = (
+    ("henon", {"b": 1.0, "c": 0.0}),
+    ("hermite", {"m": 3}),
+    ("kdv3", None),
+    ("kdv2", {"r": 2.0}),
+    ("qp4", {"a": 1.0, "b": 1.0, "c": 1.0}),
+    ("qp4", {"a": 2.0, "b": 1.0, "c": 1.0, "normalization": "prop2"}),
+)
+BOUNDED_STEPS = 3000
+
+
+@functools.cache
+def _catalog_flow(case):
+    return maps.build_flow(*CATALOG_CASES[case])
+
+
+@seed(1)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, len(CATALOG_CASES) - 1),
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    st.floats(-3.0, 3.0),
+    st.floats(0.05, 2.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_verify_does_bounded_work_or_raises_a_mapflow_error(
+    case, coords, t0, span, direction
+):
+    # dopri5 spends six rhs evaluations per attempted step after the first
+    map_id, params = CATALOG_CASES[case]
+    flow = _catalog_flow(case)
+    cfg = flows.IntegratorConfig(max_steps=BOUNDED_STEPS)
+    try:
+        report = harness.verify_correspondence(
+            map_id,
+            params,
+            x0=coords[: flow.map.dimension - 1],
+            t_range=(t0, t0 + direction * span),
+            cfg=cfg,
+            flow=flow,
+        )
+    except MapflowError:
+        return
+    assert report.integrator["rhs_evals"] <= 1 + 6 * BOUNDED_STEPS
