@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -49,7 +50,12 @@ def write_atomic(path, text):
 
 def emit(text, out_path):
     if out_path:
-        write_atomic(out_path, text)
+        try:
+            write_atomic(out_path, text)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write output file {out_path}: {exc.strerror}"
+            ) from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -370,6 +376,9 @@ def build_parser():
     p.set_defaults(fn=cmd_chain, required=())
 
     for p in sub.choices.values():
+        # no option looks like a number, so -1e-1, -1,2 and -1.2:-1:2 are
+        # values; argparse's own pattern takes only -1 and -.5 as values
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.set_defaults(command_parser=p)
     return parser
 

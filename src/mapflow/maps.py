@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .core import MapDescriptor, compose, compose_sequence, float_value, jet_log
 from .errors import ConfigError, SingularPointError, UnknownMapError
 from .flows import flow_system
-from .polynomials import hermite_polynomials
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,9 @@ def hermite_chain(m):
     """The chain of steps k = 1..m-1; maps (x, y1) to (x, ym).
 
     Starting from y1 = P_1/P_0 the chain walks the ratio of consecutive
-    recurrence polynomials up to ym = P_m/P_{m-1} evaluated at x.  Its
-    det J, (m-1)! / (y^(1) ... y^(m-1))^2 with y^(k+1) = x - k/y^(k), is the
+    members of the recurrence family (``hermite_values``) up to
+    ym = P_m/P_{m-1} evaluated at x.  Its det J,
+    (m-1)! / (y^(1) ... y^(m-1))^2 with y^(k+1) = x - k/y^(k), is the
     composite's chain-rule product of the step determinants.
     """
     if m < 2:
@@ -113,10 +114,25 @@ def hermite_composite(steps, m):
     return [hermite_step(k) for k in range(1, steps + 1)], flow
 
 
+def hermite_values(n, x):
+    """(P_k, P_k', P_k'') at x for k = 0..n, run through the recurrence
+    P_{k+1} = x P_k - k P_{k-1}, P_0 = 1, P_1 = x, and its two derivatives;
+    exact for int and Fraction x.
+
+    This normalization is the unique one compatible with both the
+    recurrence and the second-order equation P'' - x P' + m P = 0.
+    """
+    rows = [(1, 0, 0), (x, 1, 0)]
+    for k in range(1, n):
+        (q, q1, q2), (p, p1, p2) = rows[k - 1], rows[k]
+        rows.append((x * p - k * q, p + x * p1 - k * q1, 2 * p1 + x * p2 - k * q2))
+    return rows[: n + 1]
+
+
 def hermite_continued_fraction(m, x):
     """Bottom-up value of (m-1)/x - (m-2)/x - ... - 1/x.
 
-    Equals (m-1) * P_{m-2}(x) / P_{m-1}(x) for the recurrence polynomials.
+    Equals (m-1) * P_{m-2}(x) / P_{m-1}(x) for the recurrence family.
     """
     if m < 2:
         raise ValueError("continued fraction needs m >= 2")
@@ -129,19 +145,48 @@ def hermite_continued_fraction(m, x):
     return t
 
 
+HERMITE_IDENTITIES = ("ode", "difference", "raise", "lower")
+
+
 @dataclass(frozen=True)
 class HermiteReport:
-    """Outcome of the exact-arithmetic recurrence identity suite."""
+    """Outcome of the exact-arithmetic recurrence identity suite: the
+    ``(identity, m)`` pairs that failed, one name of ``HERMITE_IDENTITIES``
+    each."""
 
     m_max: int
-    ode_ok: bool
-    difference_identity_ok: bool
-    ladder_ok: bool
     failures: tuple
+
+    def _holds(self, *identities):
+        return all(name not in identities for name, _ in self.failures)
+
+    @property
+    def ode_ok(self):
+        return self._holds("ode")
+
+    @property
+    def difference_identity_ok(self):
+        return self._holds("difference")
+
+    @property
+    def ladder_ok(self):
+        return self._holds("raise", "lower")
 
     @property
     def passed(self):
-        return self.ode_ok and self.difference_identity_ok and self.ladder_ok
+        return not self.failures
+
+
+def _hermite_residuals(m, x, rows):
+    """The left-hand sides of ``HERMITE_IDENTITIES`` at m, given the
+    ``hermite_values`` rows at x; each must vanish."""
+    (pl, pl1, _), (pm, d1, d2), (pu, pu1, _) = rows[m - 1 : m + 2]
+    return (
+        d2 - x * d1 + m * pm,
+        pm * pu1 - pu * d1 - pm * pm + m * pm * pl1 - m * pl * d1,
+        x * pm - d1 - pu,
+        d1 - m * pl,
+    )
 
 
 def hermite_checks(m_max):
@@ -153,40 +198,18 @@ def hermite_checks(m_max):
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
-    polys = hermite_polynomials(m_max + 1)
+    # each left-hand side is a polynomial in x of degree at most 2 m_max,
+    # the products of (ii) being the highest; a nonzero one has at most
+    # 2 m_max roots, so it is identically zero iff it vanishes at the
+    # 2 m_max + 1 integers 0..2 m_max
+    tables = [(x, hermite_values(m_max + 1, x)) for x in range(2 * m_max + 1)]
     failures = []
-    ode_ok = diff_ok = ladder_ok = True
     for m in range(1, m_max + 1):
-        pm = polys[m]
-        d1 = pm.derivative()
-        residual = d1.derivative() - d1.shift_up() + m * pm
-        if not residual.is_zero():
-            ode_ok = False
-            failures.append(("ode", m))
-        lhs = (
-            pm * polys[m + 1].derivative()
-            - polys[m + 1] * d1
-            - pm * pm
-            + m * (pm * polys[m - 1].derivative())
-            - m * (polys[m - 1] * d1)
-        )
-        if not lhs.is_zero():
-            diff_ok = False
-            failures.append(("difference", m))
-        up = pm.shift_up() - d1
-        if up != polys[m + 1]:
-            ladder_ok = False
-            failures.append(("raise", m))
-        if d1.divide_exact(m) != polys[m - 1]:
-            ladder_ok = False
-            failures.append(("lower", m))
-    return HermiteReport(
-        m_max=m_max,
-        ode_ok=ode_ok,
-        difference_identity_ok=diff_ok,
-        ladder_ok=ladder_ok,
-        failures=tuple(failures),
-    )
+        residuals = zip(*(_hermite_residuals(m, x, rows) for x, rows in tables))
+        failures += [
+            (name, m) for name, r in zip(HERMITE_IDENTITIES, residuals) if any(r)
+        ]
+    return HermiteReport(m_max=m_max, failures=tuple(failures))
 
 
 HERMITE_CF_POINTS = (-0.5, 0.5, -1.7, 1.7, 3.0)
@@ -197,15 +220,16 @@ def hermite_suite(m_max):
     """Exact recurrence identities plus the continued-fraction cross-check.
 
     The identity suite runs in integer arithmetic; the continued fraction
-    is floating point and compared against (m-1) P_{m-2}/P_{m-1} at a few
-    sample abscissae chosen away from the polynomial zeros.
+    is floating point and compared against the exact ratio
+    (m-1) P_{m-2}/P_{m-1}, evaluated in rationals at a few sample abscissae
+    chosen away from the polynomial zeros.
     """
     checks = hermite_checks(m_max)
-    polys = hermite_polynomials(m_max)
     worst_cf = 0.0
-    for m in range(2, m_max + 1):
-        for x in HERMITE_CF_POINTS:
-            ratio = (m - 1) * polys[m - 2].eval(x) / polys[m - 1].eval(x)
+    for x in HERMITE_CF_POINTS:
+        p = [row[0] for row in hermite_values(m_max - 1, Fraction(x))]
+        for m in range(2, m_max + 1):
+            ratio = float((m - 1) * p[m - 2] / p[m - 1])
             cf = hermite_continued_fraction(m, x)
             worst_cf = max(worst_cf, abs(cf - ratio) / (1.0 + abs(ratio)))
     cf_ok = worst_cf <= HERMITE_CF_TOL

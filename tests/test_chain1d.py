@@ -72,6 +72,15 @@ def test_chain_propagate_degenerate_beta_zero():
     assert state.q[0] == 12.0
 
 
+def test_chain_coefficients_name_a_vanishing_beta_derivative():
+    spec = ChainSpec(
+        m=3, alpha=lambda q: 2.0 * q, beta=lambda q: 0.0 * q, label="degenerate"
+    )
+    state = chain_propagate(spec, 1.0, 3.0, a=0.0)
+    with pytest.raises(SingularPointError, match="beta'"):
+        chain_coefficients(spec, state)
+
+
 def test_chain_propagate_names_a_link_pole():
     spec = ChainSpec(m=3, alpha=lambda q: 1.0 / q, beta=lambda q: q, label="pole")
     with pytest.raises(SingularPointError, match="link evaluation at k=1") as exc:

@@ -702,6 +702,87 @@ def test_a_full_point_with_the_time_slot_is_a_usage_error(capsys, argv, message)
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", *HENON_RUN, "--param", "b3"], "--param expects name=value"),
+        (["verify", "--map", "henon", "--x0", "one", "--t0", "0", "--t1", "1"],
+         "expected comma-separated numbers"),
+        (["jacobian", "--map", "henon", "--point", "1,x"],
+         "expected comma-separated numbers"),
+        (["verify", "--map", "henon", "--x0", "1", "--t0", "abc", "--t1", "1"],
+         "invalid float value: 'abc'"),
+        (["scan", "--map", "kdv3", "--grid", "1:2,1:1:1", "--t0", "1", "--t1", "2"],
+         "grid axis must be lo:hi:count"),
+        (["scan", "--map", "kdv3", "--grid", "1:x:2,1:1:1", "--t0", "1", "--t1", "2"],
+         "bad grid axis '1:x:2'"),
+        (["scan", "--map", "kdv3", "--grid", "1:2:0,1:1:1", "--t0", "1", "--t1", "2"],
+         "grid axis needs at least one point"),
+    ],
+    ids=["param", "x0", "point", "t0", "grid-parts", "grid-number", "grid-count"],
+)
+def test_malformed_values_are_usage_errors(capsys, argv, message):
+    code, err = exit_code(capsys, *argv)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "config file not found"),
+        ("{", "is not valid JSON"),
+        ("[1]", "config file must hold a JSON object"),
+    ],
+    ids=["missing", "not-json", "not-object"],
+)
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run_cli(capsys, "chain", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["verify", "--map", "henon", "--x0", "1", "--t1", "0.5"], "--t0", "-1e-1"),
+        (["verify", "--map", "kdv3", "--t0", "1", "--t1", "1.5"], "--x0", "-1.1,-0.9"),
+        (["jacobian", "--map", "henon"], "--point", "-1,2"),
+        (["scan", "--map", "kdv3", "--t0", "1", "--t1", "1.5"],
+         "--grid", "-1.2:-1:2,-0.9:-0.8:2"),
+        (["chain"], "--a", "-1e-3"),
+        (["verify", "--map", "henon", "--x0", "1", "--t1", "0.5"], "--t0", "-1"),
+    ],
+    ids=["t0", "x0", "point", "grid", "a", "t0-integer"],
+)
+def test_negative_values_read_the_same_after_a_space_or_an_equals_sign(
+    capsys, argv, flag, value
+):
+    spaced = run_cli(capsys, *argv, flag, value)
+    joined = run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced[:2] == joined[:2]
+    assert spaced[0] == 0
+
+
+def test_a_value_that_is_not_a_number_still_needs_an_equals_sign(capsys):
+    code, err = exit_code(capsys, "verify", *HENON_RUN, "--t0", "-x")
+    assert code == 2
+    assert "argument --t0: expected one argument" in err
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "out"], ids=["no-dir", "a-dir"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, target):
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "list", "--out", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mapflow: cannot write output file {target}: ")
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".mapflow-")] == []
+
+
 def test_verify_has_no_seed(tmp_path, capsys):
     code, _ = exit_code(capsys, "verify", *HENON_RUN, "--seed", "7")
     assert code == 2

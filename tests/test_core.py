@@ -82,6 +82,11 @@ def test_jet_integer_pow_matches_repeated_multiplication():
     assert (x**-2).value == pytest.approx(1.5**-2)
 
 
+def test_jet_pow_refuses_a_non_integer_exponent():
+    with pytest.raises(TypeError, match="integer exponents only"):
+        Jet(1.5, (1.0,)) ** 1.5
+
+
 # Reference jet arithmetic on plain data: a float, or a (value, partials)
 # pair whose slots hold either.  Each operation follows Python's operator
 # dispatch (float op jet reaches the jet's reflected method) and the product,
@@ -373,6 +378,19 @@ def test_det_against_cofactor_oracle():
 
 def test_det_singular_matrix_is_zero():
     assert det([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]) == 0.0
+    # a 4x4 goes through elimination, which meets a zero pivot column
+    singular = [
+        [1.0, 2.0, 0.0, 1.0],
+        [2.0, 4.0, 0.0, 2.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [1.0, 2.0, 3.0, 1.0],
+    ]
+    assert det(singular) == 0.0
+
+
+def test_det_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="square"):
+        det([[1.0, 2.0], [3.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +500,21 @@ def test_bracket_derivation_chain_identity():
 def test_compose_one_is_identity_operation():
     h = maps.henon(1.5, 0.2)
     assert compose(h, 1) is h
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: core.compose_sequence([], name="empty"), "at least one map"),
+        (lambda: core.compose_sequence([maps.henon(1.0, 0.0), maps.kdv3()], name="mixed"),
+         "share a dimension"),
+        (lambda: compose(maps.henon(1.0, 0.0), 0), "positive integer"),
+    ],
+    ids=["empty", "mixed-dimensions", "zero-count"],
+)
+def test_composition_refuses_what_it_cannot_compose(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_compose_henon_twice_determinant():

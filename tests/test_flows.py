@@ -136,6 +136,14 @@ def test_time_index_out_of_range_is_refused(call):
         call(maps.hermite_chain(2))
 
 
+def test_flow_system_needs_one_hamiltonian_fewer_than_its_dimension():
+    chain = maps.hermite_chain(2)
+    with pytest.raises(ValueError, match="needs 1 hamiltonians, got 2"):
+        flows.FlowSystem(
+            chain, 2, (lambda s: s[0], lambda s: s[1]), core.map_det_field(chain)
+        )
+
+
 def test_division_by_zero_in_a_hamiltonian_names_it():
     # the m=3 chain Hamiltonian divides by Y - X
     with pytest.raises(SingularPointError) as exc_info:

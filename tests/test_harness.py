@@ -655,18 +655,32 @@ CATALOG_CASES = (
     ("qp4", {"a": 1.0, "b": 1.0, "c": 1.0}),
     ("qp4", {"a": 2.0, "b": 1.0, "c": 1.0, "normalization": "prop2"}),
 )
+# flows that build_hamiltonians constructs from det J, one per time slot:
+# checked where the determinant condition holds, and kdv2 unchecked, whose
+# source path is solved on the level set
+BUILT_CASES = (
+    [("kdv3", None, slot, True) for slot in (1, 2, 3)]
+    + [("qp4", {"a": 1.0, "b": 1.0, "c": 1.0}, slot, True) for slot in (1, 2, 3)]
+    + [("henon", {"b": 1.0, "c": 0.0}, slot, True) for slot in (1, 2)]
+    + [("kdv2", {"r": 2.0}, slot, False) for slot in (1, 2)]
+)
+BOUNDED_CASES = [(*case, None, None) for case in CATALOG_CASES] + BUILT_CASES
 BOUNDED_STEPS = 3000
 
 
 @functools.cache
-def _catalog_flow(case):
-    return maps.build_flow(*CATALOG_CASES[case])
+def _bounded_flow(case):
+    map_id, params, slot, check = BOUNDED_CASES[case]
+    if slot is None:
+        return maps.build_flow(map_id, params)
+    mapdesc = maps.build_map(map_id, params)
+    return flows.build_hamiltonians(mapdesc, time_index=slot, check=check)
 
 
 @seed(1)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(
-    st.integers(0, len(CATALOG_CASES) - 1),
+    st.integers(0, len(BOUNDED_CASES) - 1),
     st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
     st.floats(-3.0, 3.0),
     st.floats(0.05, 2.0),
@@ -676,8 +690,8 @@ def test_verify_does_bounded_work_or_raises_a_mapflow_error(
     case, coords, t0, span, direction
 ):
     # dopri5 spends six rhs evaluations per attempted step after the first
-    map_id, params = CATALOG_CASES[case]
-    flow = _catalog_flow(case)
+    map_id, params, _, _ = BOUNDED_CASES[case]
+    flow = _bounded_flow(case)
     cfg = flows.IntegratorConfig(max_steps=BOUNDED_STEPS)
     try:
         report = harness.verify_correspondence(

@@ -1,25 +1,32 @@
 """Catalog map tests: closed forms, invariants, explicit velocity fields."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermeval
 
 from mapflow import core, flows, maps
 from mapflow.errors import ConfigError, SingularPointError, UnknownMapError
-from mapflow.polynomials import hermite_polynomials
 
 
 # ---------------------------------------------------------------------------
 # hermite chain
 
 
+def he(n, x):
+    """numpy's He_n(x), which obeys the chain's recurrence
+    He_{k+1} = x He_k - k He_{k-1}: a reference the program does not share."""
+    return hermeval(x, [0] * n + [1])
+
+
 def test_hermite_step_example():
     step = maps.hermite_step(1)
     assert step.forward((2.0, 2.0)) == (2.0, 1.5)
     # equals the polynomial ratio P_2/P_1 at x = 2
-    polys = hermite_polynomials(2)
-    assert polys[2].eval(2) / polys[1].eval(2) == 1.5
+    assert he(2, 2) / he(1, 2) == 1.5
 
 
 def test_hermite_step_round_trip():
@@ -38,11 +45,10 @@ def test_hermite_step_pole():
 def test_hermite_chain_walks_polynomial_ratios():
     m = 5
     chain = maps.hermite_chain(m)
-    polys = hermite_polynomials(m)
     x = 7.0
     # start from y = P_1/P_0 = x; the image must be P_m/P_{m-1}
     got = chain.forward((x, x))
-    assert got[1] == pytest.approx(polys[m].eval(x) / polys[m - 1].eval(x), rel=1e-12)
+    assert got[1] == pytest.approx(he(m, x) / he(m - 1, x), rel=1e-12)
 
 
 def test_hermite_hamiltonian_values():
@@ -87,10 +93,9 @@ def test_hermite_continued_fraction_values():
 
 
 def test_hermite_continued_fraction_matches_polynomial_ratio():
-    polys = hermite_polynomials(10)
     for m in range(2, 11):
         for x in (-0.5, 0.5, -1.7, 1.7, 3.0):
-            ratio = (m - 1) * polys[m - 2].eval(x) / polys[m - 1].eval(x)
+            ratio = (m - 1) * he(m - 2, x) / he(m - 1, x)
             got = maps.hermite_continued_fraction(m, x)
             assert abs(got - ratio) <= 1e-12 * (1 + abs(ratio))
 
@@ -110,6 +115,44 @@ def test_hermite_suite_report():
     suite = maps.hermite_suite(12)
     assert suite["passed"]
     assert suite["continued_fraction_max_rel_err"] < 1e-12
+
+
+@pytest.mark.parametrize("x", [0, 3, -2, Fraction(2, 3)])
+def test_hermite_values_first_members(x):
+    assert maps.hermite_values(4, x) == [
+        (1, 0, 0),
+        (x, 1, 0),
+        (x**2 - 1, 2 * x, 2),
+        (x**3 - 3 * x, 3 * x**2 - 3, 6 * x),
+        (x**4 - 6 * x**2 + 3, 4 * x**3 - 12 * x, 12 * x**2 - 12),
+    ]
+
+
+def test_hermite_checks_report_a_wrong_identity(monkeypatch):
+    # a wrong coefficient in the ode, and one in the lower ladder at m = 3
+    residuals = maps._hermite_residuals
+
+    def wrong(m, x, rows):
+        ode, difference, up, low = residuals(m, x, rows)
+        return ode + rows[m][0], difference, up, low + (m == 3) * rows[m - 1][0]
+
+    monkeypatch.setattr(maps, "_hermite_residuals", wrong)
+    report = maps.hermite_checks(5)
+    assert not report.passed
+    assert report.failures == (
+        ("ode", 1), ("ode", 2), ("ode", 3), ("lower", 3), ("ode", 4), ("ode", 5)
+    )
+    assert not report.ode_ok and not report.ladder_ok
+    assert report.difference_identity_ok
+
+
+@pytest.mark.parametrize("m_max", [31, 40])
+def test_hermite_suite_passes_where_float_polynomial_values_lost_digits(m_max):
+    # from m_max = 31, float values of the expanded coefficients lose more
+    # digits than the tolerance allows; the exact reference ratio does not
+    suite = maps.hermite_suite(m_max)
+    assert suite["passed"]
+    assert suite["continued_fraction_max_rel_err"] <= maps.HERMITE_CF_TOL
 
 
 # ---------------------------------------------------------------------------
