@@ -2,7 +2,9 @@
 
 Subcommands: list, jacobian, flow, verify, scan, hermite-check, chain.
 Outputs are CSV trajectories and JSON reports, written atomically (temp
-file plus rename) so concurrent invocations never observe partial files.
+file plus rename) so concurrent invocations never observe partial files;
+the temp file is made before the command computes anything, so an
+``--out`` that cannot be written fails at once.
 Exit codes: 0 pass, 1 verification failure, 2 usage or configuration
 error, 3 numerical failure.  argparse declares every option once; a
 ``--config`` file's values are parsed as flags of the subcommand, ahead
@@ -12,7 +14,9 @@ of (and so overridden by) the command line's own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -35,31 +39,52 @@ EXIT_NUMERICAL = 3
 # output helpers
 
 
-def write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mapflow-", suffix=".tmp")
+def _unwritable(path, exc):
+    return ConfigError(f"cannot write output file {path}: {exc.strerror}")
+
+
+def write_stdout(text):
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
+
+
+@contextlib.contextmanager
+def output(path):
+    """The function that writes a command's output text: to standard output
+    when ``path`` is empty, else atomically to ``path``.
+
+    The temp file is made in the path's directory on entry, before the
+    command computes anything, so a path that cannot be written is a
+    ConfigError at once; writing renames it onto ``path``, and every exit
+    that has not written removes it.
+    """
+    if not path:
+        yield write_stdout
+        return
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mapflow-", suffix=".tmp")
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+    fh = os.fdopen(fd, "w")
+
+    def write(text):
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _unwritable(path, exc) from None
+
+    try:
+        yield write
+    finally:
+        fh.close()
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def emit(text, out_path):
-    if out_path:
-        try:
-            write_atomic(out_path, text)
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot write output file {out_path}: {exc.strerror}"
-            ) from None
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def json_text(payload):
@@ -190,7 +215,8 @@ def integrator_config(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output text and exit code, and ``main``
+# writes the text
 
 
 def cmd_list(args):
@@ -200,8 +226,7 @@ def cmd_list(args):
         schema = ", ".join(f"{k}={v}" for k, v in entry.param_schema.items())
         schema = schema or "(no parameters)"
         lines.append(f"{map_id:14s} {schema:28s} {entry.description}")
-    emit("\n".join(lines) + "\n", args.out)
-    return EXIT_PASS
+    return "\n".join(lines) + "\n", EXIT_PASS
 
 
 def cmd_jacobian(args):
@@ -216,8 +241,7 @@ def cmd_jacobian(args):
         "matrix": matrix,
         "det": core.det(matrix),
     }
-    emit(json_text(payload), args.out)
-    return EXIT_PASS
+    return json_text(payload), EXIT_PASS
 
 
 def cmd_flow(args):
@@ -225,8 +249,7 @@ def cmd_flow(args):
     _, _, traj = harness.flow_from_source(
         flow, args.x0, args.t0, args.t1, integrator_config(args), args.samples
     )
-    emit(trajectory_csv(traj, flow.map.dimension), args.out)
-    return EXIT_PASS
+    return trajectory_csv(traj, flow.map.dimension), EXIT_PASS
 
 
 def cmd_verify(args):
@@ -243,8 +266,7 @@ def cmd_verify(args):
         p = report.params
         oracle = harness.qp4_normalization_report(p["a"], p["b"], p["c"])
         payload["normalization_oracle"] = oracle.to_dict()
-    emit(json_text(payload), args.out)
-    return EXIT_PASS if report.passed else EXIT_VERIFY_FAIL
+    return json_text(payload), EXIT_PASS if report.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_scan(args):
@@ -255,22 +277,20 @@ def cmd_scan(args):
         t_range=(args.t0, args.t1),
         cfg=integrator_config(args),
     )
-    emit(json_text(report.to_dict()), args.out)
-    return EXIT_PASS if report.summary["all_passed"] else EXIT_VERIFY_FAIL
+    code = EXIT_PASS if report.summary["all_passed"] else EXIT_VERIFY_FAIL
+    return json_text(report.to_dict()), code
 
 
 def cmd_hermite_check(args):
     report = maps.hermite_suite(args.m_max)
-    emit(json_text(report), args.out)
-    return EXIT_PASS if report["passed"] else EXIT_VERIFY_FAIL
+    return json_text(report), EXIT_PASS if report["passed"] else EXIT_VERIFY_FAIL
 
 
 def cmd_chain(args):
     report = harness.chain_suite(
         seed=args.seed, **given(m=args.m, a=args.a, c=args.c, n_states=args.states)
     )
-    emit(json_text(report), args.out)
-    return EXIT_PASS if report["passed"] else EXIT_VERIFY_FAIL
+    return json_text(report), EXIT_PASS if report["passed"] else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +420,10 @@ def main(argv=None):
             raise ConfigError("--samples must be at least 2")
         if getattr(args, "states", None) is not None and args.states < 1:
             raise ConfigError("--states must be at least 1")
-        return args.fn(args)
+        with output(args.out) as write:
+            text, code = args.fn(args)
+            write(text)
+        return code
     except (ConfigError, UnknownMapError) as exc:
         print(f"mapflow: {exc}", file=sys.stderr)
         return EXIT_USAGE

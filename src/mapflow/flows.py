@@ -15,7 +15,11 @@ out, bit for bit the signed ``core.det`` values that larger n computes.
 A Runge-Kutta stage state sums weight * stage component by component over
 the non-zero weights in stage order.
 
-The determinant field is the map's declared ``det_j``, checked against the
+The last Hamiltonian's derivative along the coordinate it integrates over
+is the determinant at the integral's endpoint, added once per evaluation,
+so the Kronrod nodes along that coordinate are floats; its derivatives
+along the other coordinates come from integrating their jets.  The
+determinant field is the map's declared ``det_j``, checked against the
 Jacobian of the map on sampled points before any quadrature is built; only
 a map that declares none has its Jacobian differentiated again, through
 nested jets, inside the quadrature integrand and the determinant-condition
@@ -26,12 +30,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 from . import core
-from .core import as_state, float_value, map_det_field
+from .core import Jet, as_state, float_value, map_det_field
 from .errors import (
     ConfigError,
     DetConditionError,
@@ -40,7 +44,7 @@ from .errors import (
     SingularPointError,
     StepUnderflowError,
 )
-from .quadrature import integrate_gk
+from .quadrature import QuadratureCounts, integrate_gk
 
 DET_CONDITION_TOL = 1e-7
 DET_CONDITION_SAMPLES = 25
@@ -63,7 +67,9 @@ class FlowSystem:
     accept float or jet coordinates.  ``hamiltonian_vector`` maps an image
     point to all n-1 values at once, so that work they share (such as the
     inverse map) runs once; it must agree with ``hamiltonians``, which are
-    called in turn when it is None.
+    called in turn when it is None.  ``quadrature`` holds the running
+    quadrature totals of Hamiltonians built by quadrature, None for closed
+    forms.
     """
 
     map: core.MapDescriptor
@@ -71,6 +77,7 @@ class FlowSystem:
     hamiltonians: tuple
     det_j_field: Callable
     hamiltonian_vector: Callable | None = None
+    quadrature: QuadratureCounts | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = self.map.dimension
@@ -219,9 +226,14 @@ def build_hamiltonians(
     the role of time.  The first n-2 Hamiltonians are the non-time source
     coordinates read through the inverse map, all but the last of them.
     The last one integrates the Jacobian determinant along that remaining
-    coordinate from ``ref_point`` (all ones by default), holding the other
-    inverse coordinates fixed; changing the reference point only shifts it
-    by a constant whenever the determinant condition holds.
+    coordinate x_q from ``ref_point`` (all ones by default) up to x_q,
+    holding the other inverse coordinates fixed; changing the reference
+    point only shifts it by a constant whenever the determinant condition
+    holds.  Its derivative along x_q is the determinant at x_q, and its
+    derivatives along the other coordinates are integrated alongside the
+    value, over Kronrod nodes that carry no x_q derivatives.  The flow's
+    ``quadrature`` counts the panels and integrand calls every evaluation
+    takes.
 
     The determinant is the map's declared ``det_j`` when it has one, and a
     ``ConfigError`` refuses the construction when that disagrees with the
@@ -242,17 +254,23 @@ def build_hamiltonians(
     # moving the time column to the end is a cycle of parity n - t_idx,
     # which flips the sign of the determinant read in that order
     flip = (n - t_idx) % 2 == 1
+    counts = QuadratureCounts()
 
     def quad_value(src):
         endpoint = src[q]
+        # the nodes run to x_q less its outermost derivatives, which the
+        # endpoint term below supplies: d/dx_q of the integral is det J there
+        end = endpoint.value if isinstance(endpoint, Jet) else endpoint
+        head, tail = src[:q], src[q + 1 :]
 
         def integrand(u):
-            s = ref_quad + u * (endpoint - ref_quad)
-            return det_field(src[:q] + (s,) + src[q + 1 :])
+            return det_field(head + (ref_quad + u * (end - ref_quad),) + tail)
 
-        value = (endpoint - ref_quad) * integrate_gk(
-            integrand, 0.0, 1.0, abs_tol=QUADRATURE_ABS_TOL
+        value = (end - ref_quad) * integrate_gk(
+            integrand, 0.0, 1.0, abs_tol=QUADRATURE_ABS_TOL, counts=counts
         )
+        if end is not endpoint:
+            value = value + det_field(head + (end,) + tail) * (endpoint - end)
         return -value if flip else value
 
     def vector(point):
@@ -267,6 +285,7 @@ def build_hamiltonians(
         hamiltonians=tuple(hams),
         det_j_field=det_field,
         hamiltonian_vector=vector,
+        quadrature=counts,
     )
     if check and not flow.det_condition.passed:
         raise DetConditionError(flow.det_condition)

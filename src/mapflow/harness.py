@@ -68,6 +68,15 @@ class CorrespondenceReport(_Report):
     integrator: dict
     oracle: dict
     passed: bool
+    quadrature: dict | None = None
+
+    def to_dict(self):
+        """The fields, less ``quadrature`` when the flow's Hamiltonians are
+        closed forms."""
+        out = super().to_dict()
+        if self.quadrature is None:
+            del out["quadrature"]
+        return out
 
 
 def _sample_times(t0, t1, count):
@@ -240,12 +249,16 @@ def verify_correspondence(
     source curve, whose points are solved for on the level set (see
     ``flow_from_source``); the report's ``oracle`` record says which.
     ``flow`` overrides the catalog flow (used by the negative controls).
+    A flow whose Hamiltonians are built by quadrature reports the panels
+    and integrand evaluations the whole check took in ``quadrature``.
     """
     params = maps.resolve_params(map_id, params)
     if flow is None:
         flow = maps.build_flow(map_id, params)
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_range[0]), float(t_range[1])
+    counts = flow.quadrature
+    start = None if counts is None else asdict(counts)
 
     src_states, oracle, traj_flow = flow_from_source(
         flow, x0, t0, t1, cfg, num_samples
@@ -277,6 +290,11 @@ def verify_correspondence(
         },
         oracle=oracle,
         passed=bool(passed),
+        quadrature=(
+            None
+            if counts is None
+            else {k: v - start[k] for k, v in asdict(counts).items()}
+        ),
     )
 
 

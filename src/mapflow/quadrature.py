@@ -4,8 +4,10 @@ A 7-point Gauss rule embedded in a 15-point Kronrod rule, refined by
 bisecting the interval with the largest error estimate.  Because a
 quadrature approximation is a fixed linear combination of integrand
 evaluations, applying the same nodes and weights to jet values integrates
-the derivative components alongside the value, which is what the numeric
-Hamiltonian builder relies on.
+the derivative components alongside the value.  The numeric Hamiltonian
+builder relies on this for the derivatives along the coordinates the
+integral does not run over; the one it runs over gets its derivative from
+the integrand at the endpoint instead.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 from .core import Jet
 from .errors import QuadratureError
@@ -47,6 +50,15 @@ _WG = (
 )
 
 
+@dataclass
+class QuadratureCounts:
+    """Running totals of the work ``integrate_gk`` does: 15-point panels
+    and the integrand evaluations they make."""
+
+    panels: int = 0
+    integrand_calls: int = 0
+
+
 def _flatten(x, out):
     if isinstance(x, Jet):
         _flatten(x.value, out)
@@ -65,8 +77,11 @@ def _norm(x):
     return max(abs(c) for c in comps)
 
 
-def _kronrod(f, a, b):
-    """One 15-point panel; returns (kronrod estimate, error estimate)."""
+def _kronrod(f, a, b, counts):
+    """One 15-point panel, charged to ``counts``; returns (kronrod
+    estimate, error estimate)."""
+    counts.panels += 1
+    counts.integrand_calls += 2 * len(_XK) - 1
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     gauss = 0.0
@@ -88,19 +103,24 @@ def _kronrod(f, a, b):
     return kron, _norm(kron - gauss)
 
 
-def integrate_gk(f, a, b, abs_tol=1e-10, max_panels=512):
+def integrate_gk(f, a, b, abs_tol=1e-10, max_panels=512, counts=None):
     """Integral of ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``f`` may return floats or jets; the error is measured over every
     component.  Raises :class:`QuadratureError` when a panel's estimate is
     not finite (over a zero-width interval, when ``f(a)`` is not), or when
-    the panel budget is exhausted before the tolerance is met.
+    the panel budget is exhausted before the tolerance is met.  ``counts``,
+    a ``QuadratureCounts``, is charged with every panel and integrand
+    evaluation made.
     """
+    if counts is None:
+        counts = QuadratureCounts()
     if a == b:
+        counts.integrand_calls += 1
         fa = f(a)
         _norm(fa)
         return 0.0 * fa
-    value, err = _kronrod(f, a, b)
+    value, err = _kronrod(f, a, b, counts)
     counter = itertools.count()
     heap = [(-err, next(counter), a, b, value)]
     total_err = err
@@ -114,7 +134,7 @@ def integrate_gk(f, a, b, abs_tol=1e-10, max_panels=512):
         total_err += neg_err  # removes the old panel's error
         mid = 0.5 * (lo + hi)
         for seg in ((lo, mid), (mid, hi)):
-            v, e = _kronrod(f, *seg)
+            v, e = _kronrod(f, *seg, counts)
             heapq.heappush(heap, (-e, next(counter), seg[0], seg[1], v))
             total_err += e
     out = None

@@ -783,6 +783,50 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, targe
     assert [p for p in os.listdir(tmp_path) if p.startswith(".mapflow-")] == []
 
 
+def test_unwritable_output_fails_before_any_computation(capsys, monkeypatch):
+    def entered(*args, **kwargs):
+        raise AssertionError("conservation_scan ran")
+
+    monkeypatch.setattr(harness, "conservation_scan", entered)
+    code, out, err = run_cli(
+        capsys, "scan", "--map", "kdv3", "--grid", "0.5:1.5:6,0.5:1.5:6",
+        "--t0", "1", "--t1", "2", "--out", "/missing/dir/o.json",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("mapflow: cannot write output file /missing/dir/o.json: ")
+
+
+KDV3_LOOSE = ["verify", "--map", "kdv3", "--x0", "1.3521102253454633,1.1188385919717914",
+              "--t0", "1", "--t1", "1.5866867221158794", "--rel-tol", "1e-6",
+              "--abs-tol", "1e-8", "--samples", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, written",
+    [
+        (KDV3_LOOSE, 1, True),
+        (["verify", *HENON_RUN[:-1], "1e200"], 3, False),
+        (["verify", "--map", "nope", "--x0", "1", "--t0", "0", "--t1", "1"], 2, False),
+    ],
+    ids=["verify-fail", "numerical", "usage"],
+)
+def test_every_exit_removes_the_temp_output_file(tmp_path, capsys, argv, code, written):
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--out", str(target))[0] == code
+    assert target.exists() == written
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".mapflow-")] == []
+
+
+def test_an_exception_removes_the_temp_output_file(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "verify_correspondence", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        main([*KDV3_LOOSE, "--out", str(tmp_path / "out.json")])
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_has_no_seed(tmp_path, capsys):
     code, _ = exit_code(capsys, "verify", *HENON_RUN, "--seed", "7")
     assert code == 2

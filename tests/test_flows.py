@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from mapflow import cli, core, flows, harness, maps
+from mapflow import cli, core, flows, harness, maps, quadrature
 from mapflow.errors import (
     ConfigError,
     DetConditionError,
@@ -373,6 +373,94 @@ def test_quadrature_rhs_with_declared_det_j_runs_no_nested_jets():
 
     assert nested_calls(maps.kdv3().det_j) == 0
     assert nested_calls(None) > 0
+
+
+def full_jet_last_hamiltonian(mapdesc, ref_point=None, time_index=None):
+    """The last quadrature Hamiltonian with x_q's jets carried through every
+    Kronrod node, so its x_q derivative is integrated too: the reference
+    for the endpoint rule, which reads that derivative off det J at x_q."""
+    n = mapdesc.dimension
+    t_idx = n if time_index is None else time_index
+    ref = (1.0,) * n if ref_point is None else tuple(map(float, ref_point))
+    q = [j for j in range(n) if j != t_idx - 1][-1]
+    det_field = core.map_det_field(mapdesc)
+
+    def h_last(point):
+        src = mapdesc.inverse(point)
+        endpoint = src[q]
+
+        def integrand(u):
+            s = ref[q] + u * (endpoint - ref[q])
+            return det_field(src[:q] + (s,) + src[q + 1 :])
+
+        value = (endpoint - ref[q]) * quadrature.integrate_gk(
+            integrand, 0.0, 1.0, abs_tol=flows.QUADRATURE_ABS_TOL
+        )
+        return -value if (n - t_idx) % 2 == 1 else value
+
+    return h_last
+
+
+def _quadrature_cases():
+    cases = [
+        ("henon", maps.build_map("henon", {"b": 1.0, "c": 0.0}), {}, (0.92, 1.3)),
+        *[
+            (f"kdv3-t{t}", maps.kdv3(), {"time_index": t}, (1.1, 0.9, 1.2))
+            for t in (1, 2, 3)
+        ],
+        ("qp4", maps.build_map("qp4", {"a": 1.0, "b": 1.0, "c": 1.0}), {},
+         (0.98, 0.97, 1.4)),
+        ("hermite2", maps.hermite_chain(2), {"ref_point": (0.0, 1.0)}, (2.6, 0.7)),
+        ("hermite3", maps.hermite_chain(3), {"ref_point": (6.0, 1.0)}, (7.0, 6.5)),
+    ]
+    for name, mapdesc, kwargs, src in cases:
+        for declared in (True, False):
+            case_map = mapdesc if declared else dataclasses.replace(mapdesc, det_j=None)
+            label = name if declared else f"{name}-no-det_j"
+            yield pytest.param(case_map, kwargs, src, id=label)
+
+
+@pytest.mark.parametrize("mapdesc, kwargs, src", _quadrature_cases())
+def test_endpoint_rule_matches_the_full_jet_quadrature(mapdesc, kwargs, src):
+    flow = flows.build_hamiltonians(mapdesc, check=False, **kwargs)
+    h_last = full_jet_last_hamiltonian(mapdesc, **kwargs)
+    X = mapdesc.forward(src)
+    # a float point runs the same operations: the same bits
+    assert flow.hamiltonians[-1](X) == h_last(X)
+    assert flow.hamiltonian_values(X)[-1] == h_last(X)
+    (got,) = core.jet_rows(lambda Y: (flow.hamiltonians[-1](Y),), X)
+    (want,) = core.jet_rows(lambda Y: (h_last(Y),), X)
+    scale = max(abs(v) for v in want)
+    assert scale > 0.0
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale
+    reference = dataclasses.replace(
+        flow, hamiltonians=flow.hamiltonians[:-1] + (h_last,), hamiltonian_vector=None
+    )
+    got_v, want_v = flows.nambu_rhs(flow, X), flows.nambu_rhs(reference, X)
+    scale = max(abs(v) for v in want_v)
+    assert max(abs(a - b) for a, b in zip(got_v, want_v)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["det_j", "no-det_j"])
+def test_endpoint_rule_keeps_exact_second_derivatives(declared):
+    # nested seeds: the endpoint term carries the mixed partials that a
+    # second level of jets asks for, so the Hessian matches the full-jet one
+    chain = maps.hermite_chain(3)
+    if not declared:
+        chain = dataclasses.replace(chain, det_j=None)
+    flow = flows.build_hamiltonians(chain, ref_point=(6.0, 1.0), check=False)
+    h_last = full_jet_last_hamiltonian(chain, ref_point=(6.0, 1.0))
+    X = chain.forward((7.0, 6.5))
+
+    def hessian(h):
+        rows = core.jet_rows(lambda Y: core.jet_rows(lambda Z: (h(Z),), Y)[0], X)
+        return [[float(v) for v in row] for row in rows]
+
+    got, want = hessian(flow.hamiltonians[-1]), hessian(h_last)
+    scale = max(abs(v) for row in want for v in row)
+    assert scale > 0.0
+    for g_row, w_row in zip(got, want):
+        assert max(abs(a - b) for a, b in zip(g_row, w_row)) <= 1e-12 * scale
 
 
 def test_numeric_flow_drives_integration_henon():

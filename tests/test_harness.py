@@ -506,6 +506,42 @@ def test_level_set_newton_solves_for_two_free_slots(monkeypatch):
     assert set(sizes) == {2}
 
 
+# seeded inputs of the numeric-hamiltonians benchmark workload (seed 1) and
+# the quadrature work each verify takes: one panel per Hamiltonian
+# evaluation, in the rhs, the samples and the level-set Newton alike
+QUADRATURE_RUNS = {
+    "henon": ("henon", {"b": 1.0, "c": 0.0}, {}, (0.9238206533199387,),
+              (0.0, 1.9609375), 46, 690),
+    "hermite2": ("hermite", {"m": 2}, {"ref_point": (0.0, 1.0), "check": False},
+                 (2.6060594742725938,), (0.5, 2.01953125), 628, 9420),
+    "qp4": ("qp4", {"a": 1.0, "b": 1.0, "c": 1.0}, {},
+            (0.9830775806907704, 0.9653013970127101), (1.0, 1.9921875), 124, 1860),
+    "kdv3": ("kdv3", None, {}, (1.1415011635716705, 0.907405443945036),
+             (1.0, 1.3125), 70, 1050),
+}
+
+
+@pytest.mark.parametrize("run", QUADRATURE_RUNS.values(), ids=QUADRATURE_RUNS)
+def test_verify_reports_the_quadrature_work_of_the_whole_call(run):
+    map_id, params, build, x0, t_range, panels, calls = run
+    flow = flows.build_hamiltonians(maps.build_map(map_id, params), **build)
+    reports = [
+        harness.verify_correspondence(map_id, params, x0=x0, t_range=t_range, flow=flow)
+        for _ in range(2)
+    ]
+    # per call, not running totals: a second identical call reads the same
+    for report in reports:
+        assert report.passed
+        assert report.quadrature == {"panels": panels, "integrand_calls": calls}
+        assert report.to_dict()["quadrature"] == report.quadrature
+
+
+def test_a_closed_form_flow_reports_no_quadrature():
+    report = harness.verify_correspondence("kdv3", x0=(1.1, 0.9), t_range=(1.0, 1.2))
+    assert report.quadrature is None
+    assert "quadrature" not in report.to_dict()
+
+
 def test_flow_from_source_moves_only_the_time_slot_when_det_j_is_constant():
     flow = flows.build_hamiltonians(maps.kdv3(), time_index=1)
     path, oracle, _ = harness.flow_from_source(flow, (0.9, 1.1), 1.0, 1.1, COARSE, 3)

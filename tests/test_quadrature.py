@@ -6,13 +6,28 @@ import pytest
 
 from mapflow.core import Jet
 from mapflow.errors import QuadratureError
-from mapflow.quadrature import integrate_gk
+from mapflow.quadrature import QuadratureCounts, integrate_gk
 
 
 def test_polynomial_is_exact():
     # degree 7 is inside the Gauss-7/Kronrod-15 exactness range
     val = integrate_gk(lambda s: 3 * s**2, 0.0, 2.0)
     assert val == pytest.approx(8.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0], ids=["zero-width", "bisected"])
+def test_counts_charge_every_panel_and_integrand_call(b):
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return 1.0 / (1e-4 + (s - 0.37) ** 2)
+
+    counts = QuadratureCounts(panels=3, integrand_calls=45)
+    integrate_gk(f, 0.5, b, abs_tol=1e-9, counts=counts)
+    assert counts.integrand_calls - 45 == len(calls)
+    assert 15 * (counts.panels - 3) == (0 if b == 0.5 else len(calls))
+    assert b == 0.5 or counts.panels > 4
 
 
 def test_transcendental_to_tolerance():
