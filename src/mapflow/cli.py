@@ -23,7 +23,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 
 from . import core, harness, maps
 from .errors import ConfigError, MapflowError, UnknownMapError
@@ -57,7 +56,8 @@ def output(path):
     The temp file is made in the path's directory on entry, before the
     command computes anything, so a path that cannot be written is a
     ConfigError at once; writing renames it onto ``path``, and every exit
-    that has not written removes it.
+    that has not written removes it.  It is created with mode 0o666 less
+    the umask, as ``open(path, "w")`` would create ``path``.
     """
     if not path:
         yield write_stdout
@@ -66,7 +66,8 @@ def output(path):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mapflow-", suffix=".tmp")
+        tmp = os.path.join(directory, f".mapflow-{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise _unwritable(path, exc) from None
     fh = os.fdopen(fd, "w")

@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, neg, sub
 from typing import Callable, Mapping
 
 from .errors import (
@@ -42,25 +41,25 @@ class Jet:
     value and partial slots may themselves hold jets; nesting one level
     gives second derivatives.  The program nests them only where a
     quadrature integrand differentiates the Jacobian determinant of a map
-    that declares no closed-form ``det_j``.  ``Jet(value, partials)``
-    copies the partials into a tuple; the operators build their results
-    with ``_jet``, which keeps the tuple it is given.
+    that declares no closed-form ``det_j``.
 
-    ``+``, ``*`` and ``/`` by a jet and ``*`` by a scalar at 2 and 3
-    partials, ``/`` by a scalar at 3, and ``-`` of two jets, reflected
-    ``/`` and negation (``-x``, ``c - x``) at 2 write their partials out
-    one by one; every other case goes through a comprehension.  Both
-    compute every partial as the same expression in the same operand
-    order, so they agree bit for bit.  The two operands of a binary
+    The operators dispatch on the jet's type, never on its length.
+    ``Jet(value, partials)`` copies the partials into a tuple and returns a
+    jet of the class that matches their number: 2 and 3 partials each have
+    a subclass whose operators write every partial out one by one, and
+    ``Jet`` itself serves 1 and 4 or more through comprehensions.  Every
+    operator builds its result in its own class, so the jets that
+    ``seed_jets`` makes keep their class through any arithmetic.  Both
+    kinds of body compute each partial as the same expression in the same
+    operand order, so they agree bit for bit.  The two operands of a binary
     operator must carry the same number of partials, as jets seeded
-    together by ``seed_jets`` do.
+    together do; a jet with any other number is a ``ValueError``.
     """
 
     __slots__ = ("value", "partials")
 
-    def __init__(self, value, partials):
-        self.value = value
-        self.partials = tuple(partials)
+    def __new__(cls, value, partials):
+        return _new_jet(value, tuple(partials))
 
     def __repr__(self):
         return f"Jet({self.value!r}, {self.partials!r})"
@@ -68,100 +67,52 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             sp, op = self.partials, other.partials
-            n = len(sp)
-            if n == 2:
-                (p0, p1), (q0, q1) = sp, op
-                partials = (p0 + q0, p1 + q1)
-            elif n == 3:
-                (p0, p1, p2), (q0, q1, q2) = sp, op
-                partials = (p0 + q0, p1 + q1, p2 + q2)
-            else:
-                partials = tuple(map(add, sp, op))
+            partials = tuple([p + q for p, q in zip(sp, op, strict=True)])
             return _jet(self.value + other.value, partials)
         return _jet(self.value + other, self.partials)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(-self.value, _negated(self.partials))
+        return _jet(-self.value, tuple([-p for p in self.partials]))
 
     # x - y is x + (-y) bit for bit in IEEE 754, so no negated jet is built
     def __sub__(self, other):
         if isinstance(other, Jet):
             sp, op = self.partials, other.partials
-            if len(sp) == 2:
-                (p0, p1), (q0, q1) = sp, op
-                partials = (p0 - q0, p1 - q1)
-            else:
-                partials = tuple(map(sub, sp, op))
+            partials = tuple([p - q for p, q in zip(sp, op, strict=True)])
             return _jet(self.value - other.value, partials)
         return _jet(self.value - other, self.partials)
 
     def __rsub__(self, other):
-        return _jet(other - self.value, _negated(self.partials))
+        return _jet(other - self.value, tuple([-p for p in self.partials]))
 
     def __mul__(self, other):
         sv, sp = self.value, self.partials
-        n = len(sp)
         if isinstance(other, Jet):
             ov, op = other.value, other.partials
-            if n == 2:
-                (p0, p1), (q0, q1) = sp, op
-                partials = (p0 * ov + sv * q0, p1 * ov + sv * q1)
-            elif n == 3:
-                (p0, p1, p2), (q0, q1, q2) = sp, op
-                partials = (p0 * ov + sv * q0, p1 * ov + sv * q1, p2 * ov + sv * q2)
-            else:
-                partials = tuple([p * ov + sv * q for p, q in zip(sp, op)])
+            partials = tuple([p * ov + sv * q for p, q in zip(sp, op, strict=True)])
             return _jet(sv * ov, partials)
-        if n == 2:
-            p0, p1 = sp
-            partials = (p0 * other, p1 * other)
-        elif n == 3:
-            p0, p1, p2 = sp
-            partials = (p0 * other, p1 * other, p2 * other)
-        else:
-            partials = tuple([p * other for p in sp])
-        return _jet(sv * other, partials)
+        return _jet(sv * other, tuple([p * other for p in sp]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         sv, sp = self.value, self.partials
-        n = len(sp)
         if isinstance(other, Jet):
             ov, op = other.value, other.partials
             sq = ov * ov
-            if n == 2:
-                (p0, p1), (q0, q1) = sp, op
-                partials = ((p0 * ov - sv * q0) / sq, (p1 * ov - sv * q1) / sq)
-            elif n == 3:
-                (p0, p1, p2), (q0, q1, q2) = sp, op
-                partials = (
-                    (p0 * ov - sv * q0) / sq,
-                    (p1 * ov - sv * q1) / sq,
-                    (p2 * ov - sv * q2) / sq,
-                )
-            else:
-                partials = tuple([(p * ov - sv * q) / sq for p, q in zip(sp, op)])
+            partials = tuple(
+                [(p * ov - sv * q) / sq for p, q in zip(sp, op, strict=True)]
+            )
             return _jet(sv / ov, partials)
-        if n == 3:
-            p0, p1, p2 = sp
-            partials = (p0 / other, p1 / other, p2 / other)
-        else:
-            partials = tuple([p / other for p in sp])
-        return _jet(sv / other, partials)
+        return _jet(sv / other, tuple([p / other for p in sp]))
 
     def __rtruediv__(self, other):
         # other / self with other constant along the seeded directions
-        v, c, sp = self.value, -other, self.partials
+        v, c = self.value, -other
         sq = v * v
-        if len(sp) == 2:
-            p0, p1 = sp
-            partials = (c * p0 / sq, c * p1 / sq)
-        else:
-            partials = tuple([c * p / sq for p in sp])
-        return _jet(other / v, partials)
+        return _jet(other / v, tuple([c * p / sq for p in self.partials]))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -169,27 +120,173 @@ class Jet:
         if exponent < 0:
             return (1.0 / self) ** (-exponent)
         if exponent == 0:
-            return _jet(1.0, (0.0,) * len(self.partials))
+            return _new_jet(1.0, (0.0,) * len(self.partials))
         out = self
         for _ in range(exponent - 1):
             out = out * self
         return out
 
 
-def _jet(value, partials, _new=object.__new__):
-    """A Jet holding the tuple ``partials`` itself, not a copy."""
-    out = _new(Jet)
-    out.value = value
-    out.partials = partials
-    return out
+def _mismatch(jet, other):
+    """The error for a binary operator on jets with different numbers of
+    partials."""
+    return ValueError(
+        f"jet operands carry {len(jet.partials)} and {len(other.partials)} partials"
+    )
 
 
-def _negated(partials):
-    """The partials of a negated jet, for ``-x`` and ``c - x``."""
-    if len(partials) == 2:
-        p0, p1 = partials
-        return (-p0, -p1)
-    return tuple(map(neg, partials))
+class _Jet2(Jet):
+    """A jet with 2 partials, each written out."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if other.__class__ is _Jet2:
+            (p0, p1), (q0, q1) = self.partials, other.partials
+            return _jet2(self.value + other.value, (p0 + q0, p1 + q1))
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet2(self.value + other, self.partials)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        p0, p1 = self.partials
+        return _jet2(-self.value, (-p0, -p1))
+
+    def __sub__(self, other):
+        if other.__class__ is _Jet2:
+            (p0, p1), (q0, q1) = self.partials, other.partials
+            return _jet2(self.value - other.value, (p0 - q0, p1 - q1))
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet2(self.value - other, self.partials)
+
+    def __rsub__(self, other):
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        p0, p1 = self.partials
+        return _jet2(other - self.value, (-p0, -p1))
+
+    def __mul__(self, other):
+        sv, (p0, p1) = self.value, self.partials
+        if other.__class__ is _Jet2:
+            ov, (q0, q1) = other.value, other.partials
+            return _jet2(sv * ov, (p0 * ov + sv * q0, p1 * ov + sv * q1))
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet2(sv * other, (p0 * other, p1 * other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        sv, (p0, p1) = self.value, self.partials
+        if other.__class__ is _Jet2:
+            ov, (q0, q1) = other.value, other.partials
+            sq = ov * ov
+            return _jet2(sv / ov, ((p0 * ov - sv * q0) / sq, (p1 * ov - sv * q1) / sq))
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet2(sv / other, (p0 / other, p1 / other))
+
+    def __rtruediv__(self, other):
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        v, c, (p0, p1) = self.value, -other, self.partials
+        sq = v * v
+        return _jet2(other / v, (c * p0 / sq, c * p1 / sq))
+
+
+class _Jet3(Jet):
+    """A jet with 3 partials, each written out."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if other.__class__ is _Jet3:
+            (p0, p1, p2), (q0, q1, q2) = self.partials, other.partials
+            return _jet3(self.value + other.value, (p0 + q0, p1 + q1, p2 + q2))
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet3(self.value + other, self.partials)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        p0, p1, p2 = self.partials
+        return _jet3(-self.value, (-p0, -p1, -p2))
+
+    def __sub__(self, other):
+        if other.__class__ is _Jet3:
+            (p0, p1, p2), (q0, q1, q2) = self.partials, other.partials
+            return _jet3(self.value - other.value, (p0 - q0, p1 - q1, p2 - q2))
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet3(self.value - other, self.partials)
+
+    def __rsub__(self, other):
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        p0, p1, p2 = self.partials
+        return _jet3(other - self.value, (-p0, -p1, -p2))
+
+    def __mul__(self, other):
+        sv, (p0, p1, p2) = self.value, self.partials
+        if other.__class__ is _Jet3:
+            ov, (q0, q1, q2) = other.value, other.partials
+            return _jet3(
+                sv * ov, (p0 * ov + sv * q0, p1 * ov + sv * q1, p2 * ov + sv * q2)
+            )
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet3(sv * other, (p0 * other, p1 * other, p2 * other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        sv, (p0, p1, p2) = self.value, self.partials
+        if other.__class__ is _Jet3:
+            ov, (q0, q1, q2) = other.value, other.partials
+            sq = ov * ov
+            partials = (
+                (p0 * ov - sv * q0) / sq,
+                (p1 * ov - sv * q1) / sq,
+                (p2 * ov - sv * q2) / sq,
+            )
+            return _jet3(sv / ov, partials)
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        return _jet3(sv / other, (p0 / other, p1 / other, p2 / other))
+
+    def __rtruediv__(self, other):
+        if isinstance(other, Jet):
+            raise _mismatch(self, other)
+        v, c, (p0, p1, p2) = self.value, -other, self.partials
+        sq = v * v
+        return _jet3(other / v, (c * p0 / sq, c * p1 / sq, c * p2 / sq))
+
+
+def _maker(cls):
+    """A constructor of ``cls`` jets that holds the tuple ``partials``
+    itself, not a copy."""
+
+    def make(value, partials, _new=object.__new__, _cls=cls):
+        out = _new(_cls)
+        out.value = value
+        out.partials = partials
+        return out
+
+    return make
+
+
+_jet, _jet2, _jet3 = _maker(Jet), _maker(_Jet2), _maker(_Jet3)
+_MAKERS = {2: _jet2, 3: _jet3}
+
+
+def _new_jet(value, partials):
+    """A jet of the class that matches the number of partials, holding the
+    tuple ``partials`` itself."""
+    return _MAKERS.get(len(partials), _jet)(value, partials)
 
 
 def jet_log(x):
@@ -198,7 +295,7 @@ def jet_log(x):
         raise LogDomainError(f"log of non-positive value {float_value(x)!r}")
     if isinstance(x, Jet):
         v = x.value
-        return _jet(jet_log(v), tuple([p / v for p in x.partials]))
+        return _new_jet(jet_log(v), tuple([p / v for p in x.partials]))
     return math.log(x)
 
 
@@ -210,7 +307,8 @@ def _unit_seeds(n):
 
 def seed_jets(coords):
     """Attach unit derivative seeds to each coordinate of a point."""
-    return tuple(map(_jet, coords, _unit_seeds(len(coords))))
+    n = len(coords)
+    return tuple(map(_MAKERS.get(n, _jet), coords, _unit_seeds(n)))
 
 
 def as_state(coords):

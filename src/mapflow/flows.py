@@ -10,10 +10,12 @@ sides in image space and source space, and integrates them with either a
 classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 
 A velocity is the signed minors of the Hamiltonians' gradient rows, read
-off one seeded jet evaluation; for n = 2 and n = 3 the minors are written
-out, bit for bit the signed ``core.det`` values that larger n computes.
-A Runge-Kutta stage state sums weight * stage component by component over
-the non-zero weights in stage order.
+straight off the partials of the Hamiltonians at one seeded point; for
+n = 2 and n = 3 the minors are written out, bit for bit the signed
+``core.det`` values that larger n computes.  A Runge-Kutta stage state
+sums weight * stage component by component over the non-zero weights in
+stage order; ``integrate`` picks out each tableau row's non-zero
+(weight, stage) pairs once per call, not once per stage.
 
 The last Hamiltonian's derivative along the coordinate it integrates over
 is the determinant at the integral's endpoint, added once per evaluation,
@@ -298,9 +300,14 @@ def build_hamiltonians(
 
 def _bracket_velocity(hamiltonians_of, x):
     """det of (rows + [e_j]) for each j, via signed minors of the last row,
-    where the rows are the float gradients of ``hamiltonians_of`` at x."""
+    where the rows are the float gradients of ``hamiltonians_of`` at x,
+    read off the Hamiltonians at the seeded point (zero for a constant)."""
     n = len(x)
-    rows = [list(map(float, row)) for row in core.jet_rows(hamiltonians_of, x)]
+    zero = (0.0,) * n
+    rows = [
+        tuple(map(float, h.partials)) if isinstance(h, Jet) else zero
+        for h in hamiltonians_of(core.seed_jets(x))
+    ]
     if n == 2:  # the minors are the 1x1 entries, signed - and +
         ((g0, g1),) = rows
         return (-g1, g0)
@@ -462,15 +469,22 @@ def _samples(t0, t1, t_eval, direction):
     return times
 
 
-def _combine(y, h, weights, k):
-    """y + h * (sum of weight * stage over the non-zero weights, in stage
-    order), accumulated component by component."""
-    (w0, k0), *rest = [(w, k_i) for w, k_i in zip(weights, k) if w]
+def _terms(weights):
+    """The (weight, stage index) pairs of the non-zero weights, in stage
+    order."""
+    return tuple((w, i) for i, w in enumerate(weights) if w)
+
+
+def _combine(y, h, terms, k):
+    """y + h * (sum of weight * stage over the ``_terms`` of the weights,
+    in stage order), accumulated component by component."""
+    (w0, i0), *rest = terms
+    k0 = k[i0]
     out = []
     for c, y_c in enumerate(y):
         acc = w0 * k0[c]
-        for w, k_i in rest:
-            acc += w * k_i[c]
+        for w, i in rest:
+            acc += w * k[i][c]
         out.append(y_c + h * acc)
     return tuple(out)
 
@@ -479,7 +493,7 @@ def _dense_state(y, h, dense, k, x):
     """The continuous extension's state a fraction 0 < x < 1 of the way
     through the step of size h from y with stages k."""
     weights = [x * (p1 + x * (p2 + x * (p3 + x * p4))) for p1, p2, p3, p4 in dense]
-    return _combine(y, h, weights, k)
+    return _combine(y, h, _terms(weights), k)
 
 
 def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
@@ -498,7 +512,9 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     to the embedded error estimate, reuses the last stage of an accepted
     step as the first stage of the next (first same as last), and reads
     the samples an accepted step passes off its continuous extension, so
-    it costs 1 + 6 * (accepted + rejected) rhs evaluations.
+    it costs 1 + 6 * (accepted + rejected) rhs evaluations.  The non-zero
+    (weight, stage) pairs of each tableau row are worked out once per
+    call.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -513,6 +529,9 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     a, b, e, dense = _TABLEAUS[cfg.method]
     # a last stage taken at the new state is the next step's first stage
     fsal = a[-1] + (0.0,) == b
+    stage_terms = [_terms(row) for row in a[1:]]
+    b_terms = _terms(b)
+    e_terms = None if e is None else _terms(e)
     # the samples still to record, the next one last
     pending = samples[::-1]
     t = t0
@@ -560,9 +579,9 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         if k_first is None:
             k_first = f(y)
         k = [k_first]
-        for row in a[1:]:
-            k.append(f(_combine(y, h_try, row, k)))
-        y_new = _combine(y, h_try, b, k)
+        for terms in stage_terms:
+            k.append(f(_combine(y, h_try, terms, k)))
+        y_new = _combine(y, h_try, b_terms, k)
         finite = all(map(math.isfinite, y_new))
         if e is None and not finite:  # rk4 never retries a step
             raise IntegrationError("non-finite state", t, y, trajectory())
@@ -571,7 +590,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
             # adding to zero is exact, so this is h_try * sum(e_i * k_i)
             ratios = [
                 abs(d) / (cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v)))
-                for d, u, v in zip(_combine(zero, h_try, e, k), y, y_new)
+                for d, u, v in zip(_combine(zero, h_try, e_terms, k), y, y_new)
             ]
             # max() skips a NaN, and an infinite scale can hide an overflow
             finite = finite and all(map(math.isfinite, ratios))

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -570,6 +571,21 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
     assert out_file.exists()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".mapflow-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_out_file_gets_the_mode_open_would_give(tmp_path, capsys, umask, mode):
+    out_file = tmp_path / "o.json"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(
+            capsys, "verify", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1",
+            "--t1", "1.2", "--out", str(out_file),
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out_file.stat().st_mode) == mode
 
 
 def test_chain_map_rejected_by_phase_space_commands(capsys):

@@ -1,6 +1,8 @@
 """Core operator tests: gradients, Jacobians, determinants, brackets."""
 
 import math
+import operator
+import struct
 
 import numpy as np
 import pytest
@@ -194,11 +196,11 @@ any_float = st.one_of(
 
 
 @st.composite
-def jet_operands(draw, max_partials=3, max_inner=2, values=any_float):
+def jet_operands(draw, max_partials=3, max_inner=2, values=any_float, min_partials=1):
     """Two operands, at least one a jet; the jets are flat or, with inner
     jets in their value and some partial slots, nested one level.  Jets
-    carry 1..max_partials partials, and inner jets 1..max_inner."""
-    n = draw(st.integers(1, max_partials))
+    carry min_partials..max_partials partials, and inner jets 1..max_inner."""
+    n = draw(st.integers(min_partials, max_partials))
     m = draw(st.integers(1, max_inner))
     nested = draw(st.booleans())
 
@@ -258,6 +260,111 @@ def test_unrolled_and_general_jet_bodies_match_the_reference(operands, exponent)
             _same_bits(lambda: jet**exponent, lambda: _ref_pow(plain, exponent))
             if core.float_value(jet) > 0.0:
                 _same_bits(lambda: core.jet_log(jet), lambda: _ref_log(plain))
+
+
+def _generic(x):
+    """x with every jet layer rebuilt as a plain ``Jet``, whose operators
+    run the comprehension bodies at any number of partials."""
+    if isinstance(x, Jet):
+        return core._jet(_generic(x.value), tuple(_generic(p) for p in x.partials))
+    return x
+
+
+def _bits(x):
+    """Plain jet data with each float replaced by its IEEE 754 bit pattern,
+    so that -0.0 and 0.0 are told apart.  A NaN is only "nan": CPython
+    gives a NaN + NaN the sign of either operand, depending on whether the
+    interpreter has specialised that addition yet."""
+    if isinstance(x, tuple):
+        return tuple(_bits(c) for c in x)
+    return "nan" if math.isnan(x) else struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _outcome(compute):
+    try:
+        return _bits(_as_plain(compute()))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+any_float_with_specials = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+    st.floats(-100.0, 100.0),
+    st.floats(),
+)
+
+
+@seed(22)
+@settings(max_examples=500, deadline=None)
+@given(
+    jet_operands(
+        min_partials=2, max_partials=3, max_inner=4, values=any_float_with_specials
+    ),
+    st.integers(-3, 3),
+)
+def test_2_and_3_partial_jets_match_the_generic_bodies_bit_for_bit(operands, exponent):
+    # the 2- and 3-partial classes against the same jets run through the
+    # generic comprehensions at every level, scalars on either side
+    x, y = operands
+    gx, gy = _generic(x), _generic(y)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert _outcome(lambda: op(x, y)) == _outcome(lambda: op(gx, gy)), op
+    for jet, plain in ((x, gx), (y, gy)):
+        if isinstance(jet, Jet):
+            assert type(-jet) is type(jet)
+            assert _outcome(lambda: -jet) == _outcome(lambda: -plain)
+            got = _outcome(lambda: jet**exponent)
+            assert got == _outcome(lambda: plain**exponent)
+            if core.float_value(jet) > 0.0:
+                got = _outcome(lambda: core.jet_log(jet))
+                assert got == _outcome(lambda: core.jet_log(plain))
+
+
+@pytest.mark.parametrize(
+    "n, cls", [(1, Jet), (2, core._Jet2), (3, core._Jet3), (4, Jet), (5, Jet)]
+)
+def test_every_way_of_making_a_jet_gives_the_class_of_its_length(n, cls):
+    seeds = core.seed_jets(tuple(1.0 + 0.25 * i for i in range(n)))
+    x, y = seeds[0], seeds[-1]
+    nested = core.seed_jets(seeds)
+    made = [
+        *seeds,
+        *nested,
+        *(s.value for s in nested),
+        Jet(2.0, [0.5] * n),
+        core.jet_log(x),
+        core.jet_log(nested[0]),
+        x**0,
+        x**3,
+        x**-2,
+        -x,
+        x + y,
+        x - y,
+        x * y,
+        x / y,
+        2.0 + x,
+        2.0 - x,
+        2.0 * x,
+        2.0 / x,
+        x + 2.0,
+        x - 2.0,
+        x * 2.0,
+        x / 2.0,
+        nested[0] * nested[-1],
+    ]
+    assert [type(j) for j in made] == [cls] * len(made)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 2), (2, 3), (3, 2), (1, 4), (3, 4), (4, 5), (5, 4)]
+)
+def test_jets_with_different_partial_counts_refuse_every_binary_operator(n, m):
+    x = Jet(1.0, [float(i + 1) for i in range(n)])
+    y = Jet(2.0, [float(i + 1) for i in range(m)])
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="partials|zip"):
+                op(left, right)
 
 
 # ---------------------------------------------------------------------------

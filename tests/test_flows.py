@@ -1017,7 +1017,7 @@ def test_combine_matches_the_left_to_right_sum_bit_for_bit(method, n):
         y = tuple(float(rng.choice(pool)) for _ in range(n))
         h = float(rng.choice([1e-3, -0.02, 0.7]))
         for row in rows:
-            got = flows._combine(y, h, row, k)
+            got = flows._combine(y, h, flows._terms(row), k)
             # repr round-trips every float and tells -0.0 from 0.0
             assert repr(got) == repr(_combine_reference(y, h, row, k)), (trial, row)
 
