@@ -42,31 +42,28 @@ def _unwritable(path, exc):
     return ConfigError(f"cannot write output file {path}: {exc.strerror}")
 
 
-def write_stdout(text):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 @contextlib.contextmanager
 def output(path):
     """The function that writes a command's output text: to standard output
     when ``path`` is empty, else atomically to ``path``.
 
-    The temp file is made in the path's directory on entry, before the
-    command computes anything, so a path that cannot be written is a
-    ConfigError at once; writing renames it onto ``path``, and every exit
-    that has not written removes it.  It is created with mode 0o666 less
-    the umask, as ``open(path, "w")`` would create ``path``.
+    The temp file is made on entry, before the command computes anything,
+    so a path that cannot be written is a ConfigError at once; writing
+    renames it onto ``path``, and every exit that has not written removes
+    it.  As with ``open(path, "w")``, a symlink is written through (the
+    temp file sits next to the file the link resolves to), an existing
+    file keeps its permission bits and a new one gets 0o666 less the umask.
     """
     if not path:
-        yield write_stdout
+        yield sys.stdout.write
         return
     try:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        directory = os.path.dirname(os.path.abspath(path))
-        tmp = os.path.join(directory, f".mapflow-{os.urandom(8).hex()}.tmp")
+        target = os.path.realpath(path)
+        tmp = os.path.join(
+            os.path.dirname(target), f".mapflow-{os.urandom(8).hex()}.tmp"
+        )
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise _unwritable(path, exc) from None
@@ -75,8 +72,10 @@ def output(path):
     def write(text):
         try:
             with fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fd, os.stat(target).st_mode & 0o777)
                 fh.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:
             raise _unwritable(path, exc) from None
 

@@ -10,6 +10,7 @@ command-line front end.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -55,7 +56,8 @@ def hermite_chain(m):
 
     Starting from y1 = P_1/P_0 the chain walks the ratio of consecutive
     members of the recurrence family (``hermite_values``) up to
-    ym = P_m/P_{m-1} evaluated at x.  Its det J,
+    ym = P_m/P_{m-1} evaluated at x; ``hermite_suite`` walks the same
+    steps one at a time to check these ratios.  Its det J,
     (m-1)! / (y^(1) ... y^(m-1))^2 with y^(k+1) = x - k/y^(k), is the
     composite's chain-rule product of the step determinants.
     """
@@ -129,52 +131,7 @@ def hermite_values(n, x):
     return rows[: n + 1]
 
 
-def hermite_continued_fraction(m, x):
-    """Bottom-up value of (m-1)/x - (m-2)/x - ... - 1/x.
-
-    Equals (m-1) * P_{m-2}(x) / P_{m-1}(x) for the recurrence family.
-    """
-    if m < 2:
-        raise ValueError("continued fraction needs m >= 2")
-    t = 0.0
-    for k in range(1, m):
-        den = x - t
-        if abs(den) <= 1e-300:
-            raise SingularPointError("hermite continued fraction", f"x - t_{k}", (x,))
-        t = k / den
-    return t
-
-
 HERMITE_IDENTITIES = ("ode", "difference", "raise", "lower")
-
-
-@dataclass(frozen=True)
-class HermiteReport:
-    """Outcome of the exact-arithmetic recurrence identity suite: the
-    ``(identity, m)`` pairs that failed, one name of ``HERMITE_IDENTITIES``
-    each."""
-
-    m_max: int
-    failures: tuple
-
-    def _holds(self, *identities):
-        return all(name not in identities for name, _ in self.failures)
-
-    @property
-    def ode_ok(self):
-        return self._holds("ode")
-
-    @property
-    def difference_identity_ok(self):
-        return self._holds("difference")
-
-    @property
-    def ladder_ok(self):
-        return self._holds("raise", "lower")
-
-    @property
-    def passed(self):
-        return not self.failures
 
 
 def _hermite_residuals(m, x, rows):
@@ -195,6 +152,9 @@ def hermite_checks(m_max):
     (i)   P_m'' - x P_m' + m P_m = 0,
     (ii)  P_m P'_{m+1} - P_{m+1} P'_m - P_m^2 + m P_m P'_{m-1} - m P_{m-1} P'_m = 0,
     (iii) P_{m+1} = x P_m - P'_m  and  P_{m-1} = P'_m / m.
+
+    Returns the ``(identity, m)`` pairs that fail, one name of
+    ``HERMITE_IDENTITIES`` each; empty when every identity holds.
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
@@ -209,7 +169,7 @@ def hermite_checks(m_max):
         failures += [
             (name, m) for name, r in zip(HERMITE_IDENTITIES, residuals) if any(r)
         ]
-    return HermiteReport(m_max=m_max, failures=tuple(failures))
+    return tuple(failures)
 
 
 HERMITE_CF_POINTS = (-0.5, 0.5, -1.7, 1.7, 3.0)
@@ -219,30 +179,36 @@ HERMITE_CF_TOL = 1e-12
 def hermite_suite(m_max):
     """Exact recurrence identities plus the continued-fraction cross-check.
 
-    The identity suite runs in integer arithmetic; the continued fraction
-    is floating point and compared against the exact ratio
+    The identity suite runs in integer arithmetic.  The continued fraction
+    (m-1)/x - (m-2)/x - ... - 1/x is read off the chain's own steps: from
+    y_1 = x, ``hermite_step(k)`` gives y_{k+1} = x - k/y_k, and the fraction
+    is (m-1)/y_{m-1}.  It is compared against the exact ratio
     (m-1) P_{m-2}/P_{m-1}, evaluated in rationals at a few sample abscissae
     chosen away from the polynomial zeros.
     """
-    checks = hermite_checks(m_max)
+    failures = hermite_checks(m_max)
+    steps = [hermite_step(k) for k in range(1, m_max - 1)]
     worst_cf = 0.0
     for x in HERMITE_CF_POINTS:
         p = [row[0] for row in hermite_values(m_max - 1, Fraction(x))]
-        for m in range(2, m_max + 1):
+        walk = itertools.accumulate(
+            steps, lambda s, step: step.forward(s), initial=(x, x)
+        )
+        for m, (_, y) in enumerate(walk, start=2):
             ratio = float((m - 1) * p[m - 2] / p[m - 1])
-            cf = hermite_continued_fraction(m, x)
-            worst_cf = max(worst_cf, abs(cf - ratio) / (1.0 + abs(ratio)))
+            worst_cf = max(worst_cf, abs((m - 1) / y - ratio) / (1.0 + abs(ratio)))
     cf_ok = worst_cf <= HERMITE_CF_TOL
+    failed = {name for name, _ in failures}
     return {
         "type": "hermite-suite",
         "m_max": m_max,
-        "ode_ok": checks.ode_ok,
-        "difference_identity_ok": checks.difference_identity_ok,
-        "ladder_ok": checks.ladder_ok,
-        "failures": [list(f) for f in checks.failures],
+        "ode_ok": "ode" not in failed,
+        "difference_identity_ok": "difference" not in failed,
+        "ladder_ok": failed.isdisjoint(("raise", "lower")),
+        "failures": [list(f) for f in failures],
         "continued_fraction_max_rel_err": worst_cf,
         "continued_fraction_ok": cf_ok,
-        "passed": bool(checks.passed and cf_ok),
+        "passed": not failures and cf_ok,
     }
 
 

@@ -108,18 +108,12 @@ def integrate_gk(f, a, b, abs_tol=1e-10, max_panels=512, counts=None):
 
     ``f`` may return floats or jets; the error is measured over every
     component.  Raises :class:`QuadratureError` when a panel's estimate is
-    not finite (over a zero-width interval, when ``f(a)`` is not), or when
-    the panel budget is exhausted before the tolerance is met.  ``counts``,
-    a ``QuadratureCounts``, is charged with every panel and integrand
-    evaluation made.
+    not finite, or when the panel budget is exhausted before the tolerance
+    is met.  ``counts``, a ``QuadratureCounts``, is charged with every
+    panel and integrand evaluation made.
     """
     if counts is None:
         counts = QuadratureCounts()
-    if a == b:
-        counts.integrand_calls += 1
-        fa = f(a)
-        _norm(fa)
-        return 0.0 * fa
     value, err = _kronrod(f, a, b, counts)
     counter = itertools.count()
     heap = [(-err, next(counter), a, b, value)]

@@ -1,6 +1,7 @@
 """Command-line interface tests: formats, exit codes, determinism."""
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -409,6 +410,12 @@ def test_hermite_check_command(capsys):
     assert payload["m_max"] == 12
 
 
+def test_hermite_check_needs_two_members(capsys):
+    code, out, err = run_cli(capsys, "hermite-check", "--m-max", "1")
+    assert (code, out) == (2, "")
+    assert err == "mapflow: m_max must be at least 2\n"
+
+
 def test_chain_command(capsys):
     code, out, _ = run_cli(capsys, "chain", "--m", "3", "--a", "0.5")
     assert code == 0
@@ -586,6 +593,62 @@ def test_out_file_gets_the_mode_open_would_give(tmp_path, capsys, umask, mode):
         os.umask(old)
     assert code == 0
     assert stat.S_IMODE(out_file.stat().st_mode) == mode
+
+
+KDV3_SHORT = ["verify", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1", "--t1", "1.2"]
+
+
+def test_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    out_file = tmp_path / "e.json"
+    out_file.write_text("old\n")
+    out_file.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(capsys, *KDV3_SHORT, "--out", str(out_file))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out_file.stat().st_mode) == 0o600
+    assert json.loads(out_file.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["symlink", "dangling-symlink"])
+def test_out_writes_through_a_symlink(tmp_path, capsys, exists):
+    (tmp_path / "links").mkdir()
+    link, out_file = tmp_path / "links" / "o.json", tmp_path / "e.json"
+    if exists:
+        out_file.write_text("old\n")
+    link.symlink_to(out_file)
+    assert run_cli(capsys, *KDV3_SHORT, "--out", str(link))[0] == 0
+    assert link.is_symlink() and link.readlink() == out_file
+    assert json.loads(out_file.read_text())["passed"] is True
+    assert sorted(os.listdir(tmp_path)) == ["e.json", "links"]
+
+
+def _fail(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _unwritable_file(fd, mode, fdopen=os.fdopen):
+    fh = fdopen(fd, mode)
+    fh.write = _fail
+    return fh
+
+
+@pytest.mark.parametrize(
+    "name, replacement",
+    [("fdopen", _unwritable_file), ("replace", _fail)],
+    ids=["write", "rename"],
+)
+def test_a_failed_final_write_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, name, replacement
+):
+    monkeypatch.setattr(os, name, replacement)
+    target = tmp_path / "o.json"
+    code, out, err = run_cli(capsys, "list", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"mapflow: cannot write output file {target}: No space left on device\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_chain_map_rejected_by_phase_space_commands(capsys):

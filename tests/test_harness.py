@@ -616,6 +616,33 @@ def test_level_set_solve_that_does_not_converge_is_named(monkeypatch):
     assert err.point[1] == times[1]
 
 
+def test_a_non_finite_newton_step_is_a_level_set_error(monkeypatch):
+    # H = 1e307 x / y^2 along the two-step chain overflows at y = 0.1
+    flow = flows.flow_system(
+        maps.hermite_chain(2), (lambda s: 1e307 * s[0] * (s[0] - s[1]) ** 2,)
+    )
+    assert not flow.det_condition.passed  # so the source path is a level set
+    at_last_time = []
+    jet_values_rows = core.jet_values_rows
+
+    def recorded(func, coords):
+        at_last_time.append(coords[1] == 0.1)
+        return jet_values_rows(func, coords)
+
+    monkeypatch.setattr(core, "jet_values_rows", recorded)
+    with pytest.raises(LevelSetError) as exc_info:
+        harness.flow_from_source(flow, (1.0,), 0.5, 0.1, COARSE, 3)
+    assert exc_info.value.time == 0.1
+    assert at_last_time.count(True) == 1  # the first non-finite step stops it
+
+
+def test_verify_needs_two_samples():
+    with pytest.raises(ValueError, match="two sample times"):
+        harness.verify_correspondence(
+            "kdv3", x0=(1.1, 0.9), t_range=(1.0, 2.0), num_samples=1
+        )
+
+
 def test_level_set_with_no_x_dependence_is_a_vanishing_det_j():
     # X - Y = 1/y along the two-step chain, so G does not move with x
     good = maps.build_flow("hermite", {"m": 2})

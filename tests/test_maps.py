@@ -1,5 +1,6 @@
 """Catalog map tests: closed forms, invariants, explicit velocity fields."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -88,27 +89,29 @@ def test_hermite_source_constraint_values():
 
 
 def test_hermite_continued_fraction_values():
-    assert maps.hermite_continued_fraction(3, 2.0) == pytest.approx(4.0 / 3.0)
-    assert maps.hermite_continued_fraction(2, 5.0) == pytest.approx(0.2)
+    # (m-1)/x - ... - 1/x is (m-1)/y_{m-1}, read off the chain's steps
+    # y_{k+1} = x - k/y_k from y_1 = x
+    assert 2 / maps.hermite_chain(2).forward((2.0, 2.0))[1] == pytest.approx(4 / 3)
+    # y_2 = 3 - 1/3 = 8/3, y_3 = 3 - 2/(8/3) = 9/4, so 3/y_3 = 4/3
+    assert 3 / maps.hermite_chain(3).forward((3.0, 3.0))[1] == pytest.approx(4 / 3)
 
 
 def test_hermite_continued_fraction_matches_polynomial_ratio():
-    for m in range(2, 11):
+    for m in range(3, 11):
+        chain = maps.hermite_chain(m - 1)
         for x in (-0.5, 0.5, -1.7, 1.7, 3.0):
             ratio = (m - 1) * he(m - 2, x) / he(m - 1, x)
-            got = maps.hermite_continued_fraction(m, x)
+            got = (m - 1) / chain.forward((x, x))[1]
             assert abs(got - ratio) <= 1e-12 * (1 + abs(ratio))
 
 
 def test_hermite_checks_exact_to_twelve():
-    report = maps.hermite_checks(12)
-    assert report.passed
-    assert report.failures == ()
+    assert maps.hermite_checks(12) == ()
 
 
 def test_hermite_ode_residual_small_m():
     # P_1: 0 - x * 1 + 1 * x = 0, degenerate but included
-    assert maps.hermite_checks(2).ode_ok
+    assert all(name != "ode" for name, _ in maps.hermite_checks(2))
 
 
 def test_hermite_suite_report():
@@ -137,13 +140,15 @@ def test_hermite_checks_report_a_wrong_identity(monkeypatch):
         return ode + rows[m][0], difference, up, low + (m == 3) * rows[m - 1][0]
 
     monkeypatch.setattr(maps, "_hermite_residuals", wrong)
-    report = maps.hermite_checks(5)
-    assert not report.passed
-    assert report.failures == (
+    failures = (
         ("ode", 1), ("ode", 2), ("ode", 3), ("lower", 3), ("ode", 4), ("ode", 5)
     )
-    assert not report.ode_ok and not report.ladder_ok
-    assert report.difference_identity_ok
+    assert maps.hermite_checks(5) == failures
+    suite = maps.hermite_suite(5)
+    assert not suite["passed"]
+    assert suite["failures"] == [list(f) for f in failures]
+    assert not suite["ode_ok"] and not suite["ladder_ok"]
+    assert suite["difference_identity_ok"]
 
 
 @pytest.mark.parametrize("m_max", [31, 40])
@@ -153,6 +158,38 @@ def test_hermite_suite_passes_where_float_polynomial_values_lost_digits(m_max):
     suite = maps.hermite_suite(m_max)
     assert suite["passed"]
     assert suite["continued_fraction_max_rel_err"] <= maps.HERMITE_CF_TOL
+
+
+def test_hermite_suite_checks_the_catalog_step(monkeypatch):
+    # a step whose forward is off by 1e-9 relative must fail the fraction
+    step = maps.hermite_step
+
+    def off(k):
+        desc = step(k)
+        fwd = desc.forward_fn
+        return dataclasses.replace(
+            desc, forward_fn=lambda s: (s[0], fwd(s)[1] * (1 + 1e-9))
+        )
+
+    monkeypatch.setattr(maps, "hermite_step", off)
+    suite = maps.hermite_suite(12)
+    assert not suite["continued_fraction_ok"]
+    assert not suite["passed"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: maps.hermite_step(0),
+        lambda: maps.hermite_chain(1),
+        lambda: maps.hermite_source_constraint(4, 1.0, 1.0),
+        lambda: maps.henon_flow(1.0, 0.0, steps=4),
+    ],
+    ids=["hermite-step-0", "hermite-chain-1", "hermite-constraint-4", "henon-steps-4"],
+)
+def test_indices_out_of_range_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------
