@@ -115,8 +115,13 @@ class Jet:
         return _jet(other / v, tuple([c * p / sq for p in self.partials]))
 
     def __pow__(self, exponent):
+        """Repeated multiplication, left to right; a negative exponent
+        raises 1 / self.  A square is the one product ``self * self`` that
+        the loop would make, without the loop."""
         if not isinstance(exponent, int):
             raise TypeError("jet powers support integer exponents only")
+        if exponent == 2:
+            return self * self
         if exponent < 0:
             return (1.0 / self) ** (-exponent)
         if exponent == 0:

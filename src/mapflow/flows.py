@@ -12,7 +12,11 @@ classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 A velocity is the signed minors of the Hamiltonians' gradient rows, read
 straight off the partials of the Hamiltonians at one seeded point; for
 n = 2 and n = 3 the minors are written out, bit for bit the signed
-``core.det`` values that larger n computes.  A Runge-Kutta stage state
+``core.det`` values that larger n computes.  Each flow builds that
+computation once, as its ``velocity``, with the seeds, the way to its
+Hamiltonians and the choice of minors bound; ``nambu_rhs`` checks a point
+and calls it, and ``source_rhs`` builds the same kernel over the
+Hamiltonians composed with the forward map.  A Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
 stage order; ``integrate`` picks out each tableau row's non-zero
 (weight, stage) pairs once per call, not once per stage.
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from . import core
@@ -43,6 +47,7 @@ from .errors import (
     DetConditionError,
     IntegrationError,
     MaxStepsError,
+    NonFiniteStateError,
     SingularPointError,
     StepUnderflowError,
 )
@@ -71,7 +76,8 @@ class FlowSystem:
     inverse map) runs once; it must agree with ``hamiltonians``, which are
     called in turn when it is None.  ``quadrature`` holds the running
     quadrature totals of Hamiltonians built by quadrature, None for closed
-    forms.
+    forms.  ``velocity`` and ``det_condition`` are computed on first use
+    and kept with the flow.
     """
 
     map: core.MapDescriptor
@@ -111,6 +117,25 @@ class FlowSystem:
 
     def hamiltonian_values(self, point):
         return tuple(map(float_value, self.hamiltonians_at(as_state(point))))
+
+    @cached_property
+    def velocity(self):
+        """The bracket velocity at a state, a tuple of n finite floats (the
+        caller checks it; see ``nambu_rhs``), built once per flow.  At the
+        seeded state it calls the one Hamiltonian when n = 2, else
+        ``hamiltonian_vector``, or the Hamiltonians in turn when that is
+        None; it goes through ``hamiltonians_at`` only after a division by
+        zero, so the SingularPointError names the H_j at fault.
+        """
+        hams, values = self.hamiltonians, self.hamiltonian_vector
+        if len(hams) == 1:
+            (values,) = hams
+        elif values is None:
+
+            def values(image):
+                return [h(image) for h in hams]
+
+        return _velocity_kernel(self.map.dimension, values, self.hamiltonians_at)
 
     @cached_property
     def det_condition(self):
@@ -298,33 +323,89 @@ def build_hamiltonians(
 # right-hand sides
 
 
-def _bracket_velocity(hamiltonians_of, x):
-    """det of (rows + [e_j]) for each j, via signed minors of the last row,
-    where the rows are the float gradients of ``hamiltonians_of`` at x,
-    read off the Hamiltonians at the seeded point (zero for a constant)."""
-    n = len(x)
+def _velocity_kernel(n, values, named):
+    """The bracket velocity of n-1 Hamiltonians at a state, a tuple of n
+    floats: component j is det of (rows + [e_j]), the signed minor of the
+    Hamiltonians' gradient rows with column j struck out.
+
+    ``values`` maps the seeded state to the Hamiltonians: to the one
+    Hamiltonian itself when n = 2, else to a sequence of the n-1.  After a
+    ZeroDivisionError the seeded state goes to ``named`` instead, which
+    returns the sequence or raises the error naming the Hamiltonian at
+    fault.  The rows are the Hamiltonians' partials, floats under float
+    seeds (zero for a constant).  The jet class, the unit seeds and the
+    choice of minors are bound here, once: written out for n = 2 and
+    n = 3, bit for bit the signed ``core.det`` values that larger n
+    computes.  The state's length is the caller's to check.
+    """
+    make = core._MAKERS.get(n, core._jet)
+    seeds = core._unit_seeds(n)
     zero = (0.0,) * n
-    rows = [
-        tuple(map(float, h.partials)) if isinstance(h, Jet) else zero
-        for h in hamiltonians_of(core.seed_jets(x))
-    ]
+
     if n == 2:  # the minors are the 1x1 entries, signed - and +
-        ((g0, g1),) = rows
-        return (-g1, g0)
-    if n == 3:  # core.det's 2x2 closed form, signed +, - and +
-        (g0, g1, g2), (h0, h1, h2) = rows
-        return (g1 * h2 - g2 * h1, -(g0 * h2 - g2 * h0), g0 * h1 - g1 * h0)
-    return tuple(
-        (1.0 if (n + j + 1) % 2 == 0 else -1.0)
-        * float(core.det([row[:j] + row[j + 1 :] for row in rows]))
-        for j in range(n)
-    )
+
+        def velocity(x):
+            seeded = tuple(map(make, x, seeds))
+            try:
+                h = values(seeded)
+            except ZeroDivisionError:
+                (h,) = named(seeded)
+            g0, g1 = h.partials if isinstance(h, Jet) else zero
+            return (-g1, g0)
+
+    elif n == 3:  # core.det's 2x2 closed form, signed +, - and +
+
+        def velocity(x):
+            seeded = tuple(map(make, x, seeds))
+            try:
+                a, b = values(seeded)
+            except ZeroDivisionError:
+                a, b = named(seeded)
+            g0, g1, g2 = a.partials if isinstance(a, Jet) else zero
+            h0, h1, h2 = b.partials if isinstance(b, Jet) else zero
+            return (g1 * h2 - g2 * h1, -(g0 * h2 - g2 * h0), g0 * h1 - g1 * h0)
+
+    else:
+
+        def velocity(x):
+            seeded = tuple(map(make, x, seeds))
+            try:
+                hams = values(seeded)
+            except ZeroDivisionError:
+                hams = named(seeded)
+            rows = [h.partials if isinstance(h, Jet) else zero for h in hams]
+            return tuple(
+                (1.0 if (n + j + 1) % 2 == 0 else -1.0)
+                * float(core.det([row[:j] + row[j + 1 :] for row in rows]))
+                for j in range(n)
+            )
+
+    return velocity
+
+
+def _flow_state(flow, point):
+    """``point`` as a state of the flow's map: exactly as many floats as the
+    map has coordinates, all finite."""
+    x = tuple(map(float, point))
+    if len(x) != flow.map.dimension:
+        raise ValueError(
+            f"a point of {flow.map.name} takes {flow.map.dimension} coordinates, "
+            f"got {len(x)}"
+        )
+    if not all(map(math.isfinite, x)):
+        raise NonFiniteStateError(f"non-finite coordinate in state {x}")
+    return x
 
 
 def nambu_rhs(flow, point):
     """Velocity of the image point: component j is the bracket of the
-    Hamiltonians with the j-th coordinate function."""
-    return _bracket_velocity(flow.hamiltonians_at, as_state(point))
+    Hamiltonians with the j-th coordinate function.
+
+    The point is checked once, as floats, exactly one per coordinate of the
+    flow's map (else a ValueError naming the map and both counts) and all
+    finite (else a NonFiniteStateError), and handed to the flow's
+    ``velocity``."""
+    return flow.velocity(_flow_state(flow, point))
 
 
 def source_rhs(flow, point):
@@ -333,9 +414,10 @@ def source_rhs(flow, point):
     Component j equals the bracket of the Hamiltonians (composed with the
     forward map) with the j-th source coordinate, divided by det J.  The
     non-time, non-quadrature components vanish identically and the time
-    component equals one.
+    component equals one.  The bracket is the flow's velocity kernel built
+    over the composed Hamiltonians.
     """
-    x = as_state(point)
+    x = _flow_state(flow, point)
     detj = float_value(flow.det_j_field(x))
     if abs(detj) <= core.GUARD_CUTOFF:
         raise SingularPointError(flow.map.name, "det J", x)
@@ -343,7 +425,8 @@ def source_rhs(flow, point):
     def composed(src):
         return flow.hamiltonians_at(flow.map.forward(src))
 
-    comps = _bracket_velocity(composed, x)
+    values = (lambda src: composed(src)[0]) if len(x) == 2 else composed
+    comps = _velocity_kernel(len(x), values, composed)(x)
     return tuple(c / detj for c in comps)
 
 
@@ -469,6 +552,11 @@ def _samples(t0, t1, t_eval, direction):
     return times
 
 
+def _min_step(t):
+    """The smallest step size taken at time t; a smaller one is an underflow."""
+    return 1e-15 * max(1.0, abs(t))
+
+
 def _terms(weights):
     """The (weight, stage index) pairs of the non-zero weights, in stage
     order."""
@@ -565,14 +653,20 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         record(t, y)
     elif pending[-1] == t:
         record(pending.pop(), y)
-    h = direction * (cfg.step if e is None else abs(t1 - t0) / 100.0)
+    if e is None:
+        h = cfg.step
+    else:  # a hundredth of the span, or all of it when that is under the floor
+        h = abs(t1 - t0) / 100.0
+        if h < _min_step(t0):
+            h = max(abs(t1 - t0), _min_step(t0))
+    h *= direction
     k_first = None
     while t != t1:
         # rk4 steps onto each sample in turn, then t1; dopri5 only onto t1
         end = pending[-1] if dense is None and pending else t1
         if accepted + rejected >= cfg.max_steps:
             raise MaxStepsError("step budget exhausted", t, y, trajectory())
-        if abs(h) < 1e-15 * max(1.0, abs(t)):
+        if abs(h) < _min_step(t):
             raise StepUnderflowError("step size underflow", t, y, trajectory())
         h_try = end - t if (t + h - end) * direction > 0 else h
 
@@ -624,11 +718,10 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
 
 
 def integrate_flow(flow, x0, t0, t1, cfg=None, t_eval=None):
-    """Integrate the image-space flow, recording Hamiltonian values."""
-
-    def rhs(state):
-        return nambu_rhs(flow, state)
-
+    """Integrate the image-space flow, recording Hamiltonian values.  Each
+    evaluation goes through the module's ``nambu_rhs``, looked up once per
+    call, so a rebinding of it (a counter, a trace span) sees every one."""
+    rhs = partial(nambu_rhs, flow)
     return integrate(
         rhs, x0, t0, t1, cfg=cfg, t_eval=t_eval, observe=flow.hamiltonian_values
     )

@@ -106,10 +106,16 @@ def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
     image of the path's first point, sampled at those times.  The path,
     found and checked for poles first, follows the level set exactly where
     the map, not the Hamiltonians, fails the determinant condition on the
-    seeded points of ``build_hamiltonians`` (``flow.det_condition``).
+    seeded points of ``build_hamiltonians`` (``flow.det_condition``).  A
+    span too short for num_samples distinct floats is a ValueError.
     """
     t0, t1 = float(t0), float(t1)
     times = _sample_times(t0, t1, num_samples)
+    if t0 != t1 and len(set(times)) < num_samples:
+        raise ValueError(
+            f"the span {t1 - t0!r} from t0={t0!r} is too short for "
+            f"{num_samples} distinct sample times"
+        )
     x_start = source_start(flow, x0, t0)
     path, oracle = _source_path(flow, x_start, times)
     traj = flows.integrate_flow(

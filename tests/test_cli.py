@@ -226,6 +226,77 @@ def test_flow_refuses_a_pole_on_the_source_path_before_integrating(
     assert calls == []
 
 
+def test_a_counter_on_nambu_rhs_sees_every_rhs_evaluation(capsys, monkeypatch):
+    # the positive control for the test above: integrating goes through the
+    # module's nambu_rhs once per evaluation the report counts
+    calls = []
+    nambu_rhs = flows.nambu_rhs
+
+    def counted(flow, x):
+        calls.append(x)
+        return nambu_rhs(flow, x)
+
+    monkeypatch.setattr(flows, "nambu_rhs", counted)
+    code, out, _ = run_cli(
+        capsys, "verify", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1", "--t1", "2"
+    )
+    assert code == 0
+    assert len(calls) == json.loads(out)["integrator"]["rhs_evals"] > 0
+
+
+@pytest.mark.parametrize("method", ["dopri5", "rk4"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--map", "henon", "--x0", "1.0", "--t0", "0", "--t1", "1e-14"],
+        ["--map", "henon", "--x0", "1.0", "--t0", "0", "--t1", "1e-100"],
+        ["--map", "henon", "--x0", "1.0", "--t0", "1", "--t1", "1.00000000000001"],
+        ["--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1", "--t1", "1.00000000000001"],
+    ],
+)
+def test_a_span_below_a_hundred_underflow_floors_is_stepped(capsys, argv, method):
+    # dopri5's first step, a hundredth of the span, starts at the floor
+    code, out, err = run_cli(capsys, "verify", *argv, "--method", method)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["passed"]
+    assert payload["sample_times"][-1] == float(argv[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--map", "henon", "--x0", "1", "--t0", "1e6", "--t1",
+             "1000000.000000001"],
+            "the span 1.0477378964424133e-09 from t0=1000000.0 is too short for "
+            "21 distinct sample times",
+        ),
+        (
+            ["flow", "--map", "henon", "--x0", "1", "--t0", "1e6", "--t1",
+             "1000000.000000001", "--samples", "12"],
+            "the span 1.0477378964424133e-09 from t0=1000000.0 is too short for "
+            "12 distinct sample times",
+        ),
+        (
+            ["scan", "--map", "kdv3", "--grid", "1:1.1:2,1:1.1:1", "--t0", "1",
+             "--t1", "1.0000000000000002"],
+            "the span 2.220446049250313e-16 from t0=1.0 is too short for "
+            "21 distinct sample times",
+        ),
+    ],
+)
+def test_a_span_too_short_for_its_samples_is_a_usage_error(
+    capsys, monkeypatch, argv, message
+):
+    def refuse(*args):
+        raise AssertionError("no source path may be found")
+
+    monkeypatch.setattr(harness, "_source_path", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"mapflow: {message}\n")
+
+
 def test_scan_configuration_error_is_a_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "scan", "--map", "qp4", "--param", "a=2",

@@ -320,6 +320,18 @@ def test_2_and_3_partial_jets_match_the_generic_bodies_bit_for_bit(operands, exp
                 assert got == _outcome(lambda: core.jet_log(plain))
 
 
+@seed(24)
+@settings(max_examples=300, deadline=None)
+@given(jet_operands(max_partials=5, max_inner=5, values=any_float_with_specials))
+def test_a_jet_squared_is_the_jet_times_itself_bit_for_bit(operands):
+    # 1 to 5 partials, flat and nested: the 2- and 3-partial classes and
+    # the general Jet, with infinite, NaN and signed-zero entries
+    for jet in operands:
+        if isinstance(jet, Jet):
+            assert _outcome(lambda: jet**2) == _outcome(lambda: jet * jet)
+            assert type(jet**2) is type(jet * jet)
+
+
 @pytest.mark.parametrize(
     "n, cls", [(1, Jet), (2, core._Jet2), (3, core._Jet3), (4, Jet), (5, Jet)]
 )

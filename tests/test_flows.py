@@ -649,7 +649,8 @@ def test_3d_bracket_minors_equal_the_signed_dets_bit_for_bit():
         )
     for entries in cases:
         rows = [entries[:3], entries[3:]]
-        got = flows._bracket_velocity(_gradient_rows_field(rows), (0.5, 1.0, 1.5))
+        field = _gradient_rows_field(rows)
+        got = flows._velocity_kernel(3, field, field)((0.5, 1.0, 1.5))
         # repr tells -0.0 from 0.0
         assert repr(got) == repr(_signed_det_minors(rows)), rows
 
@@ -660,9 +661,126 @@ def test_4d_bracket_takes_its_minors_from_core_det(monkeypatch):
     minors = []
     det = core.det
     monkeypatch.setattr(core, "det", lambda m: minors.append(m) or det(m))
-    got = flows._bracket_velocity(_gradient_rows_field(rows), (1.0, 2.0, 3.0, 4.0))
+    field = _gradient_rows_field(rows)
+    got = flows._velocity_kernel(4, field, field)((1.0, 2.0, 3.0, 4.0))
     assert [len(m) for m in minors] == [3, 3, 3, 3]
     assert repr(got) == repr(want)
+
+
+def _shear4():
+    """A 4-D shear with det J = 1 and a closed-form inverse."""
+
+    def fwd(s):
+        x1, x2, x3, x4 = s
+        return (x1, x2 + x1 * x1, x3 + x2 * x1, x4 + x3 / x1)
+
+    def inv(s):
+        y1, y2, y3, y4 = s
+        x2 = y2 - y1 * y1
+        x3 = y3 - x2 * y1
+        return (y1, x2, x3, y4 - x3 / y1)
+
+    return core.MapDescriptor(
+        name="shear4",
+        dimension=4,
+        params={},
+        forward_fn=fwd,
+        inverse_fn=inv,
+        forward_guards=(("x1", lambda s: s[0]),),
+        inverse_guards=(("y1", lambda s: s[0]),),
+        det_j=lambda s: 1.0,
+        sample_box=((0.5, 1.5),) * 4,
+    )
+
+
+def _shear4_flow():
+    shear = _shear4()
+    return flows.flow_system(
+        shear, [lambda s, j=j: shear.inverse(s)[j] for j in range(3)]
+    )
+
+
+KERNEL_FLOWS = {
+    **{name: entry[:2] for name, entry in CATALOG_FLOWS.items()},
+    "hermite2": ("hermite", {"m": 2}),
+    "qp4-display": ("qp4", {"a": 2.0, "normalization": "paper-display"}),
+}
+
+
+@pytest.mark.parametrize(
+    "make_flow",
+    [lambda entry=entry: maps.build_flow(*entry) for entry in KERNEL_FLOWS.values()]
+    + [
+        lambda: maps.henon_flow(1.3, 0.2, steps=2),
+        lambda: maps.henon_flow(1.3, 0.2, steps=3),
+        lambda: flows.build_hamiltonians(maps.henon(1.3, 0.2)),
+        lambda: flows.build_hamiltonians(maps.kdv3()),
+        _shear4_flow,
+    ],
+    ids=list(KERNEL_FLOWS)
+    + ["henon^2", "henon^3", "built-henon", "built-kdv3", "shear4"],
+)
+def test_velocity_is_the_signed_det_minors_of_the_gradient_rows(make_flow):
+    flow = make_flow()
+    assert flow.velocity is flow.velocity
+    points = [flow.map.forward(p) for p in core.sample_points(flow.map, 5, seed=3)]
+    for X in points:
+        rows = core.jet_rows(flow.hamiltonians_at, X)
+        want = _signed_det_minors([[float(p) for p in row] for row in rows])
+        # repr round-trips floats and tells -0.0 from 0.0
+        assert repr(flow.velocity(X)) == repr(want), X
+        assert repr(flows.nambu_rhs(flow, X)) == repr(want), X
+
+
+@pytest.mark.parametrize("with_vector", [False, True])
+def test_velocity_names_the_hamiltonian_that_divides_by_zero(with_vector):
+    hams = (lambda s: s[0], lambda s: 1.0 / (s[2] - 1.0))
+    fl = flows.FlowSystem(
+        map=maps.kdv3(),
+        time_index=3,
+        hamiltonians=hams,
+        det_j_field=core.map_det_field(maps.kdv3()),
+        hamiltonian_vector=(lambda s: [h(s) for h in hams]) if with_vector else None,
+    )
+    # dH2/dz = -1/4 at z = 3
+    assert fl.velocity((1.0, 2.0, 3.0)) == (0.0, 0.25, 0.0)
+    with pytest.raises(SingularPointError) as exc_info:
+        flows.nambu_rhs(fl, (1.0, 2.0, 1.0))
+    err = exc_info.value
+    assert (err.where, err.label, err.point) == (
+        "kdv3",
+        "a denominator of H2",
+        (1.0, 2.0, 1.0),
+    )
+    assert isinstance(err.__cause__, ZeroDivisionError)
+
+
+def test_planar_velocity_names_its_one_hamiltonian_that_divides_by_zero():
+    # the m=3 chain Hamiltonian divides by Y - X
+    with pytest.raises(SingularPointError) as exc_info:
+        flows.nambu_rhs(maps.hermite_flow(3), (1.0, 1.0))
+    err = exc_info.value
+    assert (err.label, err.point) == ("a denominator of H1", (1.0, 1.0))
+    assert isinstance(err.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("rhs", [flows.nambu_rhs, flows.source_rhs])
+@pytest.mark.parametrize(
+    "flow, point",
+    [
+        (maps.henon_flow(1.0, 0.5), (1.0,)),
+        (maps.henon_flow(1.0, 0.5), (1.0, 2.0, 3.0)),
+        (maps.kdv2_flow(2.0), (1.1, 0.9, 1.3)),
+        (maps.kdv3_flow(), (1.1, 0.9)),
+        (maps.kdv3_flow(), (1.1, 0.9, 1.3, 1.0)),
+        (maps.build_flow("qp4"), (1.1, 0.9)),
+    ],
+)
+def test_a_point_of_the_wrong_length_is_refused(rhs, flow, point):
+    n = flow.map.dimension
+    message = rf"^a point of {flow.map.name} takes {n} coordinates, got {len(point)}$"
+    with pytest.raises(ValueError, match=message):
+        rhs(flow, point)
 
 
 def test_source_rhs_kdv3_moves_only_time():
@@ -914,6 +1032,14 @@ def test_integrate_step_underflow_near_blowup():
         flows.integrate(lambda s: (1.0 / (1.0 - s[0]),), (0.0,), 0.0, 2.0)
     assert exc_info.value.last_time == pytest.approx(0.5, abs=1e-6)
     assert exc_info.value.last_state[0] < 1.0
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 1e-14), (0.0, -1e-100), (1.0, 1.0 + 1e-14)])
+def test_dopri5_steps_a_span_shorter_than_a_hundred_underflow_floors(t0, t1):
+    traj = flows.integrate(lambda s: (2.0,), (1.0,), t0, t1)
+    assert traj.times == (t0, t1)
+    assert traj.final_state == (1.0 + 2.0 * (t1 - t0),)
+    assert (traj.stats.accepted, traj.stats.rejected) == (1, 0)
 
 
 def test_integrate_requires_distinct_endpoints():
