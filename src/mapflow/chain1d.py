@@ -17,6 +17,7 @@ from typing import Callable
 
 from .core import float_value, grad, jet_rows
 from .errors import SingularPointError
+from .maps import henon_hamiltonian
 
 HAMILTON_REL_TOL = 1e-6
 
@@ -105,21 +106,6 @@ def chain_resolve_up(spec, q0, q1, a):
     return ChainState(q=tuple(q), a=a)
 
 
-def hamiltonian_gradient(spec, q, p, a):
-    """(dq_0/dq, dq_0/dp) of the chain propagated from the canonical pair."""
-    return grad(lambda s: chain_propagate(spec, s[0], s[1], a).q[0], (q, p + a))
-
-
-def chain_residual(spec, state):
-    """Largest violation of the defining relations by a state."""
-    worst = 0.0
-    for k in range(state.m - 1):
-        lhs = state.q[k]
-        rhs = spec.alpha(state.q[k + 1]) - spec.beta(state.q[k + 2])
-        worst = max(worst, abs(float_value(lhs) - float_value(rhs)))
-    return worst
-
-
 @dataclass(frozen=True)
 class ChainCoefficients:
     """Link derivatives along a state, with the boundary zeros applied.
@@ -198,31 +184,6 @@ def _require_unit_volume(spec, coeffs):
         )
 
 
-def chain_hamiltonian(spec, state):
-    """Conserved quantity of the (q, p) motion: the bottom value q_0.
-
-    Only valid when the product of the c coefficients is one (beta is the
-    identity along the state), which covers the quadratic-action chain.
-    """
-    _require_unit_volume(spec, chain_coefficients(spec, state))
-    return state.q[0]
-
-
-def henon_chain_closed_hamiltonian(m, q, p, a, c=0.0):
-    """Closed form of q_0 in the canonical variables for m in {2, 3}.
-
-    Derived by unwinding the recursion with alpha(u) = u^2 + 2u + c:
-    m = 2:  (p+a+1)^2 - 1 + c - q
-    m = 3:  ((p+a+1)^2 + c - q)^2 - 1 + c - (p+a)
-    """
-    w = p + a + 1
-    if m == 2:
-        return w**2 - 1 + c - q
-    if m == 3:
-        return (w**2 + c - q) ** 2 - 1 + c - (p + a)
-    raise ValueError(f"no closed-form chain Hamiltonian for m={m}")
-
-
 def chain_to_henon_point(q, p, a):
     """Image-space point of the equivalent planar quadratic map.
 
@@ -232,6 +193,15 @@ def chain_to_henon_point(q, p, a):
     Exact over Fraction inputs.
     """
     return (p + a + 1, q + 1)
+
+
+def henon_chain_closed_hamiltonian(m, q, p, a, c=0.0):
+    """Closed form of the bottom value q_0 in the canonical variables, for
+    m in {2, 3}: the b = 1 planar map's conserved quantity with constant
+    term c + 1 at ``chain_to_henon_point``, minus one."""
+    if m not in (2, 3):
+        raise ValueError(f"no closed-form chain Hamiltonian for m={m}")
+    return henon_hamiltonian(m, 1, c + 1)(chain_to_henon_point(q, p, a)) - 1
 
 
 @dataclass(frozen=True)
@@ -279,7 +249,11 @@ def verify_chain_hamilton(spec, state):
 
     (dq_dq1,), (dp_dq1,) = jet_rows(top_pair, (q1,))
 
-    dh_dq, dh_dp = hamiltonian_gradient(spec, q, p, a)
+    # the Hamiltonian is the bottom value q_0 of the chain propagated from
+    # the top pair (q, p + a)
+    dh_dq, dh_dp = grad(
+        lambda s: chain_propagate(spec, s[0], s[1], a).q[0], (q, p + a)
+    )
 
     bar_a = tridiag_det(coeffs.abar[1:m], coeffs.c[2:m])  # indices 1..m-1 and 2..m-1
 

@@ -26,7 +26,7 @@ import sys
 
 from . import core, harness, maps
 from .errors import ConfigError, MapflowError, UnknownMapError
-from .flows import IntegratorConfig
+from .flows import _TABLEAUS, IntegratorConfig
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -311,7 +311,7 @@ def add_common(parser, with_map=True, with_integrator=True):
             help="map parameter override (repeatable)",
         )
     if with_integrator:
-        parser.add_argument("--method", choices=["dopri5", "rk4"])
+        parser.add_argument("--method", choices=sorted(_TABLEAUS))
         parser.add_argument("--rel-tol", type=float)
         parser.add_argument("--abs-tol", type=float)
         parser.add_argument("--step", type=float)

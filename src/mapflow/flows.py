@@ -594,13 +594,15 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     when listed); otherwise t0 and every accepted step are recorded.
     ``observe`` maps a sample's state to the values stored alongside it.
 
-    Both methods share one explicit Runge-Kutta loop, and a step that
-    would pass t1 is shortened to end on it.  rk4 takes ``cfg.step`` and
-    shortens a step onto each sample time as well.  dopri5 adapts the step
-    to the embedded error estimate, reuses the last stage of an accepted
-    step as the first stage of the next (first same as last), and reads
-    the samples an accepted step passes off its continuous extension, so
-    it costs 1 + 6 * (accepted + rejected) rhs evaluations.  The non-zero
+    Both methods share one explicit Runge-Kutta loop with one stop rule:
+    a step that would reach its target, or stop short of it by less than
+    1e-12 * max(1, |target|), is cut to end there, and its time is exactly
+    the target.  The target is t1, and for rk4, which takes ``cfg.step``,
+    each sample time before it.  dopri5 adapts the step to the embedded
+    error estimate, reuses the last stage of an accepted step as the first
+    stage of the next (first same as last), and reads the samples an
+    accepted step passes off its continuous extension, so it costs
+    1 + 6 * (accepted + rejected) rhs evaluations.  The non-zero
     (weight, stage) pairs of each tableau row are worked out once per
     call.
     """
@@ -668,7 +670,8 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
             raise MaxStepsError("step budget exhausted", t, y, trajectory())
         if abs(h) < _min_step(t):
             raise StepUnderflowError("step size underflow", t, y, trajectory())
-        h_try = end - t if (t + h - end) * direction > 0 else h
+        cut = (end - t - h) * direction < 1e-12 * max(1.0, abs(end))
+        h_try = end - t if cut else h
 
         if k_first is None:
             k_first = f(y)
@@ -692,9 +695,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
 
         if err <= 1.0:
             accepted += 1
-            t_new = t + h_try
-            if abs(t_new - end) <= 1e-12 * max(1.0, abs(t_new)):
-                t_new = end
+            t_new = end if cut else t + h_try
             while pending and (pending[-1] - t_new) * direction <= 0:
                 s = pending.pop()
                 if s == t_new:

@@ -323,14 +323,21 @@ class ScanReport(_Report):
 
 def _grid_points(grid):
     """Cartesian product of evenly spaced axes (lo, hi, count), each from
-    lo to exactly hi; a count of one gives lo alone."""
+    lo to exactly hi; a count of one gives lo alone.  An axis too short
+    for count distinct floats is a ValueError naming it."""
     axes = []
-    for lo, hi, count in grid:
+    for i, (lo, hi, count) in enumerate(grid, 1):
         count = int(count)
         if count < 1:
             raise ValueError("grid axis needs at least one point")
         lo, hi = float(lo), float(hi)
-        axes.append([lo] if count == 1 else _sample_times(lo, hi, count))
+        axis = [lo] if count == 1 else _sample_times(lo, hi, count)
+        if len(set(axis)) < count:
+            raise ValueError(
+                f"grid axis {i} from {lo!r} to {hi!r} is too short for "
+                f"{count} distinct points"
+            )
+        axes.append(axis)
     points = [()]
     for axis in axes:
         points = [p + (v,) for p in points for v in axis]

@@ -443,16 +443,6 @@ def kdv2_hamiltonian(r):
     return ham
 
 
-def kdv2_hamiltonian_source(r):
-    """The same quantity written over source coordinates."""
-
-    def ham(state):
-        x, y = state
-        return r * jet_log(x) + (1.0 / r - r) * jet_log(r + y + r * x * y)
-
-    return ham
-
-
 def kdv2_velocity(r):
     """Closed-form (dX/dy, dY/dy) of the reduced flow at a source point."""
 
@@ -478,17 +468,6 @@ def kdv2_velocity(r):
         )
         den_y = x * (1 + r * y + x * y) ** 2 * (r * r + r * y + x * y) * r
         return (num_x / den_x, num_y / den_y)
-
-    return rhs
-
-
-def kdv2_source_velocity(r):
-    """Closed-form dx/dy along which the Hamiltonian's explicit y-dependence
-    cancels."""
-
-    def rhs(state):
-        x, y = state
-        return x * (r * r - 1) * (1 + r * x) / (r * (r * r + r * y + x * y))
 
     return rhs
 

@@ -868,13 +868,25 @@ def test_a_full_point_with_the_time_slot_is_a_usage_error(capsys, argv, message)
          "bad grid axis '1:x:2'"),
         (["scan", "--map", "kdv3", "--grid", "1:2:0,1:1:1", "--t0", "1", "--t1", "2"],
          "grid axis needs at least one point"),
+        (["scan", "--map", "kdv3", "--grid", "1e6:1000000.000000001:21,1:1:1",
+          "--t0", "1", "--t1", "2"],
+         "grid axis 1 from 1000000.0 to 1000000.000000001 is too short for "
+         "21 distinct points"),
     ],
-    ids=["param", "x0", "point", "t0", "grid-parts", "grid-number", "grid-count"],
+    ids=["param", "x0", "point", "t0", "grid-parts", "grid-number", "grid-count",
+         "grid-repeats"],
 )
 def test_malformed_values_are_usage_errors(capsys, argv, message):
     code, err = exit_code(capsys, *argv)
     assert code == 2
     assert message in err
+
+
+def test_method_choices_are_the_integrator_tableaus(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert "--method {dopri5,rk4}" in out
 
 
 @pytest.mark.parametrize(

@@ -754,6 +754,25 @@ def test_velocity_names_the_hamiltonian_that_divides_by_zero(with_vector):
     )
     assert isinstance(err.__cause__, ZeroDivisionError)
 
+    # n >= 4 takes the general kernel: H3 divides by zero at x4 = 1
+    hams4 = (lambda s: s[0], lambda s: s[1], lambda s: 1.0 / (s[3] - 1.0))
+    fl4 = flows.FlowSystem(
+        map=_shear4(),
+        time_index=4,
+        hamiltonians=hams4,
+        det_j_field=lambda s: 1.0,
+        hamiltonian_vector=(lambda s: [h(s) for h in hams4]) if with_vector else None,
+    )
+    with pytest.raises(SingularPointError) as exc_info:
+        flows.nambu_rhs(fl4, (1.0, 2.0, 3.0, 1.0))
+    err = exc_info.value
+    assert (err.where, err.label, err.point) == (
+        "shear4",
+        "a denominator of H3",
+        (1.0, 2.0, 3.0, 1.0),
+    )
+    assert isinstance(err.__cause__, ZeroDivisionError)
+
 
 def test_planar_velocity_names_its_one_hamiltonian_that_divides_by_zero():
     # the m=3 chain Hamiltonian divides by Y - X
@@ -1040,6 +1059,15 @@ def test_dopri5_steps_a_span_shorter_than_a_hundred_underflow_floors(t0, t1):
     assert traj.times == (t0, t1)
     assert traj.final_state == (1.0 + 2.0 * (t1 - t0),)
     assert (traj.stats.accepted, traj.stats.rejected) == (1, 0)
+
+
+@pytest.mark.parametrize("t1", [5e-13, 1.2e-12])
+def test_integrate_records_at_t1_the_state_it_reached_at_t1(t1):
+    # a step that would stop short of t1 by under 1e-12 is cut to end on
+    # t1, so the state recorded at t1 is the one the flow reaches there
+    traj = flows.integrate(lambda s: (2.0,), (1.0,), 0.0, t1)
+    assert traj.times[-1] == t1
+    assert traj.final_state[0] - 1.0 == pytest.approx(2.0 * t1, rel=1e-3, abs=0)
 
 
 def test_integrate_requires_distinct_endpoints():

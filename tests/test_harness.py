@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mapflow import chain1d, core, flows, harness, maps
 from mapflow.errors import ConfigError, LevelSetError, MapflowError, SingularPointError
+from reference import kdv2_hamiltonian_source
 
 
 def test_verify_kdv3_passes():
@@ -215,6 +216,20 @@ def test_scan_grid_axes_end_exactly_on_hi():
     assert len(points) == 20
 
 
+@pytest.mark.parametrize(
+    "grid, axis",
+    [
+        (((1e6, 1000000.000000001, 21), (1.0, 1.0, 1)), 1),
+        (((0.5, 1.5, 3), (1.0, 1.0, 2)), 2),
+    ],
+)
+def test_scan_grid_axis_with_repeated_points_is_refused(grid, axis):
+    # 21 points over a span of about eight ulps repeat; so do two points
+    # over an empty span
+    with pytest.raises(ValueError, match=f"grid axis {axis} from .* distinct points"):
+        harness._grid_points(grid)
+
+
 def test_scan_deterministic_and_order_stable():
     grid = ((0.6, 1.4, 3), (0.7, 1.3, 2))
     a = harness.conservation_scan("kdv3", grid=grid, t_range=(1.0, 1.5))
@@ -364,7 +379,7 @@ def test_level_set_path_follows_the_hermite_constraint_curve(m, tol):
 
 def test_level_set_path_keeps_the_kdv2_source_hamiltonian():
     _, _, _, path, _ = _level_set("kdv2", {"r": 2.0}, (1.0,), (1.0, 2.0))
-    ham = maps.kdv2_hamiltonian_source(2.0)
+    ham = kdv2_hamiltonian_source(2.0)
     values = [ham(point) for point in path]
     assert max(abs(v - values[0]) for v in values) <= 1e-13
 
