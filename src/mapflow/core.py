@@ -5,6 +5,21 @@ components are ordinary callables written with arithmetic operators, so the
 same code evaluates on floats and on :class:`Jet` values; seeding a point
 with jets yields exact first derivatives.  Everything here is a pure
 function of its inputs, and all container types are immutable.
+
+Every decision the jet layer takes on a value, and every ``math`` call on
+one, goes through :func:`on_floats`: a map's guard and finiteness checks
+and :func:`jet_log`'s domain check and logarithm.  That lets
+:func:`trace` run a function of a point once on traced scalars, which
+record each float operation the jets make, and compile the record into
+straight-line float code: the same operations in the same order, so the
+same bits.  A call through ``on_floats`` is recorded as a call that runs
+on the point's floats; when one raises, or a division by zero does, the
+point re-runs through the traced function itself, which raises what it
+always has.  A trace is abandoned (``trace`` returns None) when the traced
+function reads a traced value any other way (``float``, ``bool``, a
+comparison, ``hash``, ``abs``, an index or ``**``), meets a constant that
+is neither ``int`` nor ``float``, or raises.  A trace freezes every
+constant it meets, so it is valid only for a function of its point alone.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from .errors import (
     ArityError,
     IterateDomainError,
     LogDomainError,
+    MapflowError,
     NonFiniteStateError,
     SingularPointError,
 )
@@ -28,10 +44,11 @@ DEFAULT_SAMPLE_RANGE = (0.2, 2.0)
 
 
 def float_value(x):
-    """Strip jet layers and return the underlying float."""
+    """Strip jet layers and return the underlying float; a traced scalar
+    stands for a float and is returned as it is."""
     while isinstance(x, Jet):
         x = x.value
-    return float(x)
+    return x if x.__class__ is _Traced else float(x)
 
 
 class Jet:
@@ -296,11 +313,15 @@ def _new_jet(value, partials):
 
 def jet_log(x):
     """Natural log for floats and jets, guarding the domain."""
-    if float_value(x) <= 0.0:
-        raise LogDomainError(f"log of non-positive value {float_value(x)!r}")
     if isinstance(x, Jet):
         v = x.value
         return _new_jet(jet_log(v), tuple([p / v for p in x.partials]))
+    return on_floats(_log, x)
+
+
+def _log(x):
+    if float(x) <= 0.0:
+        raise LogDomainError(f"log of non-positive value {float(x)!r}")
     return math.log(x)
 
 
@@ -366,19 +387,28 @@ class MapDescriptor:
                 f"{where} takes {self.dimension} coordinates, got {len(state)}"
             )
         point = tuple(map(float_value, state))
-        scale = 1.0 + max(map(abs, point), default=0.0)
-        for label, guard in guards:
-            if abs(guard(point)) <= GUARD_CUTOFF * scale:
-                raise SingularPointError(where, label, point)
+        if guards:
+            on_floats(_refuse_poles, point, where, guards)
         out = tuple(fn(state))
-        if not all(map(math.isfinite, map(float_value, out))):
-            raise SingularPointError(where, SingularPointError.NON_FINITE, point)
+        on_floats(_refuse_non_finite, tuple(map(float_value, out)), where, point)
         return out
 
     def box(self):
         if self.sample_box is not None:
             return self.sample_box
         return (DEFAULT_SAMPLE_RANGE,) * self.dimension
+
+
+def _refuse_poles(point, where, guards):
+    scale = 1.0 + max(map(abs, point), default=0.0)
+    for label, guard in guards:
+        if abs(guard(point)) <= GUARD_CUTOFF * scale:
+            raise SingularPointError(where, label, point)
+
+
+def _refuse_non_finite(values, where, point):
+    if not all(map(math.isfinite, values)):
+        raise SingularPointError(where, SingularPointError.NON_FINITE, point)
 
 
 def sample_points(mapdesc, count, seed=42, rng=None):
@@ -577,3 +607,153 @@ def compose(mapdesc, m):
     if m == 1:
         return mapdesc
     return compose_sequence((mapdesc,) * m, name=f"{mapdesc.name}^{m}")
+
+
+# ---------------------------------------------------------------------------
+# tracing
+
+
+class _Untraceable(Exception):
+    """A traced scalar was used in a way a recorded trace cannot replay."""
+
+
+def _refuse(self, *args):
+    raise _Untraceable("a traced value was read")
+
+
+def _binary(symbol):
+    """The operator and its reflected form, each recording one assignment."""
+
+    def op(self, other):
+        tape = self.tape
+        return tape.emit(f"{self.name} {symbol} {tape.operand(other)}")
+
+    def rop(self, other):
+        tape = self.tape
+        return tape.emit(f"{tape.operand(other)} {symbol} {self.name}")
+
+    return op, rop
+
+
+class _Traced:
+    """A float under a trace.  ``+ - * /``, their reflected forms and
+    negation each append one assignment to the tape and return the traced
+    scalar it assigns.  Every other use reads the value, which a trace
+    cannot replay at another point, and abandons the trace."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape, name):
+        self.tape = tape
+        self.name = name
+
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+
+    def __neg__(self):
+        return self.tape.emit(f"-{self.name}")
+
+    __float__ = __bool__ = __index__ = __abs__ = __hash__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __pow__ = __rpow__ = _refuse
+
+
+class _Tape:
+    """The straight-line code a trace records, one assignment a line, with
+    its constants bound by position."""
+
+    def __init__(self):
+        self.lines = []
+        self.consts = []
+
+    def emit(self, expr):
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return _Traced(self, name)
+
+    def const(self, value):
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def operand(self, value):
+        """An arithmetic operand: a traced scalar or an int or float."""
+        if value.__class__ is _Traced:
+            return value.name
+        if value.__class__ is float or value.__class__ is int:
+            return self.const(value)
+        raise _Untraceable(f"a {type(value).__name__} constant")
+
+    def arg(self, value):
+        """An argument of a recorded call: a traced scalar, a tuple that
+        holds one, or any constant."""
+        if value.__class__ is _Traced:
+            return value.name
+        if value.__class__ is tuple and any(v.__class__ is _Traced for v in value):
+            return f"({_listed(map(self.arg, value))})"
+        return self.const(value)
+
+
+def on_floats(fn, first, *rest):
+    """``fn(first, *rest)``, where ``first`` is a float or a tuple of them:
+    the one place the jet layer decides on a value or calls ``math`` on it.
+
+    When ``first`` is, or holds, a traced scalar, the call is recorded
+    instead, as a call that runs on that point's floats, and a traced
+    scalar stands for its result.  So ``fn`` may decide on ``first``
+    alone; the other arguments are constants of the trace, or tuples of
+    its scalars."""
+    for v in first if first.__class__ is tuple else (first,):
+        if v.__class__ is _Traced:
+            tape = v.tape
+            args = ", ".join(map(tape.arg, (first, *rest)))
+            return tape.emit(f"{tape.const(fn)}({args})")
+    return fn(first, *rest)
+
+
+def trace(fn, n):
+    """``fn``, a function of a tuple of n floats that returns a tuple of
+    floats, run once on traced scalars and compiled into straight-line
+    float code; None when the trace is abandoned.
+
+    The compiled function makes the same float operations in the same
+    order, so it returns the same bits.  When a recorded ``on_floats`` call
+    raises a MapflowError, or a division by zero is raised, it returns
+    ``fn`` of the point instead, which raises what it always has."""
+    tape = _Tape()
+    inputs = [_Traced(tape, f"x{i}") for i in range(n)]
+    try:
+        out = [tape.operand(v) for v in fn(tuple(inputs))]
+    except Exception:  # abandoned: fn stays the way to evaluate it
+        return None
+    body = [
+        _listed(v.name for v in inputs) + "= x",
+        *tape.lines,
+        f"return ({_listed(out)})",
+    ]
+    source = "\n".join(
+        [
+            f"def bind(fallback, {_listed(f'c{i}' for i in range(len(tape.consts)))}):",
+            "    def traced(x):",
+            "        try:",
+            *("            " + line for line in body),
+            "        except (ZeroDivisionError, MapflowError):",
+            "            return fallback(x)",
+            "    return traced",
+        ]
+    )
+    return _compiled(source)(fn, *tape.consts)
+
+
+def _listed(names):
+    """The names as the items of a Python list, each followed by a comma."""
+    return "".join(name + ", " for name in names)
+
+
+@lru_cache(maxsize=32)
+def _compiled(source):
+    """The ``bind`` function of a trace's source, compiled once per source."""
+    namespace = {"MapflowError": MapflowError}
+    exec(compile(source, "<trace>", "exec"), namespace)
+    return namespace["bind"]

@@ -13,10 +13,18 @@ A velocity is the signed minors of the Hamiltonians' gradient rows, read
 straight off the partials of the Hamiltonians at one seeded point; for
 n = 2 and n = 3 the minors are written out, bit for bit the signed
 ``core.det`` values that larger n computes.  Each flow builds that
-computation once, as its ``velocity``, with the seeds, the way to its
+computation once, as its ``jet_velocity``, with the seeds, the way to its
 Hamiltonians and the choice of minors bound; ``nambu_rhs`` checks a point
-and calls it, and ``source_rhs`` builds the same kernel over the
-Hamiltonians composed with the forward map.  A Runge-Kutta stage state
+and calls the flow's ``velocity``, and ``source_rhs`` builds the same
+kernel over the Hamiltonians composed with the forward map.  After
+``TRACE_AFTER`` evaluations a flow's ``velocity`` is that kernel traced
+once by ``core.trace`` into straight-line float code, which returns the
+same bits; a flow with quadrature-built Hamiltonians is never traced, and
+one whose trace is abandoned keeps its kernel.  A guard, finiteness or
+log-domain check that fails in the traced code, or a division by zero,
+re-runs the point through the kernel, which raises what it always has.  A
+trace freezes every constant the Hamiltonians use, so they must be pure
+functions of their point.  A Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
 stage order; ``integrate`` picks out each tableau row's non-zero
 (weight, stage) pairs once per call, not once per stage.
@@ -58,6 +66,9 @@ DET_CONDITION_SAMPLES = 25
 DET_CONDITION_SEED = 42
 DECLARED_DET_TOL = 1e-9
 QUADRATURE_ABS_TOL = 1e-10
+# rhs evaluations a flow's jet kernel makes before it is traced: a trace
+# and its compile cost about as much as a few dozen jet evaluations
+TRACE_AFTER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +87,8 @@ class FlowSystem:
     inverse map) runs once; it must agree with ``hamiltonians``, which are
     called in turn when it is None.  ``quadrature`` holds the running
     quadrature totals of Hamiltonians built by quadrature, None for closed
-    forms.  ``velocity`` and ``det_condition`` are computed on first use
-    and kept with the flow.
+    forms.  ``jet_velocity``, ``velocity`` and ``det_condition`` are
+    computed on first use and kept with the flow.
     """
 
     map: core.MapDescriptor
@@ -119,13 +130,13 @@ class FlowSystem:
         return tuple(map(float_value, self.hamiltonians_at(as_state(point))))
 
     @cached_property
-    def velocity(self):
-        """The bracket velocity at a state, a tuple of n finite floats (the
-        caller checks it; see ``nambu_rhs``), built once per flow.  At the
-        seeded state it calls the one Hamiltonian when n = 2, else
-        ``hamiltonian_vector``, or the Hamiltonians in turn when that is
-        None; it goes through ``hamiltonians_at`` only after a division by
-        zero, so the SingularPointError names the H_j at fault.
+    def jet_velocity(self):
+        """The bracket velocity at a state by jet arithmetic, a tuple of n
+        finite floats (the caller checks it; see ``nambu_rhs``), built once
+        per flow.  At the seeded state it calls the one Hamiltonian when
+        n = 2, else ``hamiltonian_vector``, or the Hamiltonians in turn when
+        that is None; it goes through ``hamiltonians_at`` only after a
+        division by zero, so the SingularPointError names the H_j at fault.
         """
         hams, values = self.hamiltonians, self.hamiltonian_vector
         if len(hams) == 1:
@@ -136,6 +147,32 @@ class FlowSystem:
                 return [h(image) for h in hams]
 
         return _velocity_kernel(self.map.dimension, values, self.hamiltonians_at)
+
+    @cached_property
+    def velocity(self):
+        """``jet_velocity`` until it has run ``TRACE_AFTER`` times, then
+        that kernel traced once (``core.trace``) into straight-line float
+        code with the same bits, which re-runs a point through the kernel
+        when a guard, finiteness or log-domain check fails there or a
+        Hamiltonian divides by zero.  A flow with ``quadrature`` is never
+        traced, and one whose trace is abandoned keeps its kernel.  The
+        trace freezes the Hamiltonians' constants, so they must be pure
+        functions of their point."""
+        kernel = self.jet_velocity
+        if self.quadrature is not None:
+            return kernel
+        calls = 0
+
+        def velocity(x):
+            nonlocal calls
+            out = kernel(x)
+            calls += 1
+            if calls >= TRACE_AFTER:
+                traced = core.trace(kernel, self.map.dimension)
+                self.__dict__["velocity"] = traced or kernel
+            return out
+
+        return velocity
 
     @cached_property
     def det_condition(self):

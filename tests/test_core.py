@@ -3,6 +3,7 @@
 import math
 import operator
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 
 from mapflow import core, maps
 from mapflow.core import Jet, as_state, compose, det, grad, jacobian, nambu_bracket
-from mapflow.errors import ArityError, IterateDomainError, SingularPointError
+from mapflow.errors import (
+    ArityError,
+    IterateDomainError,
+    LogDomainError,
+    SingularPointError,
+)
 
 safe_floats = st.floats(
     min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False
@@ -816,3 +822,63 @@ def test_round_trip_property_all_catalog_maps():
             back = mapdesc.inverse(mapdesc.forward(x))
             scale = 1.0 + max(abs(v) for v in x)
             assert max(abs(a - b) for a, b in zip(back, x)) / scale < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# tracing
+
+
+def test_a_trace_replays_the_float_operations_bit_for_bit():
+    def fn(x):
+        a, b = x
+        return (a * 2 + 1, -b / a, 3 - a * b, 0.5)
+
+    traced = core.trace(fn, 2)
+    assert traced.__code__.co_filename == "<trace>"
+    for x in [(1.5, -2.0), (0.1, 0.2), (1e-300, 1e300), (math.inf, 1.0)]:
+        assert repr(traced(x)) == repr(fn(x))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: (float(x[0]),),
+        lambda x: (x[0] if x[1] else x[1],),
+        lambda x: (x[0] if x[0] < x[1] else x[1],),
+        lambda x: (x[0] if x[0] == x[1] else x[1],),
+        lambda x: ({x[0]: 1.0}[x[0]],),
+        lambda x: (abs(x[0]),),
+        lambda x: ((1.0, 2.0)[x[0]],),
+        lambda x: (x[0] ** 2,),
+        lambda x: (x[0] * Fraction(1, 3),),
+        lambda x: (x[0] * np.float64(2.0),),
+        lambda x: (math.sqrt(x[0]),),
+        lambda x: (core.float_value(x[0]) > 0.0,),
+        lambda x: (x[0] * (1.0 / 0.0),),
+    ],
+    ids=[
+        "float", "bool", "compare", "equal", "hash", "abs", "index", "pow",
+        "fraction-constant", "numpy-constant", "math", "float_value", "raises",
+    ],
+)
+def test_a_function_that_reads_a_traced_value_is_not_traced(fn):
+    assert core.trace(fn, 2) is None
+
+
+def test_a_failed_check_or_division_by_zero_reruns_the_traced_function():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return (core.jet_log(x[0]) / x[1],)
+
+    traced = core.trace(fn, 2)
+    assert traced((math.e, 2.0)) == (0.5,)
+    assert len(calls) == 1  # the trace
+    for bad, error in [((-1.0, 2.0), LogDomainError), ((1.0, 0.0), ZeroDivisionError)]:
+        with pytest.raises(error) as exc_info:
+            traced(bad)
+        assert calls[-1] == bad
+        with pytest.raises(error) as kernel:
+            fn(bad)
+        assert str(exc_info.value) == str(kernel.value)

@@ -1299,6 +1299,162 @@ def test_scan_output_bytes_match_the_pinned_digest(tmp_path):
     assert _sha256_of_cli_output(tmp_path, ["scan", *run]) == GOLDEN_KDV3_SCAN_SHA256
 
 
+# ---------------------------------------------------------------------------
+# traced velocities
+
+# every closed-form catalog flow and a point well inside its domain
+TRACED_FLOWS = {
+    "henon1": (lambda: maps.henon_flow(1.0, 0.0, 1), (1.0, 0.5)),
+    "henon2": (lambda: maps.henon_flow(1.3, 0.4, 2), (1.0, 0.5)),
+    "henon3": (lambda: maps.henon_flow(1.0, 0.0, 3), (1.0, 0.5)),
+    "hermite2": (lambda: maps.hermite_flow(2), (7.0, 1.1)),
+    "hermite3": (lambda: maps.hermite_flow(3), (7.0, 1.1)),
+    "kdv3": (maps.kdv3_flow, (1.1, 0.9, 1.2)),
+    "kdv2": (lambda: maps.kdv2_flow(2.0), (1.1, 0.9)),
+    "qp4": (lambda: maps.qp4_flow(1.0, 1.0, 1.0), (1.0, 1.1, 0.9)),
+    "qp4-prop2": (lambda: maps.qp4_flow(2.0, 1.0, 1.0, "prop2"), (1.0, 1.1, 0.9)),
+    "qp4-display": (
+        lambda: maps.qp4_flow(2.0, 1.0, 1.0, "paper-display"), (1.0, 1.1, 0.9)
+    ),
+}
+
+
+def _is_traced(flow):
+    return flow.velocity.__code__.co_filename == "<trace>"
+
+
+def _traced_flow(monkeypatch, build, point):
+    """A flow built by ``build`` whose velocity is traced at ``point``."""
+    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+    flow = build()
+    flows.nambu_rhs(flow, point)
+    assert _is_traced(flow)
+    return flow
+
+
+def test_a_flow_traces_its_velocity_after_trace_after_evaluations():
+    flow = maps.kdv3_flow()
+    for _ in range(flows.TRACE_AFTER):
+        assert not _is_traced(flow)
+        flows.nambu_rhs(flow, (1.1, 0.9, 1.2))
+    assert _is_traced(flow)
+
+
+@pytest.mark.parametrize("run", TRACED_FLOWS)
+def test_a_traced_velocity_is_bitwise_the_jet_kernel(monkeypatch, run):
+    build, point = TRACED_FLOWS[run]
+    flow = _traced_flow(monkeypatch, build, point)
+    rng = random.Random(f"traced:{run}")
+    for _ in range(250):
+        x = tuple(v * (1.0 + rng.uniform(-0.05, 0.05)) for v in point)
+        # repr round-trips floats, so equal reprs are equal bits up to NaN
+        assert repr(flows.nambu_rhs(flow, x)) == repr(flow.jet_velocity(x))
+    assert _is_traced(flow)
+
+
+def _kdv3_flow_whose_h2_divides_by_zero():
+    hams = (lambda s: s[0], lambda s: 1.0 / (s[2] - 1.0))
+    return flows.flow_system(maps.kdv3(), hams, lambda s: [h(s) for h in hams])
+
+
+def _hermite3_flow_through_its_inverse():
+    chain = maps.hermite_chain(3)
+    return flows.flow_system(chain, (lambda s: chain.inverse(s)[1],))
+
+
+@pytest.mark.parametrize(
+    "build, good, bad, message",
+    [
+        # 1+XY+X^2YZ is -5e-14, inside the cutoff 1e-12 (1 + max |X_i|)
+        (maps.kdv3_flow, (1.1, 0.9, 1.2), (1.0, -0.5, 1.0000000000001),
+         "singular point in kdv3 (inverse): 1+XY+X^2YZ vanishes at "
+         "(1.0, -0.5, 1.0000000000001)"),
+        (maps.kdv3_flow, (1.1, 0.9, 1.2), (1e155, 1e155, 1e155),
+         "singular point in kdv3 (inverse): non-finite result at "
+         "(1e+155, 1e+155, 1e+155)"),
+        (lambda: maps.kdv2_flow(2.0), (1.1, 0.9), (1.0, -0.1),
+         "log of non-positive value -3.3293697978596906"),
+        (_kdv3_flow_whose_h2_divides_by_zero, (1.0, 2.0, 3.0), (1.0, 2.0, 1.0),
+         "singular point in kdv3: a denominator of H2 vanishes at (1.0, 2.0, 1.0)"),
+        # the first step's inverse guard vanishes at the second iterate
+        (_hermite3_flow_through_its_inverse, (7.0, 1.1), (2.0, 1.0),
+         "iterate 2 of hermite[m=3] (inverse) left the domain: singular point "
+         "in hermite-step[1] (inverse): X - Y vanishes at (2.0, 2.0)"),
+    ],
+    ids=["guard", "non-finite", "log-domain", "division-by-zero", "iterate"],
+)
+def test_a_traced_velocity_raises_what_the_jet_kernel_raises(
+    monkeypatch, build, good, bad, message
+):
+    flow = _traced_flow(monkeypatch, build, good)
+    with pytest.raises(MapflowError) as traced:
+        flows.nambu_rhs(flow, bad)
+    with pytest.raises(MapflowError) as kernel:
+        flow.jet_velocity(bad)
+    err = traced.value
+    assert str(err) == message
+    # the attributes, the cause of an iterate's error included
+    assert (type(err), repr(vars(err))) == (type(kernel.value), repr(vars(kernel.value)))
+    assert _is_traced(flow)
+
+
+@pytest.mark.parametrize(
+    "ham, expected",
+    [
+        (
+            lambda s: s[0] * s[1] if core.float_value(s[0]) > 0 else -s[0] * s[1],
+            [(-1.0, 2.0), (-1.0, -2.0), (-2.0, 2.0)],
+        ),
+        (
+            lambda s: s[0] * float(core.float_value(s[1])),
+            [(-0.0, 2.0), (-0.0, 2.0), (-0.0, 2.0)],
+        ),
+        (
+            lambda s: s[0] * s[1]
+            if core.float_value(s[0]) == core.float_value(s[1])
+            else s[0] + s[1],
+            [(-1.0, 1.0), (-1.0, 1.0), (-2.0, 2.0)],
+        ),
+    ],
+    ids=["compare", "float", "equal"],
+)
+def test_a_hamiltonian_that_reads_a_value_keeps_the_jet_kernel(
+    monkeypatch, ham, expected
+):
+    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+    flow = flows.flow_system(maps.henon(1.0, 0.0), (ham,))
+    points = [(1.0, 2.0), (-1.0, 2.0), (2.0, 2.0)]
+    for _ in range(2):
+        assert [flows.nambu_rhs(flow, x) for x in points] == expected
+        assert flow.velocity is flow.jet_velocity
+
+
+def _spy_on_traces(monkeypatch):
+    """Trace every flow at its first rhs evaluation and list, per trace,
+    whether it was kept."""
+    kept = []
+    trace = core.trace
+
+    def spy(fn, n):
+        traced = trace(fn, n)
+        kept.append(traced is not None)
+        return traced
+
+    monkeypatch.setattr(core, "trace", spy)
+    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+    return kept
+
+
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_verify_output_bytes_match_the_pinned_digest_when_traced_at_once(
+    monkeypatch, tmp_path, run
+):
+    # henon's 25 rhs evaluations never reach TRACE_AFTER
+    kept = _spy_on_traces(monkeypatch)
+    test_verify_output_bytes_match_the_pinned_digest(tmp_path, run)
+    assert kept and all(kept)
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")

@@ -208,6 +208,11 @@ def test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch
     assert calls == []
 
 
+def test_verify_refuses_a_pole_on_the_source_path_when_traced_at_once(monkeypatch):
+    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+    test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch)
+
+
 def test_scan_grid_axes_end_exactly_on_hi():
     # the plain formula gives 0.8999999999999999 and 1.6999999999999997
     points = harness._grid_points(((0.2, 0.9, 5), (0.3, 1.7, 4), (1.0, 9.0, 1)))
@@ -551,6 +556,20 @@ def test_verify_reports_the_quadrature_work_of_the_whole_call(run):
         assert report.to_dict()["quadrature"] == report.quadrature
 
 
+@pytest.mark.parametrize("run", QUADRATURE_RUNS.values(), ids=QUADRATURE_RUNS)
+def test_a_quadrature_flow_is_never_traced(monkeypatch, run):
+    # a trace evaluates the Hamiltonians once more, and its panels would
+    # add to the counters
+    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+    map_id, params, build, x0, t_range, panels, calls = run
+    flow = flows.build_hamiltonians(maps.build_map(map_id, params), **build)
+    report = harness.verify_correspondence(
+        map_id, params, x0=x0, t_range=t_range, flow=flow
+    )
+    assert report.quadrature == {"panels": panels, "integrand_calls": calls}
+    assert flow.velocity is flow.jet_velocity
+
+
 def test_a_closed_form_flow_reports_no_quadrature():
     report = harness.verify_correspondence("kdv3", x0=(1.1, 0.9), t_range=(1.0, 1.2))
     assert report.quadrature is None
@@ -783,3 +802,15 @@ def test_verify_does_bounded_work_or_raises_a_mapflow_error(
     except MapflowError:
         return
     assert report.integrator["rhs_evals"] <= 1 + 6 * BOUNDED_STEPS
+
+
+def test_verify_does_bounded_work_or_raises_a_mapflow_error_when_traced_at_once(
+    monkeypatch,
+):
+    # every catalog flow traced at its first rhs evaluation, on fresh flows
+    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+    _bounded_flow.cache_clear()
+    try:
+        test_verify_does_bounded_work_or_raises_a_mapflow_error()
+    finally:
+        _bounded_flow.cache_clear()
