@@ -15,17 +15,24 @@ straight-line float code: the same operations in the same order, so the
 same bits.  A call through ``on_floats`` is recorded as a call that runs
 on the point's floats; when one raises, or a division by zero does, the
 point re-runs through the traced function itself, which raises what it
-always has.  A trace is abandoned (``trace`` returns None) when the traced
-function reads a traced value any other way (``float``, ``bool``, a
-comparison, ``hash``, ``abs``, an index or ``**``), meets a constant that
-is neither ``int`` nor ``float``, or raises.  A trace freezes every
-constant it meets, so it is valid only for a function of its point alone.
+always has.  A decision that may go either way goes through
+:func:`assume`: a trace takes it as true and records a check that re-runs
+the point the same way when it is false there.  A call made only for its
+effect, such as charging a work counter, goes through :func:`effect`: a
+trace makes no such call but records it, and the compiled code makes it
+once every check has passed, so a point that re-runs is charged once.  A
+trace is abandoned (``trace`` returns None) when the traced function reads
+a traced value any other way (``float``, ``bool``, a comparison,
+``hash``, ``abs``, an index or ``**``), meets a constant that is neither
+``int`` nor ``float``, or raises.  A trace freezes every constant it
+meets, so it is valid only for a function of its point alone.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -617,6 +624,10 @@ class _Untraceable(Exception):
     """A traced scalar was used in a way a recorded trace cannot replay."""
 
 
+class _Unassumed(MapflowError):
+    """A decision a trace assumed true is false at this point."""
+
+
 def _refuse(self, *args):
     raise _Untraceable("a traced value was read")
 
@@ -625,6 +636,8 @@ def _binary(symbol):
     """The operator and its reflected form, each recording one assignment."""
 
     def op(self, other):
+        if isinstance(other, Jet):  # the jet's reflected operator records it
+            return NotImplemented
         tape = self.tape
         return tape.emit(f"{self.name} {symbol} {tape.operand(other)}")
 
@@ -638,8 +651,10 @@ def _binary(symbol):
 class _Traced:
     """A float under a trace.  ``+ - * /``, their reflected forms and
     negation each append one assignment to the tape and return the traced
-    scalar it assigns.  Every other use reads the value, which a trace
-    cannot replay at another point, and abandons the trace."""
+    scalar it assigns; with a jet operand they leave the operation to the
+    jet, whose parts then record it.  Every other use reads the value,
+    which a trace cannot replay at another point, and abandons the
+    trace."""
 
     __slots__ = ("tape", "name")
 
@@ -662,11 +677,13 @@ class _Traced:
 
 class _Tape:
     """The straight-line code a trace records, one assignment a line, with
-    its constants bound by position."""
+    its constants bound by position, and the calls it makes for their
+    effect alone once every line has run."""
 
     def __init__(self):
         self.lines = []
         self.consts = []
+        self.effects = []
 
     def emit(self, expr):
         name = f"v{len(self.lines)}"
@@ -712,6 +729,46 @@ def on_floats(fn, first, *rest):
     return fn(first, *rest)
 
 
+def assume(fn, first, *rest):
+    """``fn(first, *rest)``, a decision on ``first`` alone (a float or a
+    tuple of them) that is true on the path a trace takes.
+
+    When ``first`` is, or holds, a traced scalar, the trace takes that
+    path: it returns True and records a check that raises a MapflowError
+    when ``fn`` is false on the point's floats, so that the point re-runs
+    through the traced function, which decides afresh."""
+    for v in first if first.__class__ is tuple else (first,):
+        if v.__class__ is _Traced:
+            on_floats(_assumed, first, fn, *rest)
+            return True
+    return fn(first, *rest)
+
+
+def _assumed(first, fn, *rest):
+    if not fn(first, *rest):
+        raise _Unassumed(f"{fn.__name__} is false at {first!r}")
+
+
+class _Active(threading.local):
+    tape = None  # the tape of the trace running in this thread
+
+
+_active = _Active()
+
+
+def effect(fn, *args):
+    """``fn(*args)``, a call made for its effect alone, such as charging a
+    work counter.  Under a trace it is recorded instead of made: the
+    compiled code makes it after every recorded line has run, so a point
+    that re-runs through the traced function is charged by that alone.
+    Its arguments are constants of the trace."""
+    tape = _active.tape
+    if tape is None:
+        fn(*args)
+    else:
+        tape.effects.append(f"{tape.const(fn)}({', '.join(map(tape.arg, args))})")
+
+
 def trace(fn, n):
     """``fn``, a function of a tuple of n floats that returns a tuple of
     floats, run once on traced scalars and compiled into straight-line
@@ -719,27 +776,30 @@ def trace(fn, n):
 
     The compiled function makes the same float operations in the same
     order, so it returns the same bits.  When a recorded ``on_floats`` call
-    raises a MapflowError, or a division by zero is raised, it returns
-    ``fn`` of the point instead, which raises what it always has."""
+    raises a MapflowError, an ``assume`` check fails, or a division by zero
+    is raised, it returns ``fn`` of the point instead, which raises what it
+    always has; otherwise it makes the recorded ``effect`` calls and
+    returns.  The trace itself makes none of them."""
     tape = _Tape()
     inputs = [_Traced(tape, f"x{i}") for i in range(n)]
+    outer, _active.tape = _active.tape, tape
     try:
         out = [tape.operand(v) for v in fn(tuple(inputs))]
     except Exception:  # abandoned: fn stays the way to evaluate it
         return None
-    body = [
-        _listed(v.name for v in inputs) + "= x",
-        *tape.lines,
-        f"return ({_listed(out)})",
-    ]
+    finally:
+        _active.tape = outer
     source = "\n".join(
         [
             f"def bind(fallback, {_listed(f'c{i}' for i in range(len(tape.consts)))}):",
             "    def traced(x):",
             "        try:",
-            *("            " + line for line in body),
+            "            " + _listed(v.name for v in inputs) + "= x",
+            *("            " + line for line in tape.lines),
             "        except (ZeroDivisionError, MapflowError):",
             "            return fallback(x)",
+            *("        " + call for call in tape.effects),
+            f"        return ({_listed(out)})",
             "    return traced",
         ]
     )

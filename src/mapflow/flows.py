@@ -19,12 +19,15 @@ and calls the flow's ``velocity``, and ``source_rhs`` builds the same
 kernel over the Hamiltonians composed with the forward map.  After
 ``TRACE_AFTER`` evaluations a flow's ``velocity`` is that kernel traced
 once by ``core.trace`` into straight-line float code, which returns the
-same bits; a flow with quadrature-built Hamiltonians is never traced, and
-one whose trace is abandoned keeps its kernel.  A guard, finiteness or
-log-domain check that fails in the traced code, or a division by zero,
-re-runs the point through the kernel, which raises what it always has.  A
-trace freezes every constant the Hamiltonians use, so they must be pure
-functions of their point.  A Runge-Kutta stage state
+same bits; one whose trace is abandoned keeps its kernel.  A guard,
+finiteness or log-domain check that fails in the traced code, or a
+division by zero, re-runs the point through the kernel, which raises what
+it always has.  Quadrature-built Hamiltonians trace too: the traced code
+holds one Kronrod panel and checks that its estimate meets the tolerance,
+and a point where it does not re-runs through the kernel's adaptive loop;
+either way the flow's ``quadrature`` counts the panels the kernel would
+make.  A trace freezes every constant the Hamiltonians use, so they must
+be pure functions of their point.  A Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
 stage order; ``integrate`` picks out each tableau row's non-zero
 (weight, stage) pairs once per call, not once per stage.
@@ -153,14 +156,14 @@ class FlowSystem:
         """``jet_velocity`` until it has run ``TRACE_AFTER`` times, then
         that kernel traced once (``core.trace``) into straight-line float
         code with the same bits, which re-runs a point through the kernel
-        when a guard, finiteness or log-domain check fails there or a
-        Hamiltonian divides by zero.  A flow with ``quadrature`` is never
-        traced, and one whose trace is abandoned keeps its kernel.  The
-        trace freezes the Hamiltonians' constants, so they must be pure
-        functions of their point."""
+        when a guard, finiteness or log-domain check fails there, a
+        Hamiltonian divides by zero, or a quadrature needs more than its
+        first panel.  Either way ``quadrature`` is charged the panels the
+        kernel makes, and the trace itself charges none.  A flow whose
+        trace is abandoned keeps its kernel.  The trace freezes the
+        Hamiltonians' constants, so they must be pure functions of their
+        point."""
         kernel = self.jet_velocity
-        if self.quadrature is not None:
-            return kernel
         calls = 0
 
         def velocity(x):

@@ -8,6 +8,17 @@ the derivative components alongside the value.  The numeric Hamiltonian
 builder relies on this for the derivatives along the coordinates the
 integral does not run over; the one it runs over gets its derivative from
 the integrand at the endpoint instead.
+
+Every panel's error estimate is taken through ``core.on_floats``, the
+decision that the first panel meets the tolerance through
+``core.assume``, and every panel is charged to the caller's counters
+through ``core.effect``.  So a traced function of a point that integrates
+(``core.trace``) records one panel as straight-line float code, a check
+that its estimate meets the tolerance, and the charge of that one panel.
+Where the check fails, or an estimate is not finite, the point re-runs
+untraced through the full adaptive loop, which charges every panel it
+makes.  The traced code charges only once every check has passed, so a
+point is never charged twice, and the trace itself charges nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import core
 from .core import Jet
 from .errors import QuadratureError
 
@@ -65,23 +77,35 @@ def _flatten(x, out):
         for p in x.partials:
             _flatten(p, out)
     else:
-        out.append(float(x))
+        out.append(x)
 
 
 def _norm(x):
     comps = []
     _flatten(x, comps)
+    return core.on_floats(_max_abs, tuple(comps))
+
+
+def _max_abs(comps):
     # max() skips a NaN that is not the first component
     if not all(map(math.isfinite, comps)):
         raise QuadratureError("non-finite quadrature panel estimate")
     return max(abs(c) for c in comps)
 
 
+def _charge(counts):
+    counts.panels += 1
+    counts.integrand_calls += 2 * len(_XK) - 1
+
+
+def _within(err, abs_tol):
+    return err <= abs_tol
+
+
 def _kronrod(f, a, b, counts):
     """One 15-point panel, charged to ``counts``; returns (kronrod
     estimate, error estimate)."""
-    counts.panels += 1
-    counts.integrand_calls += 2 * len(_XK) - 1
+    core.effect(_charge, counts)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     gauss = 0.0
@@ -115,6 +139,8 @@ def integrate_gk(f, a, b, abs_tol=1e-10, max_panels=512, counts=None):
     if counts is None:
         counts = QuadratureCounts()
     value, err = _kronrod(f, a, b, counts)
+    if core.assume(_within, err, abs_tol):
+        return value
     counter = itertools.count()
     heap = [(-err, next(counter), a, b, value)]
     total_err = err

@@ -882,3 +882,37 @@ def test_a_failed_check_or_division_by_zero_reruns_the_traced_function():
         with pytest.raises(error) as kernel:
             fn(bad)
         assert str(exc_info.value) == str(kernel.value)
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv],
+    ids=["add", "sub", "mul", "truediv"],
+)
+def test_a_traced_scalar_with_a_jet_operand_is_recorded_by_the_jet(op):
+    def fn(x):
+        _, jet = core.seed_jets(x)
+        out = op(core.float_value(x[0]), jet * jet)
+        return (out.value, *out.partials)
+
+    traced = core.trace(fn, 2)
+    assert traced is not None
+    for x in [(1.5, -2.0), (0.1, 0.2), (-3.0, 1e-3)]:
+        assert repr(traced(x)) == repr(fn(x))
+
+
+def test_an_assumed_decision_is_checked_and_an_effect_runs_once_per_call():
+    charged = []
+
+    def fn(x):
+        core.effect(charged.append, "charge")
+        if core.assume(lambda v: v <= 1.0, x[0]):
+            return (x[0] * 2.0,)
+        return (x[0] * 3.0,)
+
+    traced = core.trace(fn, 1)
+    assert traced is not None and charged == []  # the trace makes no effect call
+    assert traced((0.5,)) == (1.0,)
+    assert charged == ["charge"]
+    # the check fails, so fn decides afresh and charges once
+    assert traced((2.0,)) == (6.0,)
+    assert charged == ["charge"] * 2

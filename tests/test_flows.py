@@ -17,6 +17,7 @@ from mapflow.errors import (
     MapflowError,
     MaxStepsError,
     NonFiniteStateError,
+    QuadratureError,
     SingularPointError,
     StepUnderflowError,
 )
@@ -1350,6 +1351,110 @@ def test_a_traced_velocity_is_bitwise_the_jet_kernel(monkeypatch, run):
         # repr round-trips floats, so equal reprs are equal bits up to NaN
         assert repr(flows.nambu_rhs(flow, x)) == repr(flow.jet_velocity(x))
     assert _is_traced(flow)
+
+
+# the four numeric-hamiltonians flows and kdv2 by quadrature, each with an
+# image point and whether some of its jittered points need more panels than
+# the first, so that the traced code's tolerance check fails there
+QUADRATURE_FLOWS = {
+    "henon": (lambda: flows.build_hamiltonians(maps.henon(1.0, 0.0)),
+              (0.5, -0.67), False),
+    "hermite2": (
+        lambda: flows.build_hamiltonians(
+            maps.hermite_chain(2), ref_point=(0.0, 1.0), check=False
+        ),
+        (2.6, 0.6), False,
+    ),
+    "qp4": (lambda: flows.build_hamiltonians(maps.qp4(1.0, 1.0, 1.0)),
+            (0.99, 1.0, 0.97), False),
+    "kdv3": (lambda: flows.build_hamiltonians(maps.kdv3()), (1.02, 0.9, 1.13), False),
+    "kdv2": (lambda: flows.build_hamiltonians(maps.kdv2(2.0), check=False),
+             (0.44, 3.7), True),
+}
+
+
+def _charged(flow, velocity, x):
+    """``velocity(x)`` and the (panels, integrand calls) it charged."""
+    counts = flow.quadrature
+    before = (counts.panels, counts.integrand_calls)
+    out = velocity(x)
+    return out, (counts.panels - before[0], counts.integrand_calls - before[1])
+
+
+@pytest.mark.parametrize("run", QUADRATURE_FLOWS)
+def test_a_traced_quadrature_velocity_is_the_jet_kernel_and_charges_the_same(
+    monkeypatch, run
+):
+    build, point, falls_back = QUADRATURE_FLOWS[run]
+    flow = _traced_flow(monkeypatch, build, point)
+    rng = random.Random(f"traced-quadrature:{run}")
+    panels = []
+    for _ in range(250):
+        x = tuple(v * (1.0 + rng.uniform(-0.05, 0.05)) for v in point)
+        traced, charged = _charged(flow, lambda x: flows.nambu_rhs(flow, x), x)
+        kernel, expected = _charged(flow, flow.jet_velocity, x)
+        assert repr(traced) == repr(kernel)
+        assert charged == expected == (expected[0], 15 * expected[0])
+        panels.append(expected[0])
+    assert _is_traced(flow)
+    # a point whose first panel misses the tolerance re-runs the kernel
+    assert (max(panels) > 1) == falls_back
+    assert min(panels) == 1
+
+
+@pytest.mark.parametrize("run", QUADRATURE_FLOWS)
+def test_a_trace_charges_no_quadrature_panel(run):
+    build, point, _ = QUADRATURE_FLOWS[run]
+    flow = build()
+    counts = dataclasses.replace(flow.quadrature)
+    traced = core.trace(flow.jet_velocity, flow.map.dimension)
+    assert traced is not None
+    assert flow.quadrature == counts
+    _, charged = _charged(flow, traced, point)
+    assert charged[0] >= 1
+
+
+def _overflowing_flow():
+    """A quadrature flow whose det J = x^8 overflows beyond x ~ 1e38."""
+
+    def det_j(s):
+        x2 = s[0] * s[0]
+        return (x2 * x2) * (x2 * x2)
+
+    mapdesc = core.MapDescriptor(
+        name="overflow",
+        dimension=2,
+        params={},
+        forward_fn=lambda s: (s[0], s[1] * det_j(s)),
+        inverse_fn=lambda s: (s[0], s[1] / det_j(s)),
+        det_j=det_j,
+        sample_box=((0.5, 1.2), (0.5, 1.2)),
+    )
+    return flows.build_hamiltonians(mapdesc)
+
+
+def test_a_non_finite_panel_estimate_in_traced_code_raises_the_kernel_error(
+    monkeypatch,
+):
+    flow = _traced_flow(monkeypatch, _overflowing_flow, (1.1, 0.9))
+    with pytest.raises(QuadratureError) as kernel:
+        flow.jet_velocity((1e40, 0.9))
+    with pytest.raises(QuadratureError) as traced:
+        flows.nambu_rhs(flow, (1e40, 0.9))
+    assert str(traced.value) == str(kernel.value)
+    assert str(kernel.value) == "non-finite quadrature panel estimate"
+    assert _is_traced(flow)
+
+
+def test_a_four_dimensional_quadrature_flow_keeps_its_kernel(monkeypatch):
+    # its minors pivot on values, so its trace is abandoned
+    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+    flow = flows.build_hamiltonians(_shear4())
+    point = (1.1, 0.9, 1.2, 0.8)
+    for _ in range(2):
+        _, charged = _charged(flow, lambda x: flows.nambu_rhs(flow, x), point)
+        assert flow.velocity is flow.jet_velocity
+        assert charged == (1, 15)
 
 
 def _kdv3_flow_whose_h2_divides_by_zero():

@@ -557,17 +557,22 @@ def test_verify_reports_the_quadrature_work_of_the_whole_call(run):
 
 
 @pytest.mark.parametrize("run", QUADRATURE_RUNS.values(), ids=QUADRATURE_RUNS)
-def test_a_quadrature_flow_is_never_traced(monkeypatch, run):
-    # a trace evaluates the Hamiltonians once more, and its panels would
-    # add to the counters
-    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+def test_a_quadrature_flow_is_traced_and_reports_the_same_work(monkeypatch, run):
+    # the trace evaluates the Hamiltonians once more but charges no panel,
+    # and a point that re-runs through the kernel is charged once
     map_id, params, build, x0, t_range, panels, calls = run
-    flow = flows.build_hamiltonians(maps.build_map(map_id, params), **build)
-    report = harness.verify_correspondence(
-        map_id, params, x0=x0, t_range=t_range, flow=flow
-    )
+    reports = []
+    for trace_after in (math.inf, 1):  # never traced, then at once
+        monkeypatch.setattr(flows, "TRACE_AFTER", trace_after)
+        flow = flows.build_hamiltonians(maps.build_map(map_id, params), **build)
+        report = harness.verify_correspondence(
+            map_id, params, x0=x0, t_range=t_range, flow=flow
+        )
+        reports.append(repr(report.to_dict()))
     assert report.quadrature == {"panels": panels, "integrand_calls": calls}
-    assert flow.velocity is flow.jet_velocity
+    assert flow.velocity is not flow.jet_velocity
+    # bit for bit: repr round-trips every float of the report
+    assert reports[0] == reports[1]
 
 
 def test_a_closed_form_flow_reports_no_quadrature():
