@@ -24,7 +24,9 @@ once every check has passed, so a point that re-runs is charged once.  A
 trace is abandoned (``trace`` returns None) when the traced function reads
 a traced value any other way (``float``, ``bool``, a comparison,
 ``hash``, ``abs``, an index or ``**``), meets a constant that is neither
-``int`` nor ``float``, or raises.  A trace freezes every constant it
+``int`` nor ``float``, or raises.  :func:`det` reads none up to 3x3 and
+pivots on values beyond, so a flow's bracket velocity, whose minors are
+(n-1)x(n-1), traces up to n = 4.  A trace freezes every constant it
 meets, so it is valid only for a function of its point alone.
 """
 
@@ -473,7 +475,9 @@ def det(matrix):
     """Determinant via closed forms up to 3x3, LU with partial pivoting beyond.
 
     Entries may be jets; pivoting compares the underlying float magnitudes,
-    so the elimination itself stays exact under the jet arithmetic.
+    so the elimination itself stays exact under the jet arithmetic.  The
+    closed forms read no value, so a trace records them; pivoting reads
+    traced values and abandons a trace.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)

@@ -10,22 +10,23 @@ sides in image space and source space, and integrates them with either a
 classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 
 A velocity is the signed minors of the Hamiltonians' gradient rows, read
-straight off the partials of the Hamiltonians at one seeded point; for
-n = 2 and n = 3 the minors are written out, bit for bit the signed
-``core.det`` values that larger n computes.  Each flow builds that
-computation once, as its ``jet_velocity``, with the seeds, the way to its
-Hamiltonians and the choice of minors bound; ``nambu_rhs`` checks a point
-and calls the flow's ``velocity``, and ``source_rhs`` builds the same
-kernel over the Hamiltonians composed with the forward map.  After
-``TRACE_AFTER`` evaluations a flow's ``velocity`` is that kernel traced
-once by ``core.trace`` into straight-line float code, which returns the
-same bits; one whose trace is abandoned keeps its kernel.  A guard,
-finiteness or log-domain check that fails in the traced code, or a
-division by zero, re-runs the point through the kernel, which raises what
-it always has.  Quadrature-built Hamiltonians trace too: the traced code
-holds one Kronrod panel and checks that its estimate meets the tolerance,
-and a point where it does not re-runs through the kernel's adaptive loop;
-either way the flow's ``quadrature`` counts the panels the kernel would
+straight off the partials of the Hamiltonians at one seeded point.  One
+function computes it for every n: it seeds the point through
+``core.jet_rows`` and takes each minor from ``core.det``.  Each flow binds
+it to its Hamiltonians once, as its ``jet_velocity``; ``nambu_rhs``
+checks a point and calls the flow's ``velocity``, and ``source_rhs`` runs
+the same function over the Hamiltonians composed with the forward map.  A
+flow's ``velocity`` is its ``jet_velocity`` traced on first use by
+``core.trace`` into straight-line float code, which returns the same
+bits.  A flow keeps ``jet_velocity`` only when its trace is abandoned:
+when n >= 5, whose 4x4 and larger minors pivot on values, or when its
+Hamiltonians read a value.  A guard, finiteness or log-domain check that
+fails in the traced code, or a division by zero, re-runs the point
+through ``jet_velocity``, which raises what it always has.
+Quadrature-built Hamiltonians trace too: the traced code holds one
+Kronrod panel and checks that its estimate meets the tolerance, and a
+point where it does not re-runs through the adaptive loop; either way the
+flow's ``quadrature`` counts the panels the jet arithmetic would
 make.  A trace freezes every constant the Hamiltonians use, so they must
 be pure functions of their point.  A Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
@@ -69,9 +70,6 @@ DET_CONDITION_SAMPLES = 25
 DET_CONDITION_SEED = 42
 DECLARED_DET_TOL = 1e-9
 QUADRATURE_ABS_TOL = 1e-10
-# rhs evaluations a flow's jet kernel makes before it is traced: a trace
-# and its compile cost about as much as a few dozen jet evaluations
-TRACE_AFTER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +88,9 @@ class FlowSystem:
     inverse map) runs once; it must agree with ``hamiltonians``, which are
     called in turn when it is None.  ``quadrature`` holds the running
     quadrature totals of Hamiltonians built by quadrature, None for closed
-    forms.  ``jet_velocity``, ``velocity`` and ``det_condition`` are
-    computed on first use and kept with the flow.
+    forms.  ``jet_velocity`` (the bracket velocity by jet arithmetic),
+    ``velocity`` (that function traced) and ``det_condition`` are computed
+    on first use and kept with the flow.
     """
 
     map: core.MapDescriptor
@@ -135,47 +134,24 @@ class FlowSystem:
     @cached_property
     def jet_velocity(self):
         """The bracket velocity at a state by jet arithmetic, a tuple of n
-        finite floats (the caller checks it; see ``nambu_rhs``), built once
-        per flow.  At the seeded state it calls the one Hamiltonian when
-        n = 2, else ``hamiltonian_vector``, or the Hamiltonians in turn when
-        that is None; it goes through ``hamiltonians_at`` only after a
-        division by zero, so the SingularPointError names the H_j at fault.
-        """
-        hams, values = self.hamiltonians, self.hamiltonian_vector
-        if len(hams) == 1:
-            (values,) = hams
-        elif values is None:
-
-            def values(image):
-                return [h(image) for h in hams]
-
-        return _velocity_kernel(self.map.dimension, values, self.hamiltonians_at)
+        finite floats (the caller checks it; see ``nambu_rhs``): the one
+        bracket function over ``hamiltonians_at``, so a division by zero
+        is a SingularPointError naming the H_j at fault."""
+        return partial(_bracket_velocity, self.hamiltonians_at)
 
     @cached_property
     def velocity(self):
-        """``jet_velocity`` until it has run ``TRACE_AFTER`` times, then
-        that kernel traced once (``core.trace``) into straight-line float
-        code with the same bits, which re-runs a point through the kernel
-        when a guard, finiteness or log-domain check fails there, a
-        Hamiltonian divides by zero, or a quadrature needs more than its
-        first panel.  Either way ``quadrature`` is charged the panels the
-        kernel makes, and the trace itself charges none.  A flow whose
-        trace is abandoned keeps its kernel.  The trace freezes the
-        Hamiltonians' constants, so they must be pure functions of their
-        point."""
-        kernel = self.jet_velocity
-        calls = 0
-
-        def velocity(x):
-            nonlocal calls
-            out = kernel(x)
-            calls += 1
-            if calls >= TRACE_AFTER:
-                traced = core.trace(kernel, self.map.dimension)
-                self.__dict__["velocity"] = traced or kernel
-            return out
-
-        return velocity
+        """``jet_velocity`` traced on first use (``core.trace``) into
+        straight-line float code with the same bits, which re-runs a point
+        through ``jet_velocity`` when a guard, finiteness or log-domain
+        check fails there, a Hamiltonian divides by zero, or a quadrature
+        needs more than its first panel.  Either way ``quadrature`` is
+        charged the panels ``jet_velocity`` makes, and the trace itself
+        charges none.  A flow keeps ``jet_velocity`` when its trace is
+        abandoned: when n >= 5, whose minors pivot on values, or when its
+        Hamiltonians read a value.  The trace freezes the Hamiltonians'
+        constants, so they must be pure functions of their point."""
+        return core.trace(self.jet_velocity, self.map.dimension) or self.jet_velocity
 
     @cached_property
     def det_condition(self):
@@ -363,64 +339,24 @@ def build_hamiltonians(
 # right-hand sides
 
 
-def _velocity_kernel(n, values, named):
+def _bracket_velocity(hamiltonians, x):
     """The bracket velocity of n-1 Hamiltonians at a state, a tuple of n
-    floats: component j is det of (rows + [e_j]), the signed minor of the
-    Hamiltonians' gradient rows with column j struck out.
+    floats: component j is det of (rows + [e_j]), the signed ``core.det``
+    of the Hamiltonians' gradient rows with column j struck out.
 
-    ``values`` maps the seeded state to the Hamiltonians: to the one
-    Hamiltonian itself when n = 2, else to a sequence of the n-1.  After a
-    ZeroDivisionError the seeded state goes to ``named`` instead, which
-    returns the sequence or raises the error naming the Hamiltonian at
-    fault.  The rows are the Hamiltonians' partials, floats under float
-    seeds (zero for a constant).  The jet class, the unit seeds and the
-    choice of minors are bound here, once: written out for n = 2 and
-    n = 3, bit for bit the signed ``core.det`` values that larger n
-    computes.  The state's length is the caller's to check.
+    ``hamiltonians`` maps a seeded state to the sequence of n-1
+    Hamiltonians, and ``core.jet_rows`` seeds ``x`` and reads their rows
+    off (zero for a constant).  The minors are ``core.det``'s closed forms
+    up to n = 4, so a trace of this function reads no value there.  The
+    state's length is the caller's to check.
     """
-    make = core._MAKERS.get(n, core._jet)
-    seeds = core._unit_seeds(n)
-    zero = (0.0,) * n
-
-    if n == 2:  # the minors are the 1x1 entries, signed - and +
-
-        def velocity(x):
-            seeded = tuple(map(make, x, seeds))
-            try:
-                h = values(seeded)
-            except ZeroDivisionError:
-                (h,) = named(seeded)
-            g0, g1 = h.partials if isinstance(h, Jet) else zero
-            return (-g1, g0)
-
-    elif n == 3:  # core.det's 2x2 closed form, signed +, - and +
-
-        def velocity(x):
-            seeded = tuple(map(make, x, seeds))
-            try:
-                a, b = values(seeded)
-            except ZeroDivisionError:
-                a, b = named(seeded)
-            g0, g1, g2 = a.partials if isinstance(a, Jet) else zero
-            h0, h1, h2 = b.partials if isinstance(b, Jet) else zero
-            return (g1 * h2 - g2 * h1, -(g0 * h2 - g2 * h0), g0 * h1 - g1 * h0)
-
-    else:
-
-        def velocity(x):
-            seeded = tuple(map(make, x, seeds))
-            try:
-                hams = values(seeded)
-            except ZeroDivisionError:
-                hams = named(seeded)
-            rows = [h.partials if isinstance(h, Jet) else zero for h in hams]
-            return tuple(
-                (1.0 if (n + j + 1) % 2 == 0 else -1.0)
-                * float(core.det([row[:j] + row[j + 1 :] for row in rows]))
-                for j in range(n)
-            )
-
-    return velocity
+    rows = core.jet_rows(hamiltonians, x)
+    n = len(x)
+    return tuple(
+        (1.0 if (n + j + 1) % 2 == 0 else -1.0)
+        * core.det([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(n)
+    )
 
 
 def _flow_state(flow, point):
@@ -454,8 +390,8 @@ def source_rhs(flow, point):
     Component j equals the bracket of the Hamiltonians (composed with the
     forward map) with the j-th source coordinate, divided by det J.  The
     non-time, non-quadrature components vanish identically and the time
-    component equals one.  The bracket is the flow's velocity kernel built
-    over the composed Hamiltonians.
+    component equals one.  The bracket is the bracket velocity of the
+    Hamiltonians composed with the forward map, by jet arithmetic.
     """
     x = _flow_state(flow, point)
     detj = float_value(flow.det_j_field(x))
@@ -465,8 +401,7 @@ def source_rhs(flow, point):
     def composed(src):
         return flow.hamiltonians_at(flow.map.forward(src))
 
-    values = (lambda src: composed(src)[0]) if len(x) == 2 else composed
-    comps = _velocity_kernel(len(x), values, composed)(x)
+    comps = _bracket_velocity(composed, x)
     return tuple(c / detj for c in comps)
 
 

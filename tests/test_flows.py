@@ -651,7 +651,7 @@ def test_3d_bracket_minors_equal_the_signed_dets_bit_for_bit():
     for entries in cases:
         rows = [entries[:3], entries[3:]]
         field = _gradient_rows_field(rows)
-        got = flows._velocity_kernel(3, field, field)((0.5, 1.0, 1.5))
+        got = flows._bracket_velocity(field, (0.5, 1.0, 1.5))
         # repr tells -0.0 from 0.0
         assert repr(got) == repr(_signed_det_minors(rows)), rows
 
@@ -663,7 +663,7 @@ def test_4d_bracket_takes_its_minors_from_core_det(monkeypatch):
     det = core.det
     monkeypatch.setattr(core, "det", lambda m: minors.append(m) or det(m))
     field = _gradient_rows_field(rows)
-    got = flows._velocity_kernel(4, field, field)((1.0, 2.0, 3.0, 4.0))
+    got = flows._bracket_velocity(field, (1.0, 2.0, 3.0, 4.0))
     assert [len(m) for m in minors] == [3, 3, 3, 3]
     assert repr(got) == repr(want)
 
@@ -698,6 +698,30 @@ def _shear4_flow():
     shear = _shear4()
     return flows.flow_system(
         shear, [lambda s, j=j: shear.inverse(s)[j] for j in range(3)]
+    )
+
+
+def _shear5_flow():
+    """``_shear4`` with x5 + x4 * x1 appended: det J = 1 again."""
+    shear4 = _shear4()
+    fwd4, inv4 = shear4.forward_fn, shear4.inverse_fn
+
+    def inv(s):
+        x = inv4(s[:4])
+        return (*x, s[4] - x[3] * s[0])
+
+    shear = core.MapDescriptor(
+        name="shear5",
+        dimension=5,
+        params={},
+        forward_fn=lambda s: (*fwd4(s[:4]), s[4] + s[3] * s[0]),
+        inverse_fn=inv,
+        forward_guards=(("x1", lambda s: s[0]),),
+        inverse_guards=(("y1", lambda s: s[0]),),
+        det_j=lambda s: 1.0,
+    )
+    return flows.flow_system(
+        shear, [lambda s, j=j: shear.inverse(s)[j] for j in range(4)]
     )
 
 
@@ -1317,6 +1341,8 @@ TRACED_FLOWS = {
     "qp4-display": (
         lambda: maps.qp4_flow(2.0, 1.0, 1.0, "paper-display"), (1.0, 1.1, 0.9)
     ),
+    # its 3x3 minors are core.det's closed form, which reads no value
+    "shear4": (_shear4_flow, (1.1, 0.9, 1.2, 0.8)),
 }
 
 
@@ -1324,27 +1350,28 @@ def _is_traced(flow):
     return flow.velocity.__code__.co_filename == "<trace>"
 
 
-def _traced_flow(monkeypatch, build, point):
+def _traced_flow(build, point):
     """A flow built by ``build`` whose velocity is traced at ``point``."""
-    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
     flow = build()
     flows.nambu_rhs(flow, point)
     assert _is_traced(flow)
     return flow
 
 
-def test_a_flow_traces_its_velocity_after_trace_after_evaluations():
+def test_a_flow_traces_its_velocity_at_its_first_evaluation(monkeypatch):
+    kept = _spy_on_traces(monkeypatch)
     flow = maps.kdv3_flow()
-    for _ in range(flows.TRACE_AFTER):
-        assert not _is_traced(flow)
+    assert kept == []
+    for _ in range(3):
         flows.nambu_rhs(flow, (1.1, 0.9, 1.2))
+        assert kept == [True]
     assert _is_traced(flow)
 
 
 @pytest.mark.parametrize("run", TRACED_FLOWS)
-def test_a_traced_velocity_is_bitwise_the_jet_kernel(monkeypatch, run):
+def test_a_traced_velocity_is_bitwise_the_jet_kernel(run):
     build, point = TRACED_FLOWS[run]
-    flow = _traced_flow(monkeypatch, build, point)
+    flow = _traced_flow(build, point)
     rng = random.Random(f"traced:{run}")
     for _ in range(250):
         x = tuple(v * (1.0 + rng.uniform(-0.05, 0.05)) for v in point)
@@ -1370,6 +1397,8 @@ QUADRATURE_FLOWS = {
     "kdv3": (lambda: flows.build_hamiltonians(maps.kdv3()), (1.02, 0.9, 1.13), False),
     "kdv2": (lambda: flows.build_hamiltonians(maps.kdv2(2.0), check=False),
              (0.44, 3.7), True),
+    "shear4": (lambda: flows.build_hamiltonians(_shear4()),
+               (1.1, 0.9, 1.2, 0.8), False),
 }
 
 
@@ -1382,11 +1411,9 @@ def _charged(flow, velocity, x):
 
 
 @pytest.mark.parametrize("run", QUADRATURE_FLOWS)
-def test_a_traced_quadrature_velocity_is_the_jet_kernel_and_charges_the_same(
-    monkeypatch, run
-):
+def test_a_traced_quadrature_velocity_is_the_jet_kernel_and_charges_the_same(run):
     build, point, falls_back = QUADRATURE_FLOWS[run]
-    flow = _traced_flow(monkeypatch, build, point)
+    flow = _traced_flow(build, point)
     rng = random.Random(f"traced-quadrature:{run}")
     panels = []
     for _ in range(250):
@@ -1433,10 +1460,8 @@ def _overflowing_flow():
     return flows.build_hamiltonians(mapdesc)
 
 
-def test_a_non_finite_panel_estimate_in_traced_code_raises_the_kernel_error(
-    monkeypatch,
-):
-    flow = _traced_flow(monkeypatch, _overflowing_flow, (1.1, 0.9))
+def test_a_non_finite_panel_estimate_in_traced_code_raises_the_kernel_error():
+    flow = _traced_flow(_overflowing_flow, (1.1, 0.9))
     with pytest.raises(QuadratureError) as kernel:
         flow.jet_velocity((1e40, 0.9))
     with pytest.raises(QuadratureError) as traced:
@@ -1446,15 +1471,14 @@ def test_a_non_finite_panel_estimate_in_traced_code_raises_the_kernel_error(
     assert _is_traced(flow)
 
 
-def test_a_four_dimensional_quadrature_flow_keeps_its_kernel(monkeypatch):
-    # its minors pivot on values, so its trace is abandoned
-    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
-    flow = flows.build_hamiltonians(_shear4())
-    point = (1.1, 0.9, 1.2, 0.8)
+def test_a_five_dimensional_flow_keeps_its_kernel():
+    # core.det pivots on values for its 4x4 minors, so the trace is abandoned
+    flow = _shear5_flow()
+    point = (1.1, 0.9, 1.2, 0.8, 1.3)
     for _ in range(2):
-        _, charged = _charged(flow, lambda x: flows.nambu_rhs(flow, x), point)
+        # the image moves along x5 alone, at unit speed
+        assert flows.nambu_rhs(flow, point) == (0.0, 0.0, 0.0, 0.0, 1.0)
         assert flow.velocity is flow.jet_velocity
-        assert charged == (1, 15)
 
 
 def _kdv3_flow_whose_h2_divides_by_zero():
@@ -1488,10 +1512,8 @@ def _hermite3_flow_through_its_inverse():
     ],
     ids=["guard", "non-finite", "log-domain", "division-by-zero", "iterate"],
 )
-def test_a_traced_velocity_raises_what_the_jet_kernel_raises(
-    monkeypatch, build, good, bad, message
-):
-    flow = _traced_flow(monkeypatch, build, good)
+def test_a_traced_velocity_raises_what_the_jet_kernel_raises(build, good, bad, message):
+    flow = _traced_flow(build, good)
     with pytest.raises(MapflowError) as traced:
         flows.nambu_rhs(flow, bad)
     with pytest.raises(MapflowError) as kernel:
@@ -1501,6 +1523,24 @@ def test_a_traced_velocity_raises_what_the_jet_kernel_raises(
     # the attributes, the cause of an iterate's error included
     assert (type(err), repr(vars(err))) == (type(kernel.value), repr(vars(kernel.value)))
     assert _is_traced(flow)
+
+
+def test_a_fresh_flow_evaluated_first_at_a_pole_raises_what_the_jet_kernel_raises():
+    # 1+XY+X^2YZ is -5e-14 at the first point the traced code ever sees
+    bad, good = (1.0, -0.5, 1.0000000000001), (1.1, 0.9, 1.2)
+    with pytest.raises(MapflowError) as kernel:
+        maps.kdv3_flow().jet_velocity(bad)
+    flow = maps.kdv3_flow()
+    with pytest.raises(MapflowError) as traced:
+        flows.nambu_rhs(flow, bad)
+    assert _is_traced(flow)
+    err, want = traced.value, kernel.value
+    assert (type(err), str(err), repr(vars(err))) == (
+        type(want), str(want), repr(vars(want))
+    )
+    assert str(err).startswith("singular point in kdv3 (inverse): 1+XY+X^2YZ vanishes")
+    kernel_bits = repr(maps.kdv3_flow().jet_velocity(good))
+    assert repr(flows.nambu_rhs(flow, good)) == kernel_bits
 
 
 @pytest.mark.parametrize(
@@ -1523,10 +1563,7 @@ def test_a_traced_velocity_raises_what_the_jet_kernel_raises(
     ],
     ids=["compare", "float", "equal"],
 )
-def test_a_hamiltonian_that_reads_a_value_keeps_the_jet_kernel(
-    monkeypatch, ham, expected
-):
-    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+def test_a_hamiltonian_that_reads_a_value_keeps_the_jet_kernel(ham, expected):
     flow = flows.flow_system(maps.henon(1.0, 0.0), (ham,))
     points = [(1.0, 2.0), (-1.0, 2.0), (2.0, 2.0)]
     for _ in range(2):
@@ -1535,8 +1572,7 @@ def test_a_hamiltonian_that_reads_a_value_keeps_the_jet_kernel(
 
 
 def _spy_on_traces(monkeypatch):
-    """Trace every flow at its first rhs evaluation and list, per trace,
-    whether it was kept."""
+    """List, per trace, whether it was kept."""
     kept = []
     trace = core.trace
 
@@ -1546,7 +1582,6 @@ def _spy_on_traces(monkeypatch):
         return traced
 
     monkeypatch.setattr(core, "trace", spy)
-    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
     return kept
 
 
@@ -1554,10 +1589,21 @@ def _spy_on_traces(monkeypatch):
 def test_verify_output_bytes_match_the_pinned_digest_when_traced_at_once(
     monkeypatch, tmp_path, run
 ):
-    # henon's 25 rhs evaluations never reach TRACE_AFTER
+    # so the pinned bytes are the traced code's
     kept = _spy_on_traces(monkeypatch)
     test_verify_output_bytes_match_the_pinned_digest(tmp_path, run)
     assert kept and all(kept)
+
+
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_verify_output_bytes_match_the_pinned_digest_when_untraced(
+    monkeypatch, tmp_path, run
+):
+    # every trace abandoned: the path of a flow that keeps jet_velocity
+    traces = []
+    monkeypatch.setattr(core, "trace", lambda fn, n: traces.append(n))
+    test_verify_output_bytes_match_the_pinned_digest(tmp_path, run)
+    assert traces
 
 
 def test_integrator_config_validation():

@@ -208,8 +208,8 @@ def test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch
     assert calls == []
 
 
-def test_verify_refuses_a_pole_on_the_source_path_when_traced_at_once(monkeypatch):
-    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+def test_verify_refuses_a_pole_on_the_source_path_when_untraced(monkeypatch):
+    monkeypatch.setattr(core, "trace", lambda fn, n: None)
     test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch)
 
 
@@ -562,12 +562,14 @@ def test_a_quadrature_flow_is_traced_and_reports_the_same_work(monkeypatch, run)
     # and a point that re-runs through the kernel is charged once
     map_id, params, build, x0, t_range, panels, calls = run
     reports = []
-    for trace_after in (math.inf, 1):  # never traced, then at once
-        monkeypatch.setattr(flows, "TRACE_AFTER", trace_after)
-        flow = flows.build_hamiltonians(maps.build_map(map_id, params), **build)
-        report = harness.verify_correspondence(
-            map_id, params, x0=x0, t_range=t_range, flow=flow
-        )
+    for untraced in (True, False):
+        with monkeypatch.context() as patch:
+            if untraced:  # every trace abandoned, as for a flow that keeps its kernel
+                patch.setattr(core, "trace", lambda fn, n: None)
+            flow = flows.build_hamiltonians(maps.build_map(map_id, params), **build)
+            report = harness.verify_correspondence(
+                map_id, params, x0=x0, t_range=t_range, flow=flow
+            )
         reports.append(repr(report.to_dict()))
     assert report.quadrature == {"panels": panels, "integrand_calls": calls}
     assert flow.velocity is not flow.jet_velocity
@@ -809,11 +811,9 @@ def test_verify_does_bounded_work_or_raises_a_mapflow_error(
     assert report.integrator["rhs_evals"] <= 1 + 6 * BOUNDED_STEPS
 
 
-def test_verify_does_bounded_work_or_raises_a_mapflow_error_when_traced_at_once(
-    monkeypatch,
-):
-    # every catalog flow traced at its first rhs evaluation, on fresh flows
-    monkeypatch.setattr(flows, "TRACE_AFTER", 1)
+def test_verify_does_bounded_work_or_raises_a_mapflow_error_when_untraced(monkeypatch):
+    # every trace abandoned, on fresh flows: each keeps its jet kernel
+    monkeypatch.setattr(core, "trace", lambda fn, n: None)
     _bounded_flow.cache_clear()
     try:
         test_verify_does_bounded_work_or_raises_a_mapflow_error()
