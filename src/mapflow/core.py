@@ -11,13 +11,14 @@ one, goes through :func:`on_floats`: a map's guard and finiteness checks
 and :func:`jet_log`'s domain check and logarithm.  That lets
 :func:`trace` run a function of a point once on traced scalars, which
 record each float operation the jets make, and compile the record into
-straight-line float code: the same operations in the same order, so the
-same bits.  A call through ``on_floats`` is recorded as a call that runs
-on the point's floats; when one raises, or a division by zero does, the
-point re-runs through the traced function itself, which raises what it
-always has.  A decision that may go either way goes through
-:func:`assume`: a trace takes it as true and records a check that re-runs
-the point the same way when it is false there.  A call made only for its
+straight-line float code: each distinct operation once, in the order the
+jets first made it, so the same bits (see ``_Tape``).  A call through
+``on_floats`` is recorded as a call that runs on the point's floats; when
+one raises, or a division by zero does, the point re-runs through the
+traced function itself, which raises what it always has.  A decision
+that may go either way goes through :func:`assume`: a trace takes it as
+true and records a check that re-runs the point the same way when it is
+false there.  A call made only for its
 effect, such as charging a work counter, goes through :func:`effect`: a
 trace makes no such call but records it, and the compiled code makes it
 once every check has passed, so a point that re-runs is charged once.  A
@@ -637,24 +638,22 @@ def _refuse(self, *args):
 
 
 def _binary(symbol):
-    """The operator and its reflected form, each recording one assignment."""
+    """The operator and its reflected form, each recorded by the tape."""
 
     def op(self, other):
         if isinstance(other, Jet):  # the jet's reflected operator records it
             return NotImplemented
-        tape = self.tape
-        return tape.emit(f"{self.name} {symbol} {tape.operand(other)}")
+        return self.tape.arithmetic(self, symbol, other)
 
     def rop(self, other):
-        tape = self.tape
-        return tape.emit(f"{tape.operand(other)} {symbol} {self.name}")
+        return self.tape.arithmetic(other, symbol, self)
 
     return op, rop
 
 
 class _Traced:
     """A float under a trace.  ``+ - * /``, their reflected forms and
-    negation each append one assignment to the tape and return the traced
+    negation each record one operation on the tape and return the traced
     scalar it assigns; with a jet operand they leave the operation to the
     jet, whose parts then record it.  Every other use reads the value,
     which a trace cannot replay at another point, and abandons the
@@ -672,31 +671,68 @@ class _Traced:
     __truediv__, __rtruediv__ = _binary("/")
 
     def __neg__(self):
-        return self.tape.emit(f"-{self.name}")
+        return self.tape.record(f"-{self.name}", (self.name,), droppable=True)
 
     __float__ = __bool__ = __index__ = __abs__ = __hash__ = _refuse
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
     __pow__ = __rpow__ = _refuse
 
 
+def _is_one(value):
+    return value.__class__ is float and value == 1.0
+
+
 class _Tape:
     """The straight-line code a trace records, one assignment a line, with
     its constants bound by position, and the calls it makes for their
-    effect alone once every line has run."""
+    effect alone once every line has run.
+
+    Each distinct arithmetic operation is recorded once, keyed on its
+    operator and operand names, with the operands of ``+`` and ``*`` in
+    one order (both commute bit for bit); ``x * 1.0``, ``1.0 * x`` and
+    ``x / 1.0`` are ``x`` itself, bit for bit.  Each distinct constant is
+    bound once: an int or float by its class and ``repr``, so that 0.0 and
+    -0.0 stay apart, any other by identity.  Each line keeps the names it
+    reads, so that ``source`` drops the ``+ - *`` and negation lines
+    whose values nothing reads; neither can raise on floats.  A division
+    can, and a recorded call may, so both are always kept."""
 
     def __init__(self):
-        self.lines = []
+        self.lines = []  # (name, expression, names read, droppable)
+        self.known = {}  # expression -> the traced scalar that holds it
         self.consts = []
-        self.effects = []
+        self.const_names = {}
+        self.effects = []  # (call, names read)
 
-    def emit(self, expr):
+    def record(self, expr, reads, droppable=False):
         name = f"v{len(self.lines)}"
-        self.lines.append(f"{name} = {expr}")
+        self.lines.append((name, expr, reads, droppable))
         return _Traced(self, name)
 
+    def arithmetic(self, left, symbol, right):
+        """``left symbol right``, where one operand is a traced scalar and
+        the other a traced scalar or an int or float."""
+        if symbol == "*" and _is_one(left):
+            return right
+        if symbol in "*/" and _is_one(right):
+            return left
+        a, b = self.operand(left), self.operand(right)
+        if symbol in "+*" and b < a:
+            a, b = b, a
+        expr = f"{a} {symbol} {b}"
+        out = self.known.get(expr)
+        if out is None:
+            out = self.known[expr] = self.record(expr, (a, b), symbol != "/")
+        return out
+
     def const(self, value):
-        self.consts.append(value)
-        return f"c{len(self.consts) - 1}"
+        cls = value.__class__
+        key = (cls, repr(value)) if cls is float or cls is int else id(value)
+        name = self.const_names.get(key)
+        if name is None:
+            name = self.const_names[key] = f"c{len(self.consts)}"
+            self.consts.append(value)
+        return name
 
     def operand(self, value):
         """An arithmetic operand: a traced scalar or an int or float."""
@@ -715,6 +751,44 @@ class _Tape:
             return f"({_listed(map(self.arg, value))})"
         return self.const(value)
 
+    def call(self, fn, args):
+        """The text of the call ``fn(*args)`` and the names it reads."""
+        reads = tuple(
+            v.name
+            for a in args
+            for v in (a if a.__class__ is tuple else (a,))
+            if v.__class__ is _Traced
+        )
+        return f"{self.const(fn)}({', '.join(map(self.arg, args))})", reads
+
+    def source(self, inputs, out):
+        """The lines that compute ``out`` or may raise, in the order they
+        were recorded: one backward pass keeps a line when it may raise or
+        a kept line, a call or ``out`` reads its value."""
+        live = set(out)
+        for _, reads in self.effects:
+            live.update(reads)
+        kept = []
+        for name, expr, reads, droppable in reversed(self.lines):
+            if not droppable or name in live:
+                live.update(reads)
+                kept.append(f"{name} = {expr}")
+        kept.reverse()
+        return "\n".join(
+            [
+                f"def bind(fallback, {_listed(f'c{i}' for i in range(len(self.consts)))}):",
+                "    def traced(x):",
+                "        try:",
+                "            " + _listed(inputs) + "= x",
+                *("            " + line for line in kept),
+                "        except (ZeroDivisionError, MapflowError):",
+                "            return fallback(x)",
+                *("        " + call for call, _ in self.effects),
+                f"        return ({_listed(out)})",
+                "    return traced",
+            ]
+        )
+
 
 def on_floats(fn, first, *rest):
     """``fn(first, *rest)``, where ``first`` is a float or a tuple of them:
@@ -727,9 +801,7 @@ def on_floats(fn, first, *rest):
     its scalars."""
     for v in first if first.__class__ is tuple else (first,):
         if v.__class__ is _Traced:
-            tape = v.tape
-            args = ", ".join(map(tape.arg, (first, *rest)))
-            return tape.emit(f"{tape.const(fn)}({args})")
+            return v.tape.record(*v.tape.call(fn, (first, *rest)))
     return fn(first, *rest)
 
 
@@ -770,7 +842,7 @@ def effect(fn, *args):
     if tape is None:
         fn(*args)
     else:
-        tape.effects.append(f"{tape.const(fn)}({', '.join(map(tape.arg, args))})")
+        tape.effects.append(tape.call(fn, args))
 
 
 def trace(fn, n):
@@ -778,12 +850,14 @@ def trace(fn, n):
     floats, run once on traced scalars and compiled into straight-line
     float code; None when the trace is abandoned.
 
-    The compiled function makes the same float operations in the same
-    order, so it returns the same bits.  When a recorded ``on_floats`` call
-    raises a MapflowError, an ``assume`` check fails, or a division by zero
-    is raised, it returns ``fn`` of the point instead, which raises what it
-    always has; otherwise it makes the recorded ``effect`` calls and
-    returns.  The trace itself makes none of them."""
+    The compiled function makes each distinct float operation the trace
+    made once, in the order the trace first made it, and none whose value
+    goes unread and that cannot raise (see ``_Tape``), so it returns the
+    same bits.  When a recorded ``on_floats`` call raises a MapflowError,
+    an ``assume`` check fails, or a division by zero is raised, it returns
+    ``fn`` of the point instead, which raises what it always has; otherwise
+    it makes the recorded ``effect`` calls and returns.  The trace itself
+    makes none of them."""
     tape = _Tape()
     inputs = [_Traced(tape, f"x{i}") for i in range(n)]
     outer, _active.tape = _active.tape, tape
@@ -793,20 +867,7 @@ def trace(fn, n):
         return None
     finally:
         _active.tape = outer
-    source = "\n".join(
-        [
-            f"def bind(fallback, {_listed(f'c{i}' for i in range(len(tape.consts)))}):",
-            "    def traced(x):",
-            "        try:",
-            "            " + _listed(v.name for v in inputs) + "= x",
-            *("            " + line for line in tape.lines),
-            "        except (ZeroDivisionError, MapflowError):",
-            "            return fallback(x)",
-            *("        " + call for call in tape.effects),
-            f"        return ({_listed(out)})",
-            "    return traced",
-        ]
-    )
+    source = tape.source([v.name for v in inputs], out)
     return _compiled(source)(fn, *tape.consts)
 
 
@@ -815,9 +876,10 @@ def _listed(names):
     return "".join(name + ", " for name in names)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _compiled(source):
-    """The ``bind`` function of a trace's source, compiled once per source."""
+    """The ``bind`` function of generated source, a trace's or a
+    Runge-Kutta stage sum's, compiled once per source."""
     namespace = {"MapflowError": MapflowError}
     exec(compile(source, "<trace>", "exec"), namespace)
     return namespace["bind"]

@@ -30,8 +30,9 @@ flow's ``quadrature`` counts the panels the jet arithmetic would
 make.  A trace freezes every constant the Hamiltonians use, so they must
 be pure functions of their point.  A Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
-stage order; ``integrate`` picks out each tableau row's non-zero
-(weight, stage) pairs once per call, not once per stage.
+stage order; each tableau row's sum is compiled into straight-line code
+once per state dimension, and only the dense output, whose weights change
+with each sample, sums in a loop.
 
 The last Hamiltonian's derivative along the coordinate it integrates over
 is the determinant at the integral's endpoint, added once per evaluation,
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 from . import core
@@ -540,7 +541,8 @@ def _terms(weights):
 
 def _combine(y, h, terms, k):
     """y + h * (sum of weight * stage over the ``_terms`` of the weights,
-    in stage order), accumulated component by component."""
+    in stage order), accumulated component by component: the dense
+    output's sum, and the reference of the compiled ``_stage_sum``."""
     (w0, i0), *rest = terms
     k0 = k[i0]
     out = []
@@ -550,6 +552,44 @@ def _combine(y, h, terms, k):
             acc += w * k[i][c]
         out.append(y_c + h * acc)
     return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _stage_sums(method, n):
+    """The method's stage sums for states of n components, each compiled
+    once: one per row of ``a`` after the first, then ``b``'s, then ``e``'s
+    (None when the method has no ``e``)."""
+    a, b, e, _ = _TABLEAUS[method]
+    stages = tuple(_stage_sum(row, n) for row in a[1:])
+    return stages, _stage_sum(b, n), None if e is None else _stage_sum(e, n)
+
+
+def _stage_sum(weights, n):
+    """``_combine`` over the weights' ``_terms`` for states of n
+    components, compiled to straight-line code by ``core._compiled``: a
+    function of (y, h, k) whose component c is ``y[c] + h * (w0 * k[i0][c]
+    + w1 * k[i1][c] + ...)``, summed left to right as ``_combine`` sums."""
+    terms = _terms(weights)
+    listed = core._listed
+
+    def component(c):
+        acc = " + ".join(f"w{j} * k{i}_{c}" for j, (_, i) in enumerate(terms))
+        return f"y{c} + h * ({acc})"
+
+    source = "\n".join(
+        [
+            f"def bind({listed(f'w{j}' for j in range(len(terms)))}):",
+            "    def stage_sum(y, h, k):",
+            f"        {listed(f'y{c}' for c in range(n))}= y",
+            *(
+                f"        {listed(f'k{i}_{c}' for c in range(n))}= k[{i}]"
+                for _, i in terms
+            ),
+            f"        return ({listed(map(component, range(n)))})",
+            "    return stage_sum",
+        ]
+    )
+    return core._compiled(source)(*(w for w, _ in terms))
 
 
 def _dense_state(y, h, dense, k, x):
@@ -577,9 +617,9 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     error estimate, reuses the last stage of an accepted step as the first
     stage of the next (first same as last), and reads the samples an
     accepted step passes off its continuous extension, so it costs
-    1 + 6 * (accepted + rejected) rhs evaluations.  The non-zero
-    (weight, stage) pairs of each tableau row are worked out once per
-    call.
+    1 + 6 * (accepted + rejected) rhs evaluations.  The stage sums of the
+    tableau rows are ``_stage_sums``, compiled once per method and state
+    dimension; the continuous extension sums through ``_combine``.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -594,14 +634,12 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     a, b, e, dense = _TABLEAUS[cfg.method]
     # a last stage taken at the new state is the next step's first stage
     fsal = a[-1] + (0.0,) == b
-    stage_terms = [_terms(row) for row in a[1:]]
-    b_terms = _terms(b)
-    e_terms = None if e is None else _terms(e)
     # the samples still to record, the next one last
     pending = samples[::-1]
     t = t0
     y = as_state(x0)
     zero = (0.0,) * len(y)
+    stage_sums, b_sum, e_sum = _stage_sums(cfg.method, len(y))
     times, states, hams = [], [], []
     evals = accepted = rejected = 0
 
@@ -651,9 +689,9 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         if k_first is None:
             k_first = f(y)
         k = [k_first]
-        for terms in stage_terms:
-            k.append(f(_combine(y, h_try, terms, k)))
-        y_new = _combine(y, h_try, b_terms, k)
+        for stage_sum in stage_sums:
+            k.append(f(stage_sum(y, h_try, k)))
+        y_new = b_sum(y, h_try, k)
         finite = all(map(math.isfinite, y_new))
         if e is None and not finite:  # rk4 never retries a step
             raise IntegrationError("non-finite state", t, y, trajectory())
@@ -662,7 +700,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
             # adding to zero is exact, so this is h_try * sum(e_i * k_i)
             ratios = [
                 abs(d) / (cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v)))
-                for d, u, v in zip(_combine(zero, h_try, e_terms, k), y, y_new)
+                for d, u, v in zip(e_sum(zero, h_try, k), y, y_new)
             ]
             # max() skips a NaN, and an infinite scale can hide an overflow
             finite = finite and all(map(math.isfinite, ratios))

@@ -1,5 +1,6 @@
 """Core operator tests: gradients, Jacobians, determinants, brackets."""
 
+import itertools
 import math
 import operator
 import struct
@@ -829,14 +830,25 @@ def test_round_trip_property_all_catalog_maps():
 
 
 def test_a_trace_replays_the_float_operations_bit_for_bit():
+    # x * 1.0, 1.0 * x and x / 1.0 are recorded as x, which is exact for
+    # every float; nothing with 0.0 or -0.0 is folded, and the two are
+    # distinct constants; a repeated or commuted + or * is recorded once
     def fn(x):
         a, b = x
-        return (a * 2 + 1, -b / a, 3 - a * b, 0.5)
+        return (
+            a * 2 + 1, -b / (a * a + 1.0), 3 - a * b, 0.5,
+            a * 1.0, 1.0 * a, a / 1.0, a / -1.0,
+            a * 0.0, 0.0 * a, a * -0.0, a * 0,
+            a + 0.0, 0.0 + a, a + -0.0, -0.0 + a, a - 0.0, 0.0 - a, -0.0 - a,
+            a * b, b * a, a + b, b + a, a - b, b - a, -a, -a,
+        )
 
     traced = core.trace(fn, 2)
     assert traced.__code__.co_filename == "<trace>"
-    for x in [(1.5, -2.0), (0.1, 0.2), (1e-300, 1e300), (math.inf, 1.0)]:
-        assert repr(traced(x)) == repr(fn(x))
+    values = [0.0, -0.0, 1.0, 2.0, -2.0, 1.5, 0.1, 0.2, 1e-300, 1e300]
+    values += [math.inf, math.nan]
+    for x in itertools.product(values, repeat=2):
+        assert repr(traced(x)) == repr(fn(x)), x
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import random
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1201,6 +1203,24 @@ def test_combine_matches_the_left_to_right_sum_bit_for_bit(method, n):
             assert repr(got) == repr(_combine_reference(y, h, row, k)), (trial, row)
 
 
+@pytest.mark.parametrize("method", flows._TABLEAUS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compiled_stage_sums_are_combine_bit_for_bit(method, n):
+    a, b, e, _ = flows._TABLEAUS[method]
+    stages, b_sum, e_sum = flows._stage_sums(method, n)
+    rows = [*zip(a[1:], stages), (b, b_sum)] + ([] if e is None else [(e, e_sum)])
+    rng = random.Random(f"stage-sums:{method}:{n}")
+    for trial in range(20):
+        pool = [0.0, -0.0, *(rng.uniform(-1e3, 1e3) for _ in range(4))]
+        pool += [rng.uniform(-1e-12, 1e-12) for _ in range(2)]
+        k = [tuple(rng.choice(pool) for _ in range(n)) for _ in b]
+        y = tuple(rng.choice(pool) for _ in range(n))
+        h = rng.choice([1e-3, -0.02, 0.7])
+        for row, stage_sum in rows:
+            want = flows._combine(y, h, flows._terms(row), k)
+            assert repr(stage_sum(y, h, k)) == repr(want), (trial, row)
+
+
 def test_dopri5_costs_one_rhs_plus_six_per_attempt():
     # stage 7 of an accepted step is the next step's stage 1, and a
     # rejected step keeps its stage 1
@@ -1368,6 +1388,29 @@ def test_a_flow_traces_its_velocity_at_its_first_evaluation(monkeypatch):
     assert _is_traced(flow)
 
 
+def _points_with_exact_coordinates(point, rng, count=40):
+    """``count`` copies of ``point``, each with one or two coordinates set
+    to 0.0, -0.0, 1.0 or 2.0: where folding an operation on an exact zero
+    or one, or swapping the operands of one that does not commute, would
+    change the sign of a zero."""
+    points = []
+    for _ in range(count):
+        x = list(point)
+        for i in rng.sample(range(len(x)), rng.randint(1, 2)):
+            x[i] = rng.choice([0.0, -0.0, 1.0, 2.0])
+        points.append(tuple(x))
+    return points
+
+
+def _outcome(velocity, x):
+    """The repr of ``velocity(x)``, or the type and message of the
+    MapflowError it raises."""
+    try:
+        return repr(velocity(x))
+    except MapflowError as err:
+        return type(err), str(err)
+
+
 @pytest.mark.parametrize("run", TRACED_FLOWS)
 def test_a_traced_velocity_is_bitwise_the_jet_kernel(run):
     build, point = TRACED_FLOWS[run]
@@ -1377,6 +1420,9 @@ def test_a_traced_velocity_is_bitwise_the_jet_kernel(run):
         x = tuple(v * (1.0 + rng.uniform(-0.05, 0.05)) for v in point)
         # repr round-trips floats, so equal reprs are equal bits up to NaN
         assert repr(flows.nambu_rhs(flow, x)) == repr(flow.jet_velocity(x))
+    for x in _points_with_exact_coordinates(point, rng):
+        traced = _outcome(partial(flows.nambu_rhs, flow), x)
+        assert traced == _outcome(flow.jet_velocity, x), x
     assert _is_traced(flow)
 
 
@@ -1423,6 +1469,10 @@ def test_a_traced_quadrature_velocity_is_the_jet_kernel_and_charges_the_same(run
         assert repr(traced) == repr(kernel)
         assert charged == expected == (expected[0], 15 * expected[0])
         panels.append(expected[0])
+    for x in _points_with_exact_coordinates(point, rng):
+        traced = _charged(flow, partial(_outcome, partial(flows.nambu_rhs, flow)), x)
+        kernel = _charged(flow, partial(_outcome, flow.jet_velocity), x)
+        assert traced == kernel, x
     assert _is_traced(flow)
     # a point whose first panel misses the tolerance re-runs the kernel
     assert (max(panels) > 1) == falls_back
@@ -1439,6 +1489,42 @@ def test_a_trace_charges_no_quadrature_panel(run):
     assert flow.quadrature == counts
     _, charged = _charged(flow, traced, point)
     assert charged[0] >= 1
+
+
+# the most lines each trace may compile: each distinct operation once, and
+# no + - * or negation whose value goes unread
+TRACED_LINES = {
+    "henon1": 6, "henon2": 19, "henon3": 24, "hermite2": 11, "hermite3": 25,
+    "kdv3": 157, "kdv2": 74, "qp4": 108, "qp4-prop2": 123, "qp4-display": 120,
+    "shear4": 74,
+}
+QUADRATURE_LINES = {
+    "henon": 10, "hermite2": 114, "qp4": 108, "kdv3": 157, "kdv2": 620,
+    "shear4": 70,
+}
+
+
+@pytest.mark.parametrize(
+    "flows_table, lines, run",
+    [(TRACED_FLOWS, TRACED_LINES, run) for run in TRACED_FLOWS]
+    + [(QUADRATURE_FLOWS, QUADRATURE_LINES, run) for run in QUADRATURE_FLOWS],
+    ids=[*TRACED_FLOWS, *(f"quadrature-{run}" for run in QUADRATURE_FLOWS)],
+)
+def test_a_trace_compiles_no_more_lines_than_pinned(
+    monkeypatch, flows_table, lines, run
+):
+    sources = []
+    compiled = core._compiled
+
+    def spy(source):
+        sources.append(source)
+        return compiled(source)
+
+    monkeypatch.setattr(core, "_compiled", spy)
+    build, point = flows_table[run][:2]
+    _traced_flow(build, point)
+    (source,) = sources
+    assert len(re.findall(r"^ +v\d+ = ", source, re.MULTILINE)) <= lines[run]
 
 
 def _overflowing_flow():
@@ -1486,6 +1572,17 @@ def _kdv3_flow_whose_h2_divides_by_zero():
     return flows.flow_system(maps.kdv3(), hams, lambda s: [h(s) for h in hams])
 
 
+def _kdv3_flow_whose_h2_divides_by_zero_unread():
+    # the quotient is discarded, so no line the velocity returns reads it;
+    # the traced code must still divide, to raise where the kernel raises
+    def h2(s):
+        _ = 1.0 / (s[2] - 1.0)
+        return s[1]
+
+    hams = (lambda s: s[0], h2)
+    return flows.flow_system(maps.kdv3(), hams, lambda s: [h(s) for h in hams])
+
+
 def _hermite3_flow_through_its_inverse():
     chain = maps.hermite_chain(3)
     return flows.flow_system(chain, (lambda s: chain.inverse(s)[1],))
@@ -1505,12 +1602,17 @@ def _hermite3_flow_through_its_inverse():
          "log of non-positive value -3.3293697978596906"),
         (_kdv3_flow_whose_h2_divides_by_zero, (1.0, 2.0, 3.0), (1.0, 2.0, 1.0),
          "singular point in kdv3: a denominator of H2 vanishes at (1.0, 2.0, 1.0)"),
+        (_kdv3_flow_whose_h2_divides_by_zero_unread, (1.0, 2.0, 3.0), (1.0, 2.0, 1.0),
+         "singular point in kdv3: a denominator of H2 vanishes at (1.0, 2.0, 1.0)"),
         # the first step's inverse guard vanishes at the second iterate
         (_hermite3_flow_through_its_inverse, (7.0, 1.1), (2.0, 1.0),
          "iterate 2 of hermite[m=3] (inverse) left the domain: singular point "
          "in hermite-step[1] (inverse): X - Y vanishes at (2.0, 2.0)"),
     ],
-    ids=["guard", "non-finite", "log-domain", "division-by-zero", "iterate"],
+    ids=[
+        "guard", "non-finite", "log-domain", "division-by-zero",
+        "unread-division-by-zero", "iterate",
+    ],
 )
 def test_a_traced_velocity_raises_what_the_jet_kernel_raises(build, good, bad, message):
     flow = _traced_flow(build, good)
