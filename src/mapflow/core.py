@@ -684,8 +684,8 @@ def _is_one(value):
 
 class _Tape:
     """The straight-line code a trace records, one assignment a line, with
-    its constants bound by position, and the calls it makes for their
-    effect alone once every line has run.
+    the constants it reads bound by position, and the calls it makes for
+    their effect alone once every line has run.
 
     Each distinct arithmetic operation is recorded once, keyed on its
     operator and operand names, with the operands of ``+`` and ``*`` in
@@ -695,7 +695,8 @@ class _Tape:
     -0.0 stay apart, any other by identity.  Each line keeps the names it
     reads, so that ``source`` drops the ``+ - *`` and negation lines
     whose values nothing reads; neither can raise on floats.  A division
-    can, and a recorded call may, so both are always kept."""
+    can, and a recorded call may, so both are always kept.  A constant
+    that only dropped lines read is not bound."""
 
     def __init__(self):
         self.lines = []  # (name, expression, names read, droppable)
@@ -742,29 +743,27 @@ class _Tape:
             return self.const(value)
         raise _Untraceable(f"a {type(value).__name__} constant")
 
-    def arg(self, value):
-        """An argument of a recorded call: a traced scalar, a tuple that
-        holds one, or any constant."""
-        if value.__class__ is _Traced:
-            return value.name
+    def arg(self, value, reads):
+        """An argument of a recorded call, a traced scalar, a tuple that
+        holds one, or any constant, whose names are added to ``reads``."""
         if value.__class__ is tuple and any(v.__class__ is _Traced for v in value):
-            return f"({_listed(map(self.arg, value))})"
-        return self.const(value)
+            return f"({_listed(self.arg(v, reads) for v in value)})"
+        name = value.name if value.__class__ is _Traced else self.const(value)
+        reads.append(name)
+        return name
 
     def call(self, fn, args):
-        """The text of the call ``fn(*args)`` and the names it reads."""
-        reads = tuple(
-            v.name
-            for a in args
-            for v in (a if a.__class__ is tuple else (a,))
-            if v.__class__ is _Traced
-        )
-        return f"{self.const(fn)}({', '.join(map(self.arg, args))})", reads
+        """The text of the call ``fn(*args)`` and the names it reads, its
+        constants included."""
+        reads = [self.const(fn)]
+        text = f"{reads[0]}({', '.join([self.arg(a, reads) for a in args])})"
+        return text, tuple(reads)
 
     def source(self, inputs, out):
         """The lines that compute ``out`` or may raise, in the order they
-        were recorded: one backward pass keeps a line when it may raise or
-        a kept line, a call or ``out`` reads its value."""
+        were recorded, and the constants they read: one backward pass keeps
+        a line when it may raise or a kept line, a call or ``out`` reads its
+        value, and binds a constant only when one of those reads it."""
         live = set(out)
         for _, reads in self.effects:
             live.update(reads)
@@ -774,9 +773,10 @@ class _Tape:
                 live.update(reads)
                 kept.append(f"{name} = {expr}")
         kept.reverse()
-        return "\n".join(
+        bound = [i for i in range(len(self.consts)) if f"c{i}" in live]
+        source = "\n".join(
             [
-                f"def bind(fallback, {_listed(f'c{i}' for i in range(len(self.consts)))}):",
+                f"def bind(fallback, {_listed(f'c{i}' for i in bound)}):",
                 "    def traced(x):",
                 "        try:",
                 "            " + _listed(inputs) + "= x",
@@ -788,6 +788,7 @@ class _Tape:
                 "    return traced",
             ]
         )
+        return source, [self.consts[i] for i in bound]
 
 
 def on_floats(fn, first, *rest):
@@ -867,8 +868,8 @@ def trace(fn, n):
         return None
     finally:
         _active.tape = outer
-    source = tape.source([v.name for v in inputs], out)
-    return _compiled(source)(fn, *tape.consts)
+    source, consts = tape.source([v.name for v in inputs], out)
+    return _compiled(source)(fn, *consts)
 
 
 def _listed(names):

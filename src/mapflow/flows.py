@@ -27,8 +27,13 @@ Quadrature-built Hamiltonians trace too: the traced code holds one
 Kronrod panel and checks that its estimate meets the tolerance, and a
 point where it does not re-runs through the adaptive loop; either way the
 flow's ``quadrature`` counts the panels the jet arithmetic would
-make.  A trace freezes every constant the Hamiltonians use, so they must
-be pure functions of their point.  A Runge-Kutta stage state
+make.  A flow's ``level`` is traced the same way from its ``jet_level``:
+the values H_j(F(x)) at a source point and each H_j's partials along the
+free (non-time) slots, which is what the harness's level-set Newton
+reads, and it falls back to ``jet_level`` exactly as ``velocity`` falls
+back to ``jet_velocity``.  A trace freezes every constant the
+Hamiltonians use, so they must be pure functions of their point.  A
+Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
 stage order; each tableau row's sum is compiled into straight-line code
 once per state dimension, and only the dense output, whose weights change
@@ -90,8 +95,10 @@ class FlowSystem:
     called in turn when it is None.  ``quadrature`` holds the running
     quadrature totals of Hamiltonians built by quadrature, None for closed
     forms.  ``jet_velocity`` (the bracket velocity by jet arithmetic),
-    ``velocity`` (that function traced) and ``det_condition`` are computed
-    on first use and kept with the flow.
+    ``velocity`` (that function traced), ``jet_level`` (the values and
+    free-slot rows of H(F(x)) that a level-set Newton step reads, by jet
+    arithmetic), ``level`` (that function traced) and ``det_condition``
+    are computed on first use and kept with the flow.
     """
 
     map: core.MapDescriptor
@@ -132,6 +139,11 @@ class FlowSystem:
     def hamiltonian_values(self, point):
         return tuple(map(float_value, self.hamiltonians_at(as_state(point))))
 
+    def source_hamiltonians(self, src):
+        """The Hamiltonians at the image of a source point, H(F(src)), whose
+        entries are floats or jets."""
+        return self.hamiltonians_at(self.map.forward(src))
+
     @cached_property
     def jet_velocity(self):
         """The bracket velocity at a state by jet arithmetic, a tuple of n
@@ -153,6 +165,22 @@ class FlowSystem:
         Hamiltonians read a value.  The trace freezes the Hamiltonians'
         constants, so they must be pure functions of their point."""
         return core.trace(self.jet_velocity, self.map.dimension) or self.jet_velocity
+
+    @cached_property
+    def jet_level(self):
+        """What one level-set Newton step reads at a source point, by jet
+        arithmetic (``_level_values_rows``): H_j(F(x)) for each j, then
+        each H_j's partials along the free (non-time) slots."""
+        return partial(_level_values_rows, self)
+
+    @cached_property
+    def level(self):
+        """``jet_level`` traced on first use, as ``velocity`` traces
+        ``jet_velocity``, falling back the same way and on the same
+        checks and charging the same quadrature panels.  It takes no
+        minors, so a flow keeps ``jet_level`` only when its map or its
+        Hamiltonians read a value."""
+        return core.trace(self.jet_level, self.map.dimension) or self.jet_level
 
     @cached_property
     def det_condition(self):
@@ -360,6 +388,17 @@ def _bracket_velocity(hamiltonians, x):
     )
 
 
+def _level_values_rows(flow, x):
+    """A flat tuple of floats from one seeded evaluation at the source point
+    x: the n-1 values H_j(F(x)), then row by row each H_j's partials along
+    the n-1 free slots, the time slot's column left out.  A division by
+    zero is a SingularPointError naming the H_j at fault."""
+    t = flow.time_index - 1
+    values, rows = core.jet_values_rows(flow.source_hamiltonians, x)
+    free = [p for row in rows for p in row[:t] + row[t + 1 :]]
+    return tuple(map(float_value, values + free))
+
+
 def _flow_state(flow, point):
     """``point`` as a state of the flow's map: exactly as many floats as the
     map has coordinates, all finite."""
@@ -398,11 +437,7 @@ def source_rhs(flow, point):
     detj = float_value(flow.det_j_field(x))
     if abs(detj) <= core.GUARD_CUTOFF:
         raise SingularPointError(flow.map.name, "det J", x)
-
-    def composed(src):
-        return flow.hamiltonians_at(flow.map.forward(src))
-
-    comps = _bracket_velocity(composed, x)
+    comps = _bracket_velocity(flow.source_hamiltonians, x)
     return tuple(c / detj for c in comps)
 
 

@@ -138,8 +138,10 @@ def _level_set_path(flow, x_start, times):
 
     At each time Newton moves the n-1 other slots, from the previous time's
     point.  An iteration reads G(x) = H(F(x)) - H(F(x_start)) and its
-    derivative rows off one jet evaluation and solves dG/dx_free dx = -G by
-    Cramer's rule.  It stops when |dx| <= 1e-13 (1 + |x|), or when |dx|
+    derivative rows along those slots off one call of the flow's ``level``
+    (traced on first use into float code, falling back to jets exactly as
+    the flow's velocity does) and solves dG/dx_free dx = -G by Cramer's
+    rule.  It stops when |dx| <= 1e-13 (1 + |x|), or when |dx|
     has shrunk and then stops shrinking (rounding noise in G); a solve
     that does neither within LEVEL_SET_MAX_ITERATIONS is a LevelSetError.
     det(dG/dx_free), which equals det J for the flow's own Hamiltonians,
@@ -149,12 +151,9 @@ def _level_set_path(flow, x_start, times):
     """
     t_index = flow.time_index - 1
     free = [k for k in range(len(x_start)) if k != t_index]
+    m = len(free)
     name = flow.map.name
     target = flow.hamiltonian_values(flow.map.forward(x_start))
-
-    def level(src):
-        return flow.hamiltonians_at(flow.map.forward(src))
-
     path = []
     iterations = 0
     residual = 0.0
@@ -164,9 +163,9 @@ def _level_set_path(flow, x_start, times):
         sizes = []
         for _ in range(LEVEL_SET_MAX_ITERATIONS):
             iterations += 1
-            values, rows = core.jet_values_rows(level, x)
-            g = [core.float_value(v) - h for v, h in zip(values, target)]
-            a = [[float(row[k]) for k in free] for row in rows]
+            out = flow.level(x)
+            g = [v - h for v, h in zip(out, target)]
+            a = [list(out[k : k + m]) for k in range(m, m * (m + 1), m)]
             d = float(core.det(a))
             if abs(d) <= core.GUARD_CUTOFF:
                 raise SingularPointError(name, "det J", x)

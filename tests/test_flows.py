@@ -24,6 +24,7 @@ from mapflow.errors import (
     StepUnderflowError,
 )
 from mapflow.flows import IntegratorConfig
+from reference import squash_kdv3
 
 
 def synthetic_failing_map():
@@ -1491,6 +1492,99 @@ def test_a_trace_charges_no_quadrature_panel(run):
     assert charged[0] >= 1
 
 
+# every constrained flow the level-set oracle solves for, closed form and
+# by quadrature, with the non-time start and the span of one level set
+LEVEL_FLOWS = {
+    "hermite2": (lambda: maps.hermite_flow(2), (2.5,), (0.5, 1.0)),
+    "hermite3": (lambda: maps.hermite_flow(3), (42.0,), (0.5, 2.0)),
+    "kdv2": (lambda: maps.kdv2_flow(2.0), (1.0,), (1.0, 2.0)),
+    "quadrature-hermite2": (
+        lambda: flows.build_hamiltonians(
+            maps.hermite_chain(2), ref_point=(0.0, 1.0), check=False
+        ),
+        (2.6060594742725938,), (0.5, 2.01953125),
+    ),
+    "quadrature-kdv2": (
+        lambda: flows.build_hamiltonians(maps.kdv2(2.0), check=False),
+        (1.0,), (1.0, 2.0),
+    ),
+    # two free slots, so each Newton step reads a 2x2 block of rows
+    "squash-kdv3": (
+        lambda: flows.build_hamiltonians(squash_kdv3(), check=False),
+        (1.1, 0.9), (1.0, 2.0),
+    ),
+}
+
+
+def _level_set_of(build, x0, t_range):
+    """A flow built by ``build``, and the repr of the path, the oracle
+    record and the quadrature counts of its level set over ``t_range``."""
+    flow = build()
+    times = harness._sample_times(*t_range, harness.DEFAULT_SAMPLES)
+    x_start = harness.source_start(flow, x0, t_range[0])
+    path, oracle = harness._level_set_path(flow, x_start, times)
+    counts = flow.quadrature and dataclasses.astuple(flow.quadrature)
+    return flow, (repr(path), repr(oracle), counts)
+
+
+def _traced_level(build, x0, t_range):
+    """A flow built by ``build`` whose level function is traced at the
+    start of its level set."""
+    flow = build()
+    flow.level(harness.source_start(flow, x0, t_range[0]))
+    assert flow.level.__code__.co_filename == "<trace>"
+    return flow
+
+
+@pytest.mark.parametrize("run", LEVEL_FLOWS)
+def test_a_traced_level_set_is_bitwise_the_jet_level_set(monkeypatch, run):
+    flow, traced = _level_set_of(*LEVEL_FLOWS[run])
+    assert flow.level.__code__.co_filename == "<trace>"
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "trace", lambda fn, n: None)
+        flow, untraced = _level_set_of(*LEVEL_FLOWS[run])
+    assert flow.level is flow.jet_level
+    # the same path and oracle record by repr, the same panels charged
+    assert traced == untraced
+
+
+def _raised(fn, x):
+    """The type of the MapflowError ``fn(x)`` raises, and the error."""
+    with pytest.raises(MapflowError) as info:
+        fn(x)
+    return type(info.value), info.value
+
+
+@pytest.mark.parametrize(
+    "build, good, bad, message",
+    [
+        (lambda: maps.kdv2_flow(2.0), (1.0, 1.0), (0.0, 1.0),
+         "singular point in kdv2: x vanishes at (0.0, 1.0)"),
+        # the second step's forward guard y vanishes at the first iterate
+        (lambda: maps.hermite_flow(3), (42.0, 0.5), (2.0, 0.5),
+         "iterate 2 of hermite[m=3] left the domain: singular point in "
+         "hermite-step[2]: y vanishes at (2.0, 0.0)"),
+    ],
+    ids=["forward-guard", "iterate"],
+)
+def test_a_traced_level_function_raises_what_the_jet_level_function_raises(
+    monkeypatch, build, good, bad, message
+):
+    traced = build()
+    traced.level(good)
+    outcomes = [_raised(traced.level, bad)]
+    fresh = build()  # whose first point is the pole itself
+    outcomes.append(_raised(fresh.level, bad))
+    for flow in (traced, fresh):
+        assert flow.level.__code__.co_filename == "<trace>"
+    monkeypatch.setattr(core, "trace", lambda fn, n: None)
+    flow = build()
+    outcomes.append(_raised(flow.level, bad))
+    assert flow.level is flow.jet_level
+    assert str(outcomes[0][1]) == message
+    assert len({(kind, str(err), repr(vars(err))) for kind, err in outcomes}) == 1
+
+
 # the most lines each trace may compile: each distinct operation once, and
 # no + - * or negation whose value goes unread
 TRACED_LINES = {
@@ -1502,17 +1596,15 @@ QUADRATURE_LINES = {
     "henon": 10, "hermite2": 114, "qp4": 108, "kdv3": 157, "kdv2": 620,
     "shear4": 70,
 }
+LEVEL_LINES = {
+    "hermite2": 18, "hermite3": 52, "kdv2": 136, "quadrature-hermite2": 126,
+    "quadrature-kdv2": 680, "squash-kdv3": 589,
+}
 
 
-@pytest.mark.parametrize(
-    "flows_table, lines, run",
-    [(TRACED_FLOWS, TRACED_LINES, run) for run in TRACED_FLOWS]
-    + [(QUADRATURE_FLOWS, QUADRATURE_LINES, run) for run in QUADRATURE_FLOWS],
-    ids=[*TRACED_FLOWS, *(f"quadrature-{run}" for run in QUADRATURE_FLOWS)],
-)
-def test_a_trace_compiles_no_more_lines_than_pinned(
-    monkeypatch, flows_table, lines, run
-):
+def _trace_source(monkeypatch, flows_table, run):
+    """The source the trace of one run compiles: its level function's for
+    a run of ``LEVEL_FLOWS``, else its velocity's."""
     sources = []
     compiled = core._compiled
 
@@ -1521,10 +1613,45 @@ def test_a_trace_compiles_no_more_lines_than_pinned(
         return compiled(source)
 
     monkeypatch.setattr(core, "_compiled", spy)
-    build, point = flows_table[run][:2]
-    _traced_flow(build, point)
+    if flows_table is LEVEL_FLOWS:
+        _traced_level(*LEVEL_FLOWS[run])
+    else:
+        build, point = flows_table[run][:2]
+        _traced_flow(build, point)
     (source,) = sources
+    return source
+
+
+TRACE_RUNS = {
+    "argnames": "flows_table, lines, run",
+    "argvalues": [(TRACED_FLOWS, TRACED_LINES, run) for run in TRACED_FLOWS]
+    + [(QUADRATURE_FLOWS, QUADRATURE_LINES, run) for run in QUADRATURE_FLOWS]
+    + [(LEVEL_FLOWS, LEVEL_LINES, run) for run in LEVEL_FLOWS],
+    "ids": [
+        *TRACED_FLOWS,
+        *(f"quadrature-{run}" for run in QUADRATURE_FLOWS),
+        *(f"level-{run}" for run in LEVEL_FLOWS),
+    ],
+}
+
+
+@pytest.mark.parametrize(**TRACE_RUNS)
+def test_a_trace_compiles_no_more_lines_than_pinned(
+    monkeypatch, flows_table, lines, run
+):
+    source = _trace_source(monkeypatch, flows_table, run)
     assert len(re.findall(r"^ +v\d+ = ", source, re.MULTILINE)) <= lines[run]
+
+
+@pytest.mark.parametrize(**TRACE_RUNS)
+def test_a_trace_binds_only_the_constants_its_code_reads(
+    monkeypatch, flows_table, lines, run
+):
+    source = _trace_source(monkeypatch, flows_table, run)
+    header, body = source.split("\n", 1)
+    params = re.fullmatch(r"def bind\(fallback, (.*)\):", header).group(1)
+    names = params.split(", ")[:-1]  # each parameter is followed by a comma
+    assert set(re.findall(r"\bc\d+\b", body)) == set(names)
 
 
 def _overflowing_flow():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mapflow import chain1d, core, flows, harness, maps
 from mapflow.errors import ConfigError, LevelSetError, MapflowError, SingularPointError
-from reference import kdv2_hamiltonian_source
+from reference import kdv2_hamiltonian_source, squash_kdv3
 
 
 def test_verify_kdv3_passes():
@@ -495,18 +495,7 @@ def test_flow_from_source_follows_the_level_set_of_a_flow_outside_the_catalog():
 def test_level_set_newton_solves_for_two_free_slots(monkeypatch):
     # squashing z before kdv3 makes det J = 1/(1+z)^2 depend on the time
     # slot, so the oracle's Newton moves x and y with a 2x2 Cramer solve
-    squash = core.MapDescriptor(
-        name="squash",
-        dimension=3,
-        params={},
-        forward_fn=lambda s: (s[0], s[1], s[2] / (1 + s[2])),
-        inverse_fn=lambda s: (s[0], s[1], s[2] / (1 - s[2])),
-        forward_guards=(("1+z", lambda p: 1 + p[2]),),
-        inverse_guards=(("1-Z", lambda p: 1 - p[2]),),
-        det_j=lambda s: 1 / (1 + s[2]) ** 2,
-    )
-    composite = core.compose_sequence([squash, maps.kdv3()], name="squash-kdv3")
-    flow = flows.build_hamiltonians(composite, check=False)
+    flow = flows.build_hamiltonians(squash_kdv3(), check=False)
     sizes = []
     solve = harness._solve
 
@@ -675,6 +664,29 @@ def test_a_non_finite_newton_step_is_a_level_set_error(monkeypatch):
         harness.flow_from_source(flow, (1.0,), 0.5, 0.1, COARSE, 3)
     assert exc_info.value.time == 0.1
     assert at_last_time.count(True) == 1  # the first non-finite step stops it
+
+
+def test_a_non_finite_newton_step_in_traced_code_is_a_level_set_error(monkeypatch):
+    # the flow of the test above, its level function traced: each step's
+    # size is read off the solve, which spies on no traced value
+    flow = flows.flow_system(
+        maps.hermite_chain(2), (lambda s: 1e307 * s[0] * (s[0] - s[1]) ** 2,)
+    )
+    finite = []
+    solve = harness._solve
+
+    def recorded(a, d, b):
+        dx = solve(a, d, b)
+        finite.append(all(map(math.isfinite, dx)))
+        return dx
+
+    monkeypatch.setattr(harness, "_solve", recorded)
+    with pytest.raises(LevelSetError) as exc_info:
+        harness.flow_from_source(flow, (1.0,), 0.5, 0.1, COARSE, 3)
+    assert exc_info.value.time == 0.1
+    assert flow.level.__code__.co_filename == "<trace>"
+    # the first non-finite step stops it
+    assert finite.count(False) == 1 and finite[-1] is False
 
 
 def test_verify_needs_two_samples():
