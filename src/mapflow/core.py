@@ -7,14 +7,16 @@ with jets yields exact first derivatives.  Everything here is a pure
 function of its inputs, and all container types are immutable.
 
 Every decision the jet layer takes on a value, and every ``math`` call on
-one, goes through :func:`on_floats`: a map's guard and finiteness checks
-and :func:`jet_log`'s domain check and logarithm.  That lets
+one, goes through :func:`on_floats` (such as :func:`jet_log`'s domain
+check and logarithm) or is a map's guard or finiteness check.  That lets
 :func:`trace` run a function of a point once on traced scalars, which
 record each float operation the jets make, and compile the record into
 straight-line float code: each distinct operation once, in the order the
 jets first made it, so the same bits (see ``_Tape``).  A call through
-``on_floats`` is recorded as a call that runs on the point's floats; when
-one raises, or a division by zero does, the point re-runs through the
+``on_floats`` is recorded as a call that runs on the point's floats.  A
+map's guard and finiteness checks are recorded as inline check lines
+over the traced values (see ``MapDescriptor``).  When a call or check
+raises, or a division by zero does, the point re-runs through the
 traced function itself, which raises what it always has.  A decision
 that may go either way goes through :func:`assume`: a trace takes it as
 true and records a check that re-runs the point the same way when it is
@@ -370,7 +372,10 @@ class MapDescriptor:
     pairs naming the denominators that must stay away from zero; they are
     called with the point's float values before each evaluation, so poles
     raise instead of propagating huge values, and every output's float
-    value must be finite.
+    value must be finite.  Under a trace both checks are recorded as one
+    inline line each: the guards run on the traced point, so their
+    arithmetic is recorded once and shared with the map's own factors.  A
+    guard that reads a value keeps the recorded call of ``on_floats``.
     """
 
     name: str
@@ -397,10 +402,18 @@ class MapDescriptor:
                 f"{where} takes {self.dimension} coordinates, got {len(state)}"
             )
         point = tuple(map(float_value, state))
+        tape = _tape_of(point)
         if guards:
-            on_floats(_refuse_poles, point, where, guards)
+            if tape is None:
+                _refuse_poles(point, where, guards)
+            elif not tape.check(_poles_fail, point, guards):
+                on_floats(_refuse_poles, point, where, guards)
         out = tuple(fn(state))
-        on_floats(_refuse_non_finite, tuple(map(float_value, out)), where, point)
+        values = tuple(map(float_value, out))
+        if tape is None:
+            _refuse_non_finite(values, where, point)
+        else:
+            tape.check(_non_finite_fail, values)
         return out
 
     def box(self):
@@ -419,6 +432,36 @@ def _refuse_poles(point, where, guards):
 def _refuse_non_finite(values, where, point):
     if not all(map(math.isfinite, values)):
         raise SingularPointError(where, SingularPointError.NON_FINITE, point)
+
+
+def _tape_of(values):
+    """The tape of the first traced scalar among ``values``, else None."""
+    for v in values:
+        if v.__class__ is _Traced:
+            return v.tape
+    return None
+
+
+def _poles_fail(tape, point, guards):
+    """``_refuse_poles``'s condition as an expression over the recorded
+    guard values and point, and the names it reads."""
+    values = [tape.operand(guard(point)) for _, guard in guards]
+    xs = [tape.operand(x) for x in point]
+    largest = ", ".join([f"abs({x})" for x in xs])
+    if len(xs) > 1:
+        largest = f"max({largest})"
+    cutoff = tape.const(GUARD_CUTOFF)
+    first, *rest = values
+    fails = f"abs({first}) <= (s_ := {cutoff} * (1.0 + {largest}))"
+    fails += "".join([f" or abs({g}) <= s_" for g in rest])
+    return fails, (*values, *xs, cutoff)
+
+
+def _non_finite_fail(tape, values):
+    """``_refuse_non_finite``'s condition as an expression over the
+    recorded values, and the names it reads."""
+    names = [tape.operand(v) for v in values]
+    return f"not ({' and '.join([f'isfinite({v})' for v in names])})", names
 
 
 def sample_points(mapdesc, count, seed=42, rng=None):
@@ -695,8 +738,11 @@ class _Tape:
     -0.0 stay apart, any other by identity.  Each line keeps the names it
     reads, so that ``source`` drops the ``+ - *`` and negation lines
     whose values nothing reads; neither can raise on floats.  A division
-    can, and a recorded call may, so both are always kept.  A constant
-    that only dropped lines read is not bound."""
+    can, and a recorded call or check line may, so all three are always
+    kept.  A check line (``check``) raises ``_Unassumed`` through the
+    compiled code's ``FAIL`` where its condition holds; a map writes its
+    guard and finiteness checks this way.  A constant that only dropped
+    lines read is not bound."""
 
     def __init__(self):
         self.lines = []  # (name, expression, names read, droppable)
@@ -725,6 +771,21 @@ class _Tape:
         if out is None:
             out = self.known[expr] = self.record(expr, (a, b), symbol != "/")
         return out
+
+    def check(self, fails, *args):
+        """Record the check that ``fails(self, *args)`` writes, a condition
+        and the names it reads, as one line that raises ``_Unassumed``
+        where the condition holds, so that the point re-runs through the
+        traced function, which raises the error the check stands for; a
+        map's guard and finiteness checks.  False, recording nothing,
+        when the condition reads a value, as a guard that calls ``abs``
+        does."""
+        try:
+            condition, reads = fails(self, *args)
+        except _Untraceable:
+            return False
+        self.record(f"FAIL() if {condition} else None", tuple(reads))
+        return True
 
     def const(self, value):
         cls = value.__class__
@@ -793,17 +854,20 @@ class _Tape:
 
 def on_floats(fn, first, *rest):
     """``fn(first, *rest)``, where ``first`` is a float or a tuple of them:
-    the one place the jet layer decides on a value or calls ``math`` on it.
+    the one place the jet layer decides on a value or calls ``math`` on
+    it, apart from a map's guard and finiteness checks, which a trace
+    writes inline (see ``MapDescriptor``); only a guard that reads a value
+    comes here.
 
     When ``first`` is, or holds, a traced scalar, the call is recorded
     instead, as a call that runs on that point's floats, and a traced
     scalar stands for its result.  So ``fn`` may decide on ``first``
     alone; the other arguments are constants of the trace, or tuples of
     its scalars."""
-    for v in first if first.__class__ is tuple else (first,):
-        if v.__class__ is _Traced:
-            return v.tape.record(*v.tape.call(fn, (first, *rest)))
-    return fn(first, *rest)
+    tape = _tape_of(first if first.__class__ is tuple else (first,))
+    if tape is None:
+        return fn(first, *rest)
+    return tape.record(*tape.call(fn, (first, *rest)))
 
 
 def assume(fn, first, *rest):
@@ -814,16 +878,19 @@ def assume(fn, first, *rest):
     path: it returns True and records a check that raises a MapflowError
     when ``fn`` is false on the point's floats, so that the point re-runs
     through the traced function, which decides afresh."""
-    for v in first if first.__class__ is tuple else (first,):
-        if v.__class__ is _Traced:
-            on_floats(_assumed, first, fn, *rest)
-            return True
-    return fn(first, *rest)
+    if _tape_of(first if first.__class__ is tuple else (first,)) is None:
+        return fn(first, *rest)
+    on_floats(_assumed, first, fn, *rest)
+    return True
 
 
 def _assumed(first, fn, *rest):
     if not fn(first, *rest):
         raise _Unassumed(f"{fn.__name__} is false at {first!r}")
+
+
+def _fail():
+    raise _Unassumed("a recorded check failed")
 
 
 class _Active(threading.local):
@@ -855,8 +922,9 @@ def trace(fn, n):
     made once, in the order the trace first made it, and none whose value
     goes unread and that cannot raise (see ``_Tape``), so it returns the
     same bits.  When a recorded ``on_floats`` call raises a MapflowError,
-    an ``assume`` check fails, or a division by zero is raised, it returns
-    ``fn`` of the point instead, which raises what it always has; otherwise
+    an ``assume`` check or an inline guard or finiteness check fails, or a
+    division by zero is raised, it returns ``fn`` of the point instead,
+    which raises what it always has; otherwise
     it makes the recorded ``effect`` calls and returns.  The trace itself
     makes none of them."""
     tape = _Tape()
@@ -880,7 +948,8 @@ def _listed(names):
 @lru_cache(maxsize=64)
 def _compiled(source):
     """The ``bind`` function of generated source, a trace's or a
-    Runge-Kutta stage sum's, compiled once per source."""
-    namespace = {"MapflowError": MapflowError}
+    Runge-Kutta step's, compiled once per source."""
+    namespace = {"MapflowError": MapflowError, "FAIL": _fail}
+    namespace["isfinite"] = math.isfinite
     exec(compile(source, "<trace>", "exec"), namespace)
     return namespace["bind"]

@@ -35,8 +35,9 @@ back to ``jet_velocity``.  A trace freezes every constant the
 Hamiltonians use, so they must be pure functions of their point.  A
 Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
-stage order; each tableau row's sum is compiled into straight-line code
-once per state dimension, and only the dense output, whose weights change
+stage order; each method's whole step, every stage sum and the rhs calls
+between them, is compiled into straight-line code once per state
+dimension (``_step``), and only the dense output, whose weights change
 with each sample, sums in a loop.
 
 The last Hamiltonian's derivative along the coordinate it integrates over
@@ -577,7 +578,8 @@ def _terms(weights):
 def _combine(y, h, terms, k):
     """y + h * (sum of weight * stage over the ``_terms`` of the weights,
     in stage order), accumulated component by component: the dense
-    output's sum, and the reference of the compiled ``_stage_sum``."""
+    output's sum, and the reference of the sums the compiled ``_step``
+    writes out."""
     (w0, i0), *rest = terms
     k0 = k[i0]
     out = []
@@ -590,41 +592,58 @@ def _combine(y, h, terms, k):
 
 
 @lru_cache(maxsize=32)
-def _stage_sums(method, n):
-    """The method's stage sums for states of n components, each compiled
-    once: one per row of ``a`` after the first, then ``b``'s, then ``e``'s
-    (None when the method has no ``e``)."""
+def _step(method, n):
+    """One step of the method for states of n components, compiled to
+    straight-line code once by ``core._compiled``, and whether its last
+    stage is taken at the new state, so that it is the next step's first
+    stage (first same as last).  The step is a function of (rhs, y, h,
+    k0), k0 the first stage or None to evaluate it, that returns the new
+    state, the tuple of every stage and the error sums (None when the
+    method has no ``e``).
+
+    Each stage state, the new state and the error sums are ``_combine``
+    over their row's ``_terms``, written out component by component in the
+    same operand order (the error sums over a zero state, as ``_combine``
+    sums them), so they have its bits.  ``rhs`` is called on y and then
+    between rows, on each stage state in turn, and its result is converted
+    to floats and must have n components.  A last row that sums as the new
+    state does is not summed twice."""
     a, b, e, _ = _TABLEAUS[method]
-    stages = tuple(_stage_sum(row, n) for row in a[1:])
-    return stages, _stage_sum(b, n), None if e is None else _stage_sum(e, n)
-
-
-def _stage_sum(weights, n):
-    """``_combine`` over the weights' ``_terms`` for states of n
-    components, compiled to straight-line code by ``core._compiled``: a
-    function of (y, h, k) whose component c is ``y[c] + h * (w0 * k[i0][c]
-    + w1 * k[i1][c] + ...)``, summed left to right as ``_combine`` sums."""
-    terms = _terms(weights)
     listed = core._listed
 
-    def component(c):
-        acc = " + ".join(f"w{j} * k{i}_{c}" for j, (_, i) in enumerate(terms))
-        return f"y{c} + h * ({acc})"
+    def sums(weights, start="y_{c}"):
+        terms = _terms(weights)
+        return listed(
+            f"{start.format(c=c)} + h * ("
+            + " + ".join([f"{w!r} * k{i}_{c}" for w, i in terms])
+            + ")"
+            for c in range(n)
+        )
 
-    source = "\n".join(
-        [
-            f"def bind({listed(f'w{j}' for j in range(len(terms)))}):",
-            "    def stage_sum(y, h, k):",
-            f"        {listed(f'y{c}' for c in range(n))}= y",
-            *(
-                f"        {listed(f'k{i}_{c}' for c in range(n))}= k[{i}]"
-                for _, i in terms
-            ),
-            f"        return ({listed(map(component, range(n)))})",
-            "    return stage_sum",
+    def unpack(name):
+        return f"{listed(f'{name}_{c}' for c in range(n))}= {name}"
+
+    def evaluate(i, state, indent=""):
+        return [
+            f"{indent}k{i} = tuple(map(float, rhs({state})))",
+            f"{indent}if len(k{i}) != {n}:",
+            f'{indent}    raise ValueError(f"rhs returned {{len(k{i})}} components'
+            f' for {n} coordinates")',
         ]
+
+    body = ["if k0 is None:", *evaluate(0, "y", "    "), unpack("y"), unpack("k0")]
+    for i, row in enumerate(a[1:], 1):
+        body += [f"s = ({sums(row)})", *evaluate(i, "s"), unpack(f"k{i}")]
+    fsal = _terms(a[-1]) == _terms(b)
+    y_new = "s" if fsal else f"({sums(b)})"
+    err = "None" if e is None else f"({sums(e, '0.0')})"
+    body.append(f"return {y_new}, ({listed(f'k{i}' for i in range(len(a)))}), {err}")
+    source = "\n".join(
+        ["def bind():", "    def step(rhs, y, h, k0):"]
+        + ["        " + line for line in body]
+        + ["    return step"]
     )
-    return core._compiled(source)(*(w for w, _ in terms))
+    return core._compiled(source)(), fsal
 
 
 def _dense_state(y, h, dense, k, x):
@@ -652,9 +671,12 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     error estimate, reuses the last stage of an accepted step as the first
     stage of the next (first same as last), and reads the samples an
     accepted step passes off its continuous extension, so it costs
-    1 + 6 * (accepted + rejected) rhs evaluations.  The stage sums of the
-    tableau rows are ``_stage_sums``, compiled once per method and state
-    dimension; the continuous extension sums through ``_combine``.
+    1 + 6 * (accepted + rejected) rhs evaluations.  Each step is one
+    function, ``_step``, compiled once per method and state dimension: it
+    evaluates the first stage unless it is handed one, writes out every
+    stage sum and calls ``rhs`` between them, so the loop charges the
+    evaluations of its stages after each attempted step.  The continuous
+    extension sums through ``_combine``.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -666,15 +688,12 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     samples = _samples(t0, t1, t_eval, direction)
     if not all(math.isfinite(t) for t in (t0, t1, *samples)):
         raise ValueError("integration times must be finite")
-    a, b, e, dense = _TABLEAUS[cfg.method]
-    # a last stage taken at the new state is the next step's first stage
-    fsal = a[-1] + (0.0,) == b
+    a, _, e, dense = _TABLEAUS[cfg.method]
     # the samples still to record, the next one last
     pending = samples[::-1]
     t = t0
     y = as_state(x0)
-    zero = (0.0,) * len(y)
-    stage_sums, b_sum, e_sum = _stage_sums(cfg.method, len(y))
+    step, fsal = _step(cfg.method, len(y))
     times, states, hams = [], [], []
     evals = accepted = rejected = 0
 
@@ -688,16 +707,6 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         return Trajectory(
             times=tuple(times), states=tuple(states), ham_values=tuple(hams), stats=stats
         )
-
-    def f(y):
-        nonlocal evals
-        evals += 1
-        out = tuple(map(float, rhs(y)))
-        if len(out) != len(y):
-            raise ValueError(
-                f"rhs returned {len(out)} components for {len(y)} coordinates"
-            )
-        return out
 
     if t_eval is None:
         record(t, y)
@@ -721,12 +730,10 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         cut = (end - t - h) * direction < 1e-12 * max(1.0, abs(end))
         h_try = end - t if cut else h
 
-        if k_first is None:
-            k_first = f(y)
-        k = [k_first]
-        for stage_sum in stage_sums:
-            k.append(f(stage_sum(y, h_try, k)))
-        y_new = b_sum(y, h_try, k)
+        y_new, k, err_sums = step(rhs, y, h_try, k_first)
+        evals += len(a) - (k_first is not None)
+        # a rejected step keeps its own first stage
+        k_first = k[0]
         finite = all(map(math.isfinite, y_new))
         if e is None and not finite:  # rk4 never retries a step
             raise IntegrationError("non-finite state", t, y, trajectory())
@@ -735,7 +742,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
             # adding to zero is exact, so this is h_try * sum(e_i * k_i)
             ratios = [
                 abs(d) / (cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v)))
-                for d, u, v in zip(e_sum(zero, h_try, k), y, y_new)
+                for d, u, v in zip(err_sums, y, y_new)
             ]
             # max() skips a NaN, and an infinite scale can hide an overflow
             finite = finite and all(map(math.isfinite, ratios))
@@ -754,8 +761,7 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
             if t_eval is None:
                 record(t, y)
             # the last stage has a non-zero error weight, so an accepted
-            # step (finite estimate) hands on a finite one; a rejected
-            # step keeps its own first stage
+            # step (finite estimate) hands on a finite one
             k_first = k[-1] if fsal else None
             if e is not None:
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))

@@ -306,7 +306,9 @@ def kdv3():
     which pins down the invariants preserved step to step.
     """
 
-    # the factors divided by are the guards' own, so each is written once
+    # the factors divided by are the guards' own, so each is written once;
+    # under a trace the guard check computes them on the traced point, and
+    # the map's jets reuse those recorded values
     def fwd(state):
         x, y, z = state
         f1, f2, f3 = (g(state) for _, g in mapdesc.forward_guards)
@@ -487,6 +489,8 @@ def qp4(a, b, c):
         raise ValueError("qp4 parameters must all be nonzero")
     q = a * b * c
 
+    # as in kdv3, the factors divided by are the guards' own: a traced guard
+    # check records them once and the map's jets reuse them
     def fwd(state):
         x, y, z = state
         f1, f2, f3 = (g(state) for _, g in mapdesc.forward_guards)

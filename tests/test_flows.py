@@ -1,6 +1,7 @@
 """Flow construction, right-hand sides and integrator tests."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -10,6 +11,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from mapflow import cli, core, flows, harness, maps, quadrature
 from mapflow.errors import (
@@ -1207,9 +1210,13 @@ def test_combine_matches_the_left_to_right_sum_bit_for_bit(method, n):
 @pytest.mark.parametrize("method", flows._TABLEAUS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_compiled_stage_sums_are_combine_bit_for_bit(method, n):
+    # the compiled step's stage states, new state and error sums against
+    # _combine over the same stages, which its rhs hands out in turn
+    # (the first stage is handed in on odd trials and evaluated on y on
+    # even ones)
     a, b, e, _ = flows._TABLEAUS[method]
-    stages, b_sum, e_sum = flows._stage_sums(method, n)
-    rows = [*zip(a[1:], stages), (b, b_sum)] + ([] if e is None else [(e, e_sum)])
+    step, fsal = flows._step(method, n)
+    assert fsal == (method == "dopri5")
     rng = random.Random(f"stage-sums:{method}:{n}")
     for trial in range(20):
         pool = [0.0, -0.0, *(rng.uniform(-1e3, 1e3) for _ in range(4))]
@@ -1217,9 +1224,89 @@ def test_compiled_stage_sums_are_combine_bit_for_bit(method, n):
         k = [tuple(rng.choice(pool) for _ in range(n)) for _ in b]
         y = tuple(rng.choice(pool) for _ in range(n))
         h = rng.choice([1e-3, -0.02, 0.7])
-        for row, stage_sum in rows:
-            want = flows._combine(y, h, flows._terms(row), k)
-            assert repr(stage_sum(y, h, k)) == repr(want), (trial, row)
+        handed = trial % 2 == 1
+        states = []
+
+        def rhs(s):
+            states.append(s)
+            return k[len(states) - 1 + handed]
+
+        y_new, stages, err = step(rhs, y, h, k[0] if handed else None)
+        want = [flows._combine(y, h, flows._terms(row), k) for row in a[1:]]
+        assert repr(states) == repr(([] if handed else [y]) + want), trial
+        assert repr(stages) == repr(tuple(k)), trial
+        assert repr(y_new) == repr(flows._combine(y, h, flows._terms(b), k)), trial
+        if e is None:
+            assert err is None
+        else:
+            want = flows._combine((0.0,) * n, h, flows._terms(e), k)
+            assert repr(err) == repr(want), trial
+
+
+def _failing_at(stage, failure):
+    """An rhs of two components that hands its stage-th call to
+    ``failure``, and the list of the states it was called on."""
+    calls = []
+
+    def rhs(s):
+        calls.append(s)
+        return failure(s) if len(calls) == stage else (1.0, 2.0)
+
+    return rhs, calls
+
+
+def _pole(s):
+    raise SingularPointError("kdv3", "1+XY+X^2YZ", s)
+
+
+@pytest.mark.parametrize("method", flows._TABLEAUS)
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_a_compiled_step_keeps_the_rhs_contract_at_every_stage(method, stage):
+    step, _ = flows._step(method, 2)
+    rhs, calls = _failing_at(stage, lambda s: (1.0,))
+    with pytest.raises(ValueError) as info:
+        step(rhs, (0.0, 1.0), 0.1, (1.0, 2.0))
+    assert str(info.value) == "rhs returned 1 components for 2 coordinates"
+    assert len(calls) == stage
+    # an error the rhs raises at an inner stage leaves the step as it is
+    rhs, calls = _failing_at(stage, _pole)
+    with pytest.raises(SingularPointError) as info:
+        step(rhs, (0.0, 1.0), 0.1, (1.0, 2.0))
+    assert info.value.label == "1+XY+X^2YZ"
+    assert len(calls) == stage and info.value.point is calls[-1]
+    # handed no first stage, the step evaluates it on y, under the same
+    # contract
+    rhs, calls = _failing_at(stage, lambda s: (1.0,))
+    with pytest.raises(ValueError) as info:
+        step(rhs, (0.0, 1.0), 0.1, None)
+    assert str(info.value) == "rhs returned 1 components for 2 coordinates"
+    assert len(calls) == stage and calls[0] == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_catalog_integrations_charge_each_stage_the_step_evaluates(monkeypatch, run):
+    # dopri5 costs 1 + 6 per attempted step and rk4 4 per step, and a
+    # counter on the module's nambu_rhs sees each evaluation
+    calls = []
+    nambu_rhs = flows.nambu_rhs
+
+    def counted(flow, x):
+        calls.append(x)
+        return nambu_rhs(flow, x)
+
+    monkeypatch.setattr(flows, "nambu_rhs", counted)
+    map_id, params, x0, t_range = CATALOG_FLOWS[run]
+    report = harness.verify_correspondence(map_id, params, x0=x0, t_range=t_range)
+    stats = report.integrator
+    assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+    assert len(calls) == stats["rhs_evals"]
+    flow = maps.build_flow(map_id, params)
+    image = flow.map.forward(harness.source_start(flow, x0, t_range[0]))
+    calls.clear()
+    cfg = IntegratorConfig(method="rk4", step=2e-2)
+    traj = flows.integrate_flow(flow, image, *t_range, cfg=cfg)
+    assert traj.stats.rhs_evals == 4 * traj.stats.accepted == len(calls)
+    assert traj.stats.rejected == 0
 
 
 def test_dopri5_costs_one_rhs_plus_six_per_attempt():
@@ -1770,6 +1857,147 @@ def test_a_fresh_flow_evaluated_first_at_a_pole_raises_what_the_jet_kernel_raise
     assert str(err).startswith("singular point in kdv3 (inverse): 1+XY+X^2YZ vanishes")
     kernel_bits = repr(maps.kdv3_flow().jet_velocity(good))
     assert repr(flows.nambu_rhs(flow, good)) == kernel_bits
+
+
+def _what_it_does(fn, x):
+    """The repr of ``fn(x)``, or the type, message and attributes of the
+    MapflowError it raises."""
+    try:
+        return repr(fn(x))
+    except MapflowError as err:
+        return type(err), str(err), repr(vars(err))
+
+
+# the flows whose guard and finiteness checks are written inline
+GUARDED_RUNS = ("kdv3", "kdv2", "qp4", "qp4-prop2", "hermite3", "henon1")
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_flow(run):
+    """The run's flow, its velocity and level function traced at its
+    point of ``TRACED_FLOWS``."""
+    build, point = TRACED_FLOWS[run]
+    flow = _traced_flow(build, point)
+    flow.level(point)
+    assert flow.level.__code__.co_filename == "<trace>"
+    return flow
+
+
+def _flip(decides, x, j, inside, outside):
+    """Adjacent values of coordinate j of the point x, from ``inside``
+    towards ``outside``, between which ``decides(x)`` changes; the two ends
+    when it is the same at both."""
+    at = lambda v: x[:j] + (v,) + x[j + 1 :]
+    want = decides(at(inside))
+    if decides(at(outside)) == want:
+        return inside, outside
+    while True:
+        mid = inside + (outside - inside) / 2
+        if mid in (inside, outside):
+            return inside, outside
+        if decides(at(mid)) == want:
+            inside = mid
+        else:
+            outside = mid
+
+
+def _crossings(x, guards, kernel):
+    """Triples (point, j, ends) near x: for each guard, each coordinate j
+    along which it varies (every catalog guard is affine along each) and
+    each side of its root, the point with x_j at the root and the adjacent
+    values of x_j between which |guard| crosses the cutoff
+    1e-12 (1 + max |x|).  With no guard, the values of coordinate 1
+    between 1e150 and 1e160 where ``kernel`` starts to raise (henon's
+    forward map squares it)."""
+    at = lambda x, j, v: x[:j] + (v,) + x[j + 1 :]
+    if not guards:
+
+        def raises(x):
+            return isinstance(_what_it_does(kernel, x), tuple)
+
+        yield x, 1, _flip(raises, x, 1, 1e150, 1e160)
+    for _, guard in guards:
+
+        def decides(x):
+            return abs(guard(x)) <= core.GUARD_CUTOFF * (1.0 + max(map(abs, x)))
+
+        for j in range(len(x)):
+            slope = guard(at(x, j, 1.0)) - guard(at(x, j, 0.0))
+            if not slope:
+                continue
+            root = -guard(at(x, j, 0.0)) / slope
+            on = at(x, j, root)
+            width = 1e-9 * (1.0 + max(map(abs, on))) / abs(slope)
+            for side in (-width, width):
+                yield on, j, _flip(decides, on, j, root, root + side)
+
+
+@seed(31)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GUARDED_RUNS),
+    st.booleans(),
+    st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+)
+def test_inline_checks_decide_as_the_jet_kernel_at_the_guard_cutoff(run, image, jitter):
+    # the points within an ulp of where a guard crosses the cutoff: image
+    # points for the velocity's inverse guards, source points for the
+    # level function's forward guards
+    flow = _checked_flow(run)
+    traced, kernel = (
+        (partial(flows.nambu_rhs, flow), flow.jet_velocity)
+        if image
+        else (flow.level, flow.jet_level)
+    )
+    x = tuple(v * (1.0 + d) for v, d in zip(TRACED_FLOWS[run][1], jitter))
+    guards = flow.map.inverse_guards if image else flow.map.forward_guards
+    for on, j, ends in _crossings(x, guards, kernel):
+        near = {math.nextafter(v, d) for v in ends for d in (-math.inf, v, math.inf)}
+        for v in sorted(near):
+            y = on[:j] + (v,) + on[j + 1 :]
+            assert _what_it_does(traced, y) == _what_it_does(kernel, y), y
+
+
+def _bound(fn):
+    """The values a compiled function's closure binds."""
+    return [cell.cell_contents for cell in fn.__closure__]
+
+
+def test_a_guard_that_reads_a_value_keeps_its_recorded_call():
+    # abs() reads its traced argument, so this guard cannot be written
+    # inline; the velocity stays traced and calls the guard on floats
+    scale = core.MapDescriptor(
+        name="scale",
+        dimension=2,
+        params={},
+        forward_fn=lambda s: (s[0], s[1] * s[0]),
+        inverse_fn=lambda s: (s[0], s[1] / s[0]),
+        inverse_guards=(("|X|", lambda s: abs(s[0])),),
+        det_j=lambda s: s[0],
+    )
+    flow = flows.flow_system(scale, [lambda s: scale.inverse(s)[0]])
+    assert flows.nambu_rhs(flow, (1.1, 0.9)) == flow.jet_velocity((1.1, 0.9))
+    assert flow.velocity is not flow.jet_velocity
+    assert core._refuse_poles in _bound(flow.velocity)
+    bad = (1e-13, 0.9)
+    assert _what_it_does(partial(flows.nambu_rhs, flow), bad) == (
+        _what_it_does(flow.jet_velocity, bad)
+    )
+    assert str(_raised(flow.jet_velocity, bad)[1]) == (
+        "singular point in scale (inverse): |X| vanishes at (1e-13, 0.9)"
+    )
+
+
+def test_the_kdv3_velocity_checks_its_guards_and_finiteness_inline(monkeypatch):
+    source = _trace_source(monkeypatch, TRACED_FLOWS, "kdv3")
+    flow = _traced_flow(*TRACED_FLOWS["kdv3"])
+    # no recorded call: one inline line each for the inverse guards and
+    # the finiteness of the inverse's values
+    assert not re.search(r"= c\d+\(", source)
+    assert source.count("FAIL()") == 2
+    assert "isfinite(" in source and "<= s_" in source
+    bound = _bound(flow.velocity)
+    assert core._refuse_poles not in bound and core._refuse_non_finite not in bound
 
 
 @pytest.mark.parametrize(
