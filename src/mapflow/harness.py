@@ -577,14 +577,16 @@ def qp4_normalization_report(a, b, c):
     time column of its Jacobian, read off the same seeded evaluation that
     gives the image point; each candidate flow's bracket velocity is
     compared against it.  The explicit rational velocity formulas are
-    measured at the same points, as corroboration.
+    measured at the same points, as corroboration.  The candidate flows
+    come from ``maps.build_flow``, so a verify of the same qp4 flow shares
+    its flow, and its one trace, with the oracle.
     """
     mapdesc = maps.qp4(a, b, c)
-    velocities = {
+    velocities = {}
+    for name in maps.QP4_NORMALIZATIONS:
+        flow = maps.build_flow("qp4", {"a": a, "b": b, "c": c, "normalization": name})
         # flows.nambu_rhs is looked up per call, so a rebinding of it is seen
-        name: lambda x, flow=maps.qp4_flow(a, b, c, name): flows.nambu_rhs(flow, x)
-        for name in maps.QP4_NORMALIZATIONS
-    }
+        velocities[name] = lambda x, flow=flow: flows.nambu_rhs(flow, x)
     velocities["display_formula_residual"] = maps.qp4_velocity(a, b, c)
     rng = random.Random(DEFAULT_SEED)
     residuals = dict.fromkeys(velocities, 0.0)

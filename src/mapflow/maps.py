@@ -10,6 +10,7 @@ command-line front end.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -706,10 +707,34 @@ def build_map(map_id, params=None):
 
 
 def build_flow(map_id, params=None):
+    """The catalog flow of ``map_id`` at ``params``: one shared, frozen
+    flow per constructor and resolved parameters for the life of the
+    process (at most 32 kept, least recently used dropped first), so a
+    later call reuses the velocity, level and det-condition report that an
+    earlier one traced or checked.  Building one traces nothing, and a
+    refused build is not kept, so it is refused again on every call."""
     entry = get_entry(map_id)
     if entry.flow is None:
         raise ConfigError(f"{map_id!r} has no associated flow")
-    return entry.flow(**resolve_params(map_id, params))
+    return _flow(entry.flow, _Params(resolve_params(map_id, params)))
+
+
+class _Params(tuple):
+    """Resolved parameters as sorted (name, type, repr(value)) triples, the
+    key of ``_flow``: 1 and 1.0, resolved to one float, share a key, while
+    0.0 and -0.0 do not.  ``values`` keeps the parameters themselves."""
+
+    def __new__(cls, values):
+        items = sorted((name, type(v), repr(v)) for name, v in values.items())
+        key = super().__new__(cls, items)
+        key.values = values
+        return key
+
+
+@functools.lru_cache(maxsize=32)
+def _flow(constructor, items):
+    # keyed on the constructor itself, so a replaced CATALOG entry builds anew
+    return constructor(**items.values)
 
 
 def build_composite(map_id, params, steps):

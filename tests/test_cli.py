@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from mapflow import cli, flows, harness, maps
+from mapflow import cli, core, flows, harness, maps
 from mapflow.cli import main
 
 
@@ -194,6 +194,23 @@ def test_verify_qp4_records_normalization_winner(capsys):
     oracle = payload["normalization_oracle"]
     assert oracle["winner"] == "prop2"
     assert oracle["decisive"] is True
+
+
+def test_verify_qp4_shares_its_flow_with_the_normalization_oracle(
+    capsys, monkeypatch
+):
+    # the verified prop2 flow is the oracle's prop2 candidate: two flows are
+    # traced, the verified one and the paper-display candidate
+    traced = []
+    trace = core.trace
+    monkeypatch.setattr(core, "trace", lambda fn, n: traced.append(n) or trace(fn, n))
+    code, out, _ = run_cli(
+        capsys, "verify", "--map", "qp4", "--param", "a=2",
+        "--param", "normalization=prop2", "--x0", "1,1", "--t0", "1", "--t1", "1.5",
+    )
+    assert code == 0
+    assert json.loads(out)["normalization_oracle"]["winner"] == "prop2"
+    assert traced == [3, 3]
 
 
 def test_verify_pole_on_the_source_path_is_a_numerical_failure(capsys):

@@ -2063,6 +2063,33 @@ def test_verify_output_bytes_match_the_pinned_digest_when_untraced(
     assert traces
 
 
+def _spy_on_calls(monkeypatch, module, name):
+    """List the arguments of each call of ``module.name``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_a_second_verify_reuses_its_flow_and_writes_the_pinned_bytes(
+    monkeypatch, tmp_path, run
+):
+    # the flow built by the first verify is traced and checked once; the
+    # second verify in the process runs the same code on it
+    test_verify_output_bytes_match_the_pinned_digest(tmp_path, run)
+    traces = _spy_on_calls(monkeypatch, core, "trace")
+    checks = _spy_on_calls(monkeypatch, flows, "check_det_condition")
+    test_verify_output_bytes_match_the_pinned_digest(tmp_path, run)
+    assert traces == []
+    assert checks == []
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")

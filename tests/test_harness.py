@@ -144,6 +144,19 @@ def test_scan_classifies_its_flow_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_second_scan_reuses_its_flow(monkeypatch):
+    grid = ((0.5, 1.5, 3), (0.5, 1.5, 3))
+    first = harness.conservation_scan("kdv3", grid=grid, t_range=(1.0, 2.0))
+    calls = []
+    check = flows.check_det_condition
+    monkeypatch.setattr(
+        flows, "check_det_condition", lambda *args: calls.append(args) or check(*args)
+    )
+    second = harness.conservation_scan("kdv3", grid=grid, t_range=(1.0, 2.0))
+    assert calls == []
+    assert second.to_dict() == first.to_dict()
+
+
 def test_scan_qp4_unit_parameters():
     scan = harness.conservation_scan(
         "qp4",
@@ -310,6 +323,19 @@ def test_qp4_oracle_selects_determinant_scaling():
     assert report.residuals["paper-display"] > 1e-5
     # the explicit velocity formulas agree with the winning flow
     assert report.display_formula_residual <= 1e-5
+
+
+def test_qp4_oracle_report_is_unchanged_by_shared_flows():
+    # the residuals of flows built by maps.qp4_flow before build_flow kept
+    # its flows; integer parameters resolve to the same floats
+    for args in ((2, 1, 1), (2.0, 1.0, 1.0)):
+        report = harness.qp4_normalization_report(*args)
+        assert report.residuals == {
+            "prop2": 2.85202273637453e-16,
+            "paper-display": 0.5308369904765438,
+        }
+        assert report.winner == "prop2"
+        assert report.decisive
 
 
 def test_qp4_oracle_not_decisive_at_unit_q():

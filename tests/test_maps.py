@@ -639,3 +639,59 @@ def test_closed_form_determinants_match_numeric():
             closed = mapdesc.det_j(pt)
             numeric = core.det(core.jacobian(mapdesc, pt))
             assert abs(numeric - closed) <= 1e-9 * (1 + abs(closed))
+
+
+# ---------------------------------------------------------------------------
+# build_flow: one shared flow per constructor and resolved parameters
+
+
+def test_build_flow_shares_one_flow_per_resolved_parameters():
+    # 1 and 1.0 resolve to one float, and an omitted b takes its default
+    flow = maps.build_flow("henon", {"b": 1})
+    assert maps.build_flow("henon", {"b": 1.0}) is flow
+    assert maps.build_flow("henon", {}) is flow
+    assert flow.map.params == {"b": 1.0, "c": 0.0}
+
+
+def test_build_flow_keeps_signed_zeros_and_normalizations_apart():
+    # the traced code binds 0.0 and -0.0 apart, so their flows differ
+    assert maps.build_flow("henon", {"c": 0.0}) is not maps.build_flow(
+        "henon", {"c": -0.0}
+    )
+    prop2 = maps.build_flow("qp4", {"a": 2.0, "normalization": "prop2"})
+    display = maps.build_flow("qp4", {"a": 2.0, "normalization": "paper-display"})
+    assert prop2 is not display
+    assert maps.build_flow("qp4", {"a": 2, "normalization": "prop2"}) is prop2
+
+
+@pytest.mark.parametrize(
+    "map_id, params, error, match",
+    [
+        ("qp4", {"a": 2}, ConfigError, "needs normalization"),
+        # a value the key cannot hash is still the constructor's to refuse
+        ("qp4", {"normalization": ["prop2"]}, ConfigError, "unknown qp4 normalization"),
+        ("hermite", {"m": 1}, ValueError, "m=1"),
+    ],
+)
+def test_a_refused_flow_is_refused_on_every_call(map_id, params, error, match):
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            maps.build_flow(map_id, params)
+    assert maps._flow.cache_info().currsize == 0
+
+
+def test_build_flow_keeps_a_bounded_number_of_flows():
+    size = maps._flow.cache_info().maxsize
+    for c in range(size + 1):
+        maps.build_flow("henon", {"c": float(c)})
+    assert maps._flow.cache_info().currsize == size
+
+
+def test_a_replaced_catalog_entry_builds_its_own_flow(monkeypatch):
+    flow = maps.build_flow("henon")
+    entry = dataclasses.replace(maps.CATALOG["henon"], flow=maps.henon_flow)
+    monkeypatch.setitem(maps.CATALOG, "henon", entry)
+    assert maps.build_flow("henon") is flow
+    entry = dataclasses.replace(entry, flow=lambda b, c: maps.henon_flow(b, c, 2))
+    monkeypatch.setitem(maps.CATALOG, "henon", entry)
+    assert maps.build_flow("henon").map.name == "henon^2"
