@@ -945,11 +945,16 @@ def _listed(names):
     return "".join(name + ", " for name in names)
 
 
-@lru_cache(maxsize=64)
-def _compiled(source):
-    """The ``bind`` function of generated source, a trace's or a
-    Runge-Kutta step's, compiled once per source."""
+def _exec(source):
+    """The ``bind`` function of generated source, compiled afresh."""
     namespace = {"MapflowError": MapflowError, "FAIL": _fail}
     namespace["isfinite"] = math.isfinite
     exec(compile(source, "<trace>", "exec"), namespace)
     return namespace["bind"]
+
+
+@lru_cache(maxsize=64)
+def _compiled(source):
+    """``_exec`` of a trace's or a Runge-Kutta step's source, compiled once
+    per source."""
+    return _exec(source)

@@ -101,3 +101,8 @@ class UnknownMapError(MapflowError):
 
 class ConfigError(MapflowError):
     """Invalid experiment or command-line configuration."""
+
+
+class ParamValueError(ConfigError, ValueError):
+    """A parameter value that a construction supports no closed form for,
+    such as a hermite chain index other than 2 or 3; a ValueError too."""

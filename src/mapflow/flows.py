@@ -15,7 +15,11 @@ function computes it for every n: it seeds the point through
 ``core.jet_rows`` and takes each minor from ``core.det``.  Each flow binds
 it to its Hamiltonians once, as its ``jet_velocity``; ``nambu_rhs``
 checks a point and calls the flow's ``velocity``, and ``source_rhs`` runs
-the same function over the Hamiltonians composed with the forward map.  A
+the same function over the Hamiltonians composed with the forward map.
+The check is compiled once per dimension and bound once per flow, as its
+``checked_velocity``: a tuple of n finite floats goes straight to
+``velocity``, and any other point is converted or refused as a float
+state of the map.  A
 flow's ``velocity`` is its ``jet_velocity`` traced on first use by
 ``core.trace`` into straight-line float code, which returns the same
 bits.  A flow keeps ``jet_velocity`` only when its trace is abandoned:
@@ -38,7 +42,8 @@ sums weight * stage component by component over the non-zero weights in
 stage order; each method's whole step, every stage sum and the rhs calls
 between them, is compiled into straight-line code once per state
 dimension (``_step``), and only the dense output, whose weights change
-with each sample, sums in a loop.
+with each sample, sums in a loop.  A step keeps an rhs result that is
+already a tuple of n floats as it is, and converts any other.
 
 The last Hamiltonian's derivative along the coordinate it integrates over
 is the determinant at the integral's endpoint, added once per evaluation,
@@ -96,7 +101,8 @@ class FlowSystem:
     called in turn when it is None.  ``quadrature`` holds the running
     quadrature totals of Hamiltonians built by quadrature, None for closed
     forms.  ``jet_velocity`` (the bracket velocity by jet arithmetic),
-    ``velocity`` (that function traced), ``jet_level`` (the values and
+    ``velocity`` (that function traced), ``checked_velocity`` (``velocity``
+    behind ``nambu_rhs``'s check of its point), ``jet_level`` (the values and
     free-slot rows of H(F(x)) that a level-set Newton step reads, by jet
     arithmetic), ``level`` (that function traced) and ``det_condition``
     are computed on first use and kept with the flow.
@@ -166,6 +172,12 @@ class FlowSystem:
         Hamiltonians read a value.  The trace freezes the Hamiltonians'
         constants, so they must be pure functions of their point."""
         return core.trace(self.jet_velocity, self.map.dimension) or self.jet_velocity
+
+    @cached_property
+    def checked_velocity(self):
+        """``velocity`` behind the check of its point that ``nambu_rhs``
+        makes: ``_checked`` of the map's dimension, bound to this flow."""
+        return _checked(self.map.dimension)(self.velocity, partial(_flow_state, self))
 
     @cached_property
     def jet_level(self):
@@ -414,6 +426,33 @@ def _flow_state(flow, point):
     return x
 
 
+@lru_cache(maxsize=32)
+def _checked(n):
+    """The check of a point ahead of a velocity over n coordinates,
+    compiled once per n by ``core._exec`` and recorded in no trace: a
+    function of (velocity, state) that returns the checked velocity.
+
+    A point whose class is exactly tuple, with n items that are all
+    exactly float and all finite, is handed to ``velocity`` as it is;
+    any other point is handed to it through ``state`` (``_flow_state``),
+    which converts it or raises the error it always has."""
+    xs = [f"x{i}" for i in range(n)]
+    checks = [f"{x}.__class__ is float" for x in xs] + [f"isfinite({x})" for x in xs]
+    source = "\n".join(
+        [
+            "def bind(velocity, state):",
+            "    def checked(point):",
+            f"        if point.__class__ is tuple and len(point) == {n}:",
+            f"            {core._listed(xs)}= point",
+            f"            if {' and '.join(checks)}:",
+            "                return velocity(point)",
+            "        return velocity(state(point))",
+            "    return checked",
+        ]
+    )
+    return core._exec(source)
+
+
 def nambu_rhs(flow, point):
     """Velocity of the image point: component j is the bracket of the
     Hamiltonians with the j-th coordinate function.
@@ -421,8 +460,11 @@ def nambu_rhs(flow, point):
     The point is checked once, as floats, exactly one per coordinate of the
     flow's map (else a ValueError naming the map and both counts) and all
     finite (else a NonFiniteStateError), and handed to the flow's
-    ``velocity``."""
-    return flow.velocity(_flow_state(flow, point))
+    ``velocity``.  The flow's ``checked_velocity`` makes the check in
+    compiled code: a tuple of n finite floats, which every Runge-Kutta
+    stage state is, goes straight through, and any other point is
+    converted by ``_flow_state``."""
+    return flow.checked_velocity(point)
 
 
 def source_rhs(flow, point):
@@ -605,9 +647,11 @@ def _step(method, n):
     over their row's ``_terms``, written out component by component in the
     same operand order (the error sums over a zero state, as ``_combine``
     sums them), so they have its bits.  ``rhs`` is called on y and then
-    between rows, on each stage state in turn, and its result is converted
-    to floats and must have n components.  A last row that sums as the new
-    state does is not summed twice."""
+    between rows, on each stage state in turn.  A result whose class is
+    exactly tuple, with n items that are all exactly float, is kept as it
+    is; any other is converted by ``_stage``, which makes it floats and
+    requires n of them.  A last row that sums as the new state does is not
+    summed twice."""
     a, b, e, _ = _TABLEAUS[method]
     listed = core._listed
 
@@ -624,11 +668,13 @@ def _step(method, n):
         return f"{listed(f'{name}_{c}' for c in range(n))}= {name}"
 
     def evaluate(i, state, indent=""):
+        k = f"k{i}"
+        kept = [f"{k}.__class__ is tuple", f"len({k}) == {n}"]
+        kept += [f"{k}[{c}].__class__ is float" for c in range(n)]
         return [
-            f"{indent}k{i} = tuple(map(float, rhs({state})))",
-            f"{indent}if len(k{i}) != {n}:",
-            f'{indent}    raise ValueError(f"rhs returned {{len(k{i})}} components'
-            f' for {n} coordinates")',
+            f"{indent}{k} = rhs({state})",
+            f"{indent}if not ({' and '.join(kept)}):",
+            f"{indent}    {k} = stage({k}, {n})",
         ]
 
     body = ["if k0 is None:", *evaluate(0, "y", "    "), unpack("y"), unpack("k0")]
@@ -639,11 +685,20 @@ def _step(method, n):
     err = "None" if e is None else f"({sums(e, '0.0')})"
     body.append(f"return {y_new}, ({listed(f'k{i}' for i in range(len(a)))}), {err}")
     source = "\n".join(
-        ["def bind():", "    def step(rhs, y, h, k0):"]
+        ["def bind(stage):", "    def step(rhs, y, h, k0):"]
         + ["        " + line for line in body]
         + ["    return step"]
     )
-    return core._compiled(source)(), fsal
+    return core._compiled(source)(_stage), fsal
+
+
+def _stage(k, n):
+    """An rhs result as a stage of n components: its items as floats, of
+    which there must be n."""
+    k = tuple(map(float, k))
+    if len(k) != n:
+        raise ValueError(f"rhs returned {len(k)} components for {n} coordinates")
+    return k
 
 
 def _dense_state(y, h, dense, k, x):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import MapDescriptor, compose, compose_sequence, float_value, jet_log
-from .errors import ConfigError, SingularPointError, UnknownMapError
+from .errors import ConfigError, ParamValueError, SingularPointError, UnknownMapError
 from .flows import flow_system
 
 
@@ -89,7 +89,7 @@ def hermite_hamiltonian(m):
             return (2 - x * (x - y)) ** 2 / (y - x)
 
         return ham
-    raise ValueError(f"no closed-form chain Hamiltonian for m={m}")
+    raise ParamValueError(f"no closed-form chain Hamiltonian for m={m}")
 
 
 def hermite_source_constraint(m, c, y):
@@ -100,7 +100,7 @@ def hermite_source_constraint(m, c, y):
         return c * y**2
     if m == 3:
         return c / y**2 + 1 / y
-    raise ValueError(f"no source constraint for m={m}")
+    raise ParamValueError(f"no source constraint for m={m}")
 
 
 def hermite_flow(m):

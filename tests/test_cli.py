@@ -243,6 +243,16 @@ def test_flow_refuses_a_pole_on_the_source_path_before_integrating(
     assert calls == []
 
 
+@pytest.mark.parametrize("m", ["1", "4"])
+def test_a_hermite_m_without_a_closed_form_is_a_usage_error(capsys, m):
+    code, out, err = run_cli(
+        capsys, "verify", "--map", "hermite", "--param", f"m={m}",
+        "--x0", "42", "--t0", "0.5", "--t1", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"mapflow: no closed-form chain Hamiltonian for m={m}\n"
+
+
 def test_a_counter_on_nambu_rhs_sees_every_rhs_evaluation(capsys, monkeypatch):
     # the positive control for the test above: integrating goes through the
     # module's nambu_rhs once per evaluation the report counts

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -1055,6 +1056,105 @@ def test_non_finite_stage_state_is_a_numerical_error():
     assert isinstance(exc_info.value, ValueError)
 
 
+def _nambu_rhs_reference(flow, point):
+    """``nambu_rhs`` with its check written out in Python, the reference
+    the compiled check must match: the point converted to floats, then its
+    length checked, then its finiteness."""
+    x = tuple(map(float, point))
+    if len(x) != flow.map.dimension:
+        raise ValueError(
+            f"a point of {flow.map.name} takes {flow.map.dimension} coordinates, "
+            f"got {len(x)}"
+        )
+    if not all(map(math.isfinite, x)):
+        raise NonFiniteStateError(f"non-finite coordinate in state {x}")
+    return flow.velocity(x)
+
+
+def _result_or_error(fn, *args):
+    """What ``fn(*args)`` gives: the repr of its result, or the type,
+    message and attributes of the error it raises."""
+    try:
+        return "returned", repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc), repr(vars(exc))
+
+
+class _Float(float):
+    pass
+
+
+def _points_like(point):
+    """Makers of ``point`` in each form a caller may hand ``nambu_rhs``,
+    each called afresh for each evaluation (a generator is used up)."""
+    Point = namedtuple("Point", [f"x{i}" for i in range(len(point))])
+
+    def swapped(i, value):
+        return lambda: point[:i] + (value,) + point[i + 1 :]
+
+    return {
+        "tuple": lambda: point,
+        "list": lambda: list(point),
+        "ints": lambda: tuple(round(v) for v in point),
+        "float64": lambda: tuple(np.float64(v) for v in point),
+        "float-subclass": lambda: tuple(_Float(v) for v in point),
+        "namedtuple": lambda: Point(*point),
+        "generator": lambda: (v for v in point),
+        "minus-zero": swapped(0, -0.0),
+        "nan": swapped(len(point) - 1, math.nan),
+        "inf": swapped(0, math.inf),
+        "minus-inf": swapped(len(point) - 1, -math.inf),
+        "short": lambda: point[:-1],
+        "long": lambda: point + (1.0,),
+        "long-nan": lambda: point + (math.nan,),
+    }
+
+
+def _untraced_kdv3(monkeypatch):
+    monkeypatch.setattr(core, "trace", lambda fn, n: None)
+    return maps.kdv3_flow()
+
+
+@pytest.mark.parametrize(
+    "build, point, traced",
+    [
+        (lambda _: maps.build_flow("henon"), (1.0, 0.5), True),
+        (lambda _: maps.build_flow("kdv3"), (1.1, 0.9, 1.2), True),
+        (lambda _: maps.build_flow("qp4", {"a": 1.0}), (1.0, 1.1, 0.9), True),
+        (lambda _: _shear5_flow(), (1.1, 0.9, 1.2, 0.8, 1.3), False),
+        (_untraced_kdv3, (1.1, 0.9, 1.2), False),
+    ],
+    ids=["henon", "kdv3", "qp4", "untraced-shear5", "untraced-kdv3"],
+)
+def test_nambu_rhs_takes_every_point_as_its_reference_check_does(
+    monkeypatch, build, point, traced
+):
+    flow = build(monkeypatch)
+    for name, make in _points_like(point).items():
+        want = _result_or_error(_nambu_rhs_reference, flow, make())
+        assert _result_or_error(flows.nambu_rhs, flow, make()) == want, name
+        if want[0] == "returned":
+            velocity = flow.velocity(tuple(map(float, make())))
+            assert want[1] == repr(velocity), name
+    assert (flow.velocity is not flow.jet_velocity) == traced
+
+
+def test_nambu_rhs_hands_a_tuple_of_finite_floats_to_the_velocity_as_it_is():
+    flow = maps.kdv3_flow()
+    seen = []
+    velocity = flow.velocity
+    flow.__dict__["velocity"] = lambda x: seen.append(x) or velocity(x)
+    point = (1.1, 0.9, 1.2)
+    flows.nambu_rhs(flow, point)
+    assert seen[-1] is point
+    # any other point reaches it as a fresh tuple of floats
+    for other in ([1.1, 0.9, 1.2], (1.1, 0.9, np.float64(1.2)), (1, 0.9, 1.2)):
+        flows.nambu_rhs(flow, other)
+        assert seen[-1] is not other and type(seen[-1]) is tuple
+        assert all(type(v) is float for v in seen[-1])
+    assert len(seen) == 4
+
+
 def test_integrate_error_trajectory_carries_counts_so_far():
     cfg = IntegratorConfig(max_steps=3)
     with pytest.raises(MaxStepsError) as exc_info:
@@ -1281,6 +1381,81 @@ def test_a_compiled_step_keeps_the_rhs_contract_at_every_stage(method, stage):
         step(rhs, (0.0, 1.0), 0.1, None)
     assert str(info.value) == "rhs returned 1 components for 2 coordinates"
     assert len(calls) == stage and calls[0] == (0.0, 1.0)
+
+
+def _as_namedtuple(k):
+    return namedtuple("Stage", [f"k{i}" for i in range(len(k))])(*k)
+
+
+# the forms an rhs may return a stage in
+STAGE_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "float64": lambda k: tuple(map(np.float64, k)),
+    "float-subclass": lambda k: tuple(map(_Float, k)),
+    "tuple-subclass": _as_namedtuple,
+    "generator": lambda k: (v for v in k),
+}
+
+
+@pytest.mark.parametrize("method", flows._TABLEAUS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("form", [*STAGE_FORMS, "ints"])
+def test_a_compiled_step_takes_an_rhs_result_in_any_form(method, n, form):
+    # an rhs result that is not a tuple of n floats is made one: the
+    # step's states are _combine's over the float stages, bit for bit
+    a, b, e, _ = flows._TABLEAUS[method]
+    step, _ = flows._step(method, n)
+    rng = random.Random(f"stage-forms:{method}:{n}:{form}")
+    for trial in range(6):
+        if form == "ints":
+            k = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in b]
+            returned = k
+        else:
+            k = [tuple(rng.uniform(-1e3, 1e3) for _ in range(n)) for _ in b]
+            returned = [STAGE_FORMS[form](k_i) for k_i in k]
+        floats = [tuple(map(float, k_i)) for k_i in k]
+        y = tuple(rng.uniform(-10.0, 10.0) for _ in range(n))
+        h = rng.choice([1e-3, -0.02, 0.7])
+        states = []
+
+        def rhs(s):
+            states.append(s)
+            return returned[len(states) - 1]
+
+        y_new, stages, err = step(rhs, y, h, None)
+        want = [flows._combine(y, h, flows._terms(row), floats) for row in a[1:]]
+        assert repr(states) == repr([y] + want), trial
+        assert repr(stages) == repr(tuple(floats)), trial
+        assert all(type(k_i) is tuple for k_i in stages)
+        assert all(type(v) is float for k_i in stages for v in k_i)
+        assert repr(y_new) == repr(flows._combine(y, h, flows._terms(b), floats))
+        if e is not None:
+            want = flows._combine((0.0,) * n, h, flows._terms(e), floats)
+            assert repr(err) == repr(want), trial
+
+
+@pytest.mark.parametrize("method", flows._TABLEAUS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_compiled_step_refuses_a_wrong_count_in_any_form(method, n):
+    step, _ = flows._step(method, n)
+    stages = len(flows._TABLEAUS[method][0])
+    for count in (n - 1, n + 1):
+        wrong = tuple(0.5 for _ in range(count))
+        for form, make in STAGE_FORMS.items():
+            for stage in range(1, stages + 1):
+                calls = []
+
+                def rhs(s):
+                    calls.append(s)
+                    return make(wrong) if len(calls) == stage else (0.25,) * n
+
+                with pytest.raises(ValueError) as info:
+                    step(rhs, (1.0,) * n, 0.1, None)
+                assert str(info.value) == (
+                    f"rhs returned {count} components for {n} coordinates"
+                ), (form, stage)
+                assert len(calls) == stage
 
 
 @pytest.mark.parametrize("run", CATALOG_FLOWS)

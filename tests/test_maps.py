@@ -9,8 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 
-from mapflow import core, flows, maps
-from mapflow.errors import ConfigError, SingularPointError, UnknownMapError
+from mapflow import core, flows, harness, maps
+from mapflow.errors import (
+    ConfigError,
+    MapflowError,
+    SingularPointError,
+    UnknownMapError,
+)
 from reference import kdv2_hamiltonian_source, kdv2_source_velocity
 
 
@@ -191,6 +196,31 @@ def test_hermite_suite_checks_the_catalog_step(monkeypatch):
 def test_indices_out_of_range_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, m",
+    [
+        (lambda: maps.build_flow("hermite", {"m": 1}), 1),
+        (
+            lambda: harness.verify_correspondence(
+                "hermite", {"m": 4}, x0=(42.0,), t_range=(0.5, 2.0)
+            ),
+            4,
+        ),
+        (lambda: maps.hermite_source_constraint(5, 1.0, 1.0), 5),
+    ],
+    ids=["build-flow-m1", "verify-m4", "constraint-m5"],
+)
+def test_a_hermite_m_without_a_closed_form_is_a_mapflow_error(build, m):
+    # a library caller that catches MapflowError catches it; it is still
+    # the ValueError it always was
+    try:
+        build()
+    except MapflowError as exc:
+        caught = exc
+    assert isinstance(caught, ConfigError) and isinstance(caught, ValueError)
+    assert str(caught).startswith("no ") and str(caught).endswith(f" for m={m}")
 
 
 # ---------------------------------------------------------------------------
