@@ -26,11 +26,12 @@ trace makes no such call but records it, and the compiled code makes it
 once every check has passed, so a point that re-runs is charged once.  A
 trace is abandoned (``trace`` returns None) when the traced function reads
 a traced value any other way (``float``, ``bool``, a comparison,
-``hash``, ``abs``, an index or ``**``), meets a constant that is neither
-``int`` nor ``float``, or raises.  :func:`det` reads none up to 3x3 and
-pivots on values beyond, so a flow's bracket velocity, whose minors are
-(n-1)x(n-1), traces up to n = 4.  A trace freezes every constant it
-meets, so it is valid only for a function of its point alone.
+``hash``, ``abs``, an index, or ``**`` other than by an int constant),
+meets a constant that is neither ``int`` nor ``float``, or raises.
+:func:`det` reads none up to 3x3 and pivots on values beyond, so a flow's
+bracket velocity, whose minors are (n-1)x(n-1), traces up to n = 4.  A
+trace freezes every constant it meets, so it is valid only for a function
+of its point alone.
 """
 
 from __future__ import annotations
@@ -695,12 +696,12 @@ def _binary(symbol):
 
 
 class _Traced:
-    """A float under a trace.  ``+ - * /``, their reflected forms and
-    negation each record one operation on the tape and return the traced
-    scalar it assigns; with a jet operand they leave the operation to the
-    jet, whose parts then record it.  Every other use reads the value,
-    which a trace cannot replay at another point, and abandons the
-    trace."""
+    """A float under a trace.  ``+ - * /``, their reflected forms,
+    negation and a power with an int constant exponent each record one
+    operation on the tape and return the traced scalar it assigns; with a
+    jet operand they leave the operation to the jet, whose parts then
+    record it.  Every other use reads the value, which a trace cannot
+    replay at another point, and abandons the trace."""
 
     __slots__ = ("tape", "name")
 
@@ -716,9 +717,16 @@ class _Traced:
     def __neg__(self):
         return self.tape.record(f"-{self.name}", (self.name,), droppable=True)
 
+    def __pow__(self, exponent):
+        """``self ** k`` for an int constant k, the one C operation the
+        float path makes; any other exponent abandons the trace."""
+        if exponent.__class__ is not int:
+            _refuse(self)
+        return self.tape.arithmetic(self, "**", exponent)
+
     __float__ = __bool__ = __index__ = __abs__ = __hash__ = _refuse
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
-    __pow__ = __rpow__ = _refuse
+    __rpow__ = _refuse
 
 
 def _is_one(value):
@@ -738,8 +746,8 @@ class _Tape:
     -0.0 stay apart, any other by identity.  Each line keeps the names it
     reads, so that ``source`` drops the ``+ - *`` and negation lines
     whose values nothing reads; neither can raise on floats.  A division
-    can, and a recorded call or check line may, so all three are always
-    kept.  A check line (``check``) raises ``_Unassumed`` through the
+    or a power can, and a recorded call or check line may, so all four are
+    always kept.  A check line (``check``) raises ``_Unassumed`` through the
     compiled code's ``FAIL`` where its condition holds; a map writes its
     guard and finiteness checks this way.  A constant that only dropped
     lines read is not bound."""
@@ -758,7 +766,7 @@ class _Tape:
 
     def arithmetic(self, left, symbol, right):
         """``left symbol right``, where one operand is a traced scalar and
-        the other a traced scalar or an int or float."""
+        the other a traced scalar or an int or float (an int for ``**``)."""
         if symbol == "*" and _is_one(left):
             return right
         if symbol in "*/" and _is_one(right):
@@ -769,7 +777,8 @@ class _Tape:
         expr = f"{a} {symbol} {b}"
         out = self.known.get(expr)
         if out is None:
-            out = self.known[expr] = self.record(expr, (a, b), symbol != "/")
+            droppable = symbol in ("+", "-", "*")
+            out = self.known[expr] = self.record(expr, (a, b), droppable)
         return out
 
     def check(self, fails, *args):

@@ -35,7 +35,11 @@ make.  A flow's ``level`` is traced the same way from its ``jet_level``:
 the values H_j(F(x)) at a source point and each H_j's partials along the
 free (non-time) slots, which is what the harness's level-set Newton
 reads, and it falls back to ``jet_level`` exactly as ``velocity`` falls
-back to ``jet_velocity``.  A trace freezes every constant the
+back to ``jet_velocity``.  The float evaluations the harness makes at
+each sample are traced the same way, on first use: the Hamiltonians'
+values (``float_hamiltonians``), the forward image (``image``) and the
+image with the time column of the forward Jacobian
+(``image_time_column``).  A trace freezes every constant the
 Hamiltonians use, so they must be pure functions of their point.  A
 Runge-Kutta stage state
 sums weight * stage component by component over the non-zero weights in
@@ -104,8 +108,12 @@ class FlowSystem:
     ``velocity`` (that function traced), ``checked_velocity`` (``velocity``
     behind ``nambu_rhs``'s check of its point), ``jet_level`` (the values and
     free-slot rows of H(F(x)) that a level-set Newton step reads, by jet
-    arithmetic), ``level`` (that function traced) and ``det_condition``
-    are computed on first use and kept with the flow.
+    arithmetic), ``level`` (that function traced), ``float_hamiltonians``
+    (the Hamiltonians' float values, traced, behind
+    ``hamiltonian_values``), ``image`` (the forward map, traced, behind the
+    same check as ``checked_velocity``), ``image_time_column`` (F(x) and
+    the time column of J(x), traced) and ``det_condition`` are computed
+    on first use and kept with the flow.
     """
 
     map: core.MapDescriptor
@@ -144,7 +152,14 @@ class FlowSystem:
         raise failure
 
     def hamiltonian_values(self, point):
-        return tuple(map(float_value, self.hamiltonians_at(as_state(point))))
+        """The Hamiltonians' float values at an image point, checked as a
+        state (``as_state``).  A state of n coordinates goes through
+        ``float_hamiltonians``; one of any other length reaches the
+        Hamiltonians as it is, which refuse it as they always have."""
+        x = as_state(point)
+        if len(x) == self.map.dimension:
+            return self.float_hamiltonians(x)
+        return _hamiltonian_floats(self, x)
 
     def source_hamiltonians(self, src):
         """The Hamiltonians at the image of a source point, H(F(src)), whose
@@ -176,8 +191,48 @@ class FlowSystem:
     @cached_property
     def checked_velocity(self):
         """``velocity`` behind the check of its point that ``nambu_rhs``
-        makes: ``_checked`` of the map's dimension, bound to this flow."""
-        return _checked(self.map.dimension)(self.velocity, partial(_flow_state, self))
+        makes: ``_checked`` of the map's dimension, bound to this flow, which
+        hands any other point to ``velocity`` through ``_flow_state``."""
+        velocity, state = self.velocity, partial(_flow_state, self)
+        return _checked(self.map.dimension)(velocity, lambda x: velocity(state(x)))
+
+    @cached_property
+    def float_hamiltonians(self):
+        """The Hamiltonians' float values at a state of n floats
+        (``_hamiltonian_floats``), traced on first use as ``velocity`` is
+        and falling back the same way: a failed guard, finiteness or
+        first-panel check, or a division by zero, re-runs the point through
+        ``_hamiltonian_floats``, which raises the SingularPointError naming
+        H_j as ever, and ``quadrature`` is charged the panels that makes.
+        A flow keeps ``_hamiltonian_floats`` when its Hamiltonians read a
+        value."""
+        plain = partial(_hamiltonian_floats, self)
+        return core.trace(plain, self.map.dimension) or plain
+
+    @cached_property
+    def image(self):
+        """The map's forward image of a point.  ``_checked`` of the map's
+        dimension sorts the points: a tuple of n finite floats goes to the
+        forward map traced on first use, which re-runs a point whose guard
+        or finiteness check fails through ``map.forward``, and any other
+        point (jets, traced scalars, a list, a wrong length, a non-finite
+        value) to ``map.forward`` itself.  ``map.forward`` stays untraced,
+        so building a flow, or its Hamiltonians, traces nothing."""
+        forward = self.map.forward
+        traced = core.trace(forward, self.map.dimension) or forward
+        return _checked(self.map.dimension)(traced, forward)
+
+    @cached_property
+    def image_time_column(self):
+        """F(x), then column ``time_index - 1`` of the forward Jacobian J(x),
+        at a source state of n floats: one flat tuple of 2n floats from one
+        seeded evaluation (``_image_time_column``), traced on first use as
+        ``velocity`` is and falling back the same way.  The column is the
+        image's velocity as the time slot moves, so on a time-slot path it
+        is what the bracket velocity at F(x) must equal; the qp4
+        normalization oracle reads it as its truth."""
+        plain = partial(_image_time_column, self)
+        return core.trace(plain, self.map.dimension) or plain
 
     @cached_property
     def jet_level(self):
@@ -401,6 +456,20 @@ def _bracket_velocity(hamiltonians, x):
     )
 
 
+def _hamiltonian_floats(flow, image):
+    """The Hamiltonians at an image point, as floats."""
+    return tuple(map(float_value, flow.hamiltonians_at(image)))
+
+
+def _image_time_column(flow, x):
+    """A flat tuple of floats from one seeded evaluation of the forward map
+    at the source point x: its n values F(x), then each component's
+    partial along the time slot."""
+    t = flow.time_index - 1
+    values, rows = core.jet_values_rows(flow.map.forward, x)
+    return tuple(map(float_value, values + [row[t] for row in rows]))
+
+
 def _level_values_rows(flow, x):
     """A flat tuple of floats from one seeded evaluation at the source point
     x: the n-1 values H_j(F(x)), then row by row each H_j's partials along
@@ -428,25 +497,25 @@ def _flow_state(flow, point):
 
 @lru_cache(maxsize=32)
 def _checked(n):
-    """The check of a point ahead of a velocity over n coordinates,
+    """The check of a point ahead of a traced function of n floats,
     compiled once per n by ``core._exec`` and recorded in no trace: a
-    function of (velocity, state) that returns the checked velocity.
+    function of (fast, other) that returns the checked function.
 
     A point whose class is exactly tuple, with n items that are all
-    exactly float and all finite, is handed to ``velocity`` as it is;
-    any other point is handed to it through ``state`` (``_flow_state``),
-    which converts it or raises the error it always has."""
+    exactly float and all finite, is handed to ``fast`` as it is; any
+    other point is handed to ``other``, which converts or refuses it (a
+    flow's ``checked_velocity``) or takes it as it comes (its ``image``)."""
     xs = [f"x{i}" for i in range(n)]
     checks = [f"{x}.__class__ is float" for x in xs] + [f"isfinite({x})" for x in xs]
     source = "\n".join(
         [
-            "def bind(velocity, state):",
+            "def bind(fast, other):",
             "    def checked(point):",
             f"        if point.__class__ is tuple and len(point) == {n}:",
             f"            {core._listed(xs)}= point",
             f"            if {' and '.join(checks)}:",
-            "                return velocity(point)",
-            "        return velocity(state(point))",
+            "                return fast(point)",
+            "        return other(point)",
             "    return checked",
         ]
     )
@@ -621,14 +690,15 @@ def _combine(y, h, terms, k):
     """y + h * (sum of weight * stage over the ``_terms`` of the weights,
     in stage order), accumulated component by component: the dense
     output's sum, and the reference of the sums the compiled ``_step``
-    writes out."""
+    writes out.  A weight of exactly 1.0 adds the stage itself, which is
+    1.0 * stage bit for bit."""
     (w0, i0), *rest = terms
     k0 = k[i0]
     out = []
     for c, y_c in enumerate(y):
-        acc = w0 * k0[c]
+        acc = k0[c] if w0 == 1.0 else w0 * k0[c]
         for w, i in rest:
-            acc += w * k[i][c]
+            acc += k[i][c] if w == 1.0 else w * k[i][c]
         out.append(y_c + h * acc)
     return tuple(out)
 
@@ -645,8 +715,9 @@ def _step(method, n):
 
     Each stage state, the new state and the error sums are ``_combine``
     over their row's ``_terms``, written out component by component in the
-    same operand order (the error sums over a zero state, as ``_combine``
-    sums them), so they have its bits.  ``rhs`` is called on y and then
+    same operand order and with no multiply by a unit weight (the error
+    sums over a zero state, as ``_combine`` sums them), so they have its
+    bits.  ``rhs`` is called on y and then
     between rows, on each stage state in turn.  A result whose class is
     exactly tuple, with n items that are all exactly float, is kept as it
     is; any other is converted by ``_stage``, which makes it floats and
@@ -659,7 +730,9 @@ def _step(method, n):
         terms = _terms(weights)
         return listed(
             f"{start.format(c=c)} + h * ("
-            + " + ".join([f"{w!r} * k{i}_{c}" for w, i in terms])
+            + " + ".join(
+                [f"k{i}_{c}" if w == 1.0 else f"{w!r} * k{i}_{c}" for w, i in terms]
+            )
             + ")"
             for c in range(n)
         )

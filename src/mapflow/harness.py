@@ -118,9 +118,7 @@ def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
         )
     x_start = source_start(flow, x0, t0)
     path, oracle = _source_path(flow, x_start, times)
-    traj = flows.integrate_flow(
-        flow, flow.map.forward(x_start), t0, t1, cfg=cfg, t_eval=times
-    )
+    traj = flows.integrate_flow(flow, flow.image(x_start), t0, t1, cfg=cfg, t_eval=times)
     return path, oracle, traj
 
 
@@ -270,7 +268,7 @@ def verify_correspondence(
     )
     deviations = []
     for state_flow, state_src in zip(traj_flow.states, src_states):
-        deviations.append(_relative_deviation(state_flow, flow.map.forward(state_src)))
+        deviations.append(_relative_deviation(state_flow, flow.image(state_src)))
     drifts = _drifts(traj_flow.ham_values)
     max_dev = max(deviations)
     passed = max_dev <= DEFAULT_TOL_DEVIATION and all(d <= tol_drift for d in drifts)
@@ -574,26 +572,33 @@ def qp4_normalization_report(a, b, c):
     """Decide which second-Hamiltonian scaling reproduces the map.
 
     The ground truth is the map's velocity along its time coordinate, the
-    time column of its Jacobian, read off the same seeded evaluation that
-    gives the image point; each candidate flow's bracket velocity is
-    compared against it.  The explicit rational velocity formulas are
-    measured at the same points, as corroboration.  The candidate flows
-    come from ``maps.build_flow``, so a verify of the same qp4 flow shares
-    its flow, and its one trace, with the oracle.
+    time column of its Jacobian, read with the image point off one seeded
+    evaluation: the prop2 candidate flow's ``image_time_column``, traced
+    once per flow.  Each candidate flow's bracket velocity is compared
+    against it.  The explicit rational velocity formulas are measured at
+    the same points, as corroboration.  The candidate flows come from
+    ``maps.build_flow``, so a verify of the same qp4 flow shares its flow,
+    and its traces, with the oracle, and a later report at the same
+    parameters in the process traces nothing.
     """
-    mapdesc = maps.qp4(a, b, c)
-    velocities = {}
-    for name in maps.QP4_NORMALIZATIONS:
-        flow = maps.build_flow("qp4", {"a": a, "b": b, "c": c, "normalization": name})
-        # flows.nambu_rhs is looked up per call, so a rebinding of it is seen
-        velocities[name] = lambda x, flow=flow: flows.nambu_rhs(flow, x)
+    candidates = {
+        name: maps.build_flow("qp4", {"a": a, "b": b, "c": c, "normalization": name})
+        for name in maps.QP4_NORMALIZATIONS
+    }
+    # flows.nambu_rhs is looked up per call, so a rebinding of it is seen
+    velocities = {
+        name: lambda x, flow=flow: flows.nambu_rhs(flow, x)
+        for name, flow in candidates.items()
+    }
+    # the candidates differ only in their Hamiltonians, not in their map
+    image_time_column = candidates["prop2"].image_time_column
     velocities["display_formula_residual"] = maps.qp4_velocity(a, b, c)
     rng = random.Random(DEFAULT_SEED)
     residuals = dict.fromkeys(velocities, 0.0)
     for _ in range(QP4_ORACLE_POINTS):
         src = tuple(rng.uniform(0.4, 1.6) for _ in range(3))
-        image, rows = core.jet_values_rows(mapdesc.forward, src)
-        truth = [row[2] for row in rows]
+        out = image_time_column(src)
+        image, truth = out[:3], out[3:]
         for name, velocity in velocities.items():
             pairs = zip(velocity(image), truth)
             err = max(abs(u - w) / (1.0 + abs(w)) for u, w in pairs)

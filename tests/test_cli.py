@@ -199,18 +199,31 @@ def test_verify_qp4_records_normalization_winner(capsys):
 def test_verify_qp4_shares_its_flow_with_the_normalization_oracle(
     capsys, monkeypatch
 ):
-    # the verified prop2 flow is the oracle's prop2 candidate: two flows are
-    # traced, the verified one and the paper-display candidate
+    # the verified prop2 flow is the oracle's prop2 candidate: two velocities
+    # are traced, the verified flow's and the paper-display candidate's; the
+    # verified flow also traces its image and Hamiltonian values, and the
+    # oracle reads its truth off the prop2 flow's traced image time column
     traced = []
     trace = core.trace
-    monkeypatch.setattr(core, "trace", lambda fn, n: traced.append(n) or trace(fn, n))
+
+    def spy(fn, n):
+        traced.append((getattr(fn, "func", fn).__name__, n))
+        return trace(fn, n)
+
+    monkeypatch.setattr(core, "trace", spy)
     code, out, _ = run_cli(
         capsys, "verify", "--map", "qp4", "--param", "a=2",
         "--param", "normalization=prop2", "--x0", "1,1", "--t0", "1", "--t1", "1.5",
     )
     assert code == 0
     assert json.loads(out)["normalization_oracle"]["winner"] == "prop2"
-    assert traced == [3, 3]
+    assert traced == [
+        ("forward", 3),
+        ("_hamiltonian_floats", 3),
+        ("_bracket_velocity", 3),
+        ("_image_time_column", 3),
+        ("_bracket_velocity", 3),
+    ]
 
 
 def test_verify_pole_on_the_source_path_is_a_numerical_failure(capsys):

@@ -861,7 +861,7 @@ def test_a_trace_replays_the_float_operations_bit_for_bit():
         lambda x: ({x[0]: 1.0}[x[0]],),
         lambda x: (abs(x[0]),),
         lambda x: ((1.0, 2.0)[x[0]],),
-        lambda x: (x[0] ** 2,),
+        lambda x: (x[0] ** x[1],),
         lambda x: (x[0] * Fraction(1, 3),),
         lambda x: (x[0] * np.float64(2.0),),
         lambda x: (math.sqrt(x[0]),),
@@ -874,6 +874,64 @@ def test_a_trace_replays_the_float_operations_bit_for_bit():
     ],
 )
 def test_a_function_that_reads_a_traced_value_is_not_traced(fn):
+    assert core.trace(fn, 2) is None
+
+
+def _result_or_error(fn, x):
+    """The repr of ``fn(x)``, or the type and message of the arithmetic
+    error it raises."""
+    try:
+        return repr(fn(x))
+    except ArithmeticError as err:
+        return type(err), str(err)
+
+
+def test_a_traced_int_power_replays_the_float_power_bit_for_bit():
+    # x ** k for an int constant k is one line, the C power the float path
+    # makes, never rewritten as products; 0.0 ** -1 re-runs the point and
+    # raises its ZeroDivisionError, and an overflow raises the float path's
+    # OverflowError, also from a power nothing reads
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        a, b = x
+        b**4  # unread
+        return (a**2, a**3, a**-1, (a - b) ** 2, b * a**2, a**0, a**1)
+
+    traced = core.trace(fn, 2)
+    assert traced.__code__.co_filename == "<trace>"
+    assert len(calls) == 1
+    values = [0.0, -0.0, 1.0, 2.0, -2.0, 1.5, 0.1, 0.2, 1e-300, 1e300]
+    values += [math.inf, math.nan]
+    for x in itertools.product(values, repeat=2):
+        calls.clear()
+        got = _result_or_error(traced, x)
+        reran = len(calls)
+        assert got == _result_or_error(fn, x), x
+        # only a zero base raised to -1 re-runs the point
+        assert reran == (x[0] == 0.0 and abs(x[1]) != 1e300), x
+    with pytest.raises(OverflowError) as overflow:
+        traced((1e300, 1.0))
+    with pytest.raises(OverflowError) as kernel:
+        fn((1e300, 1.0))
+    assert str(overflow.value) == str(kernel.value)
+    with pytest.raises(ZeroDivisionError, match="negative power"):
+        traced((-0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: (x[0] ** 2.0,),
+        lambda x: (2 ** x[0],),
+        lambda x: (2.0 ** x[0],),
+        lambda x: (x[0] ** True,),
+        lambda x: (x[0] ** np.int64(2),),
+    ],
+    ids=["float-exponent", "int-base", "float-base", "bool-exponent", "numpy-exponent"],
+)
+def test_a_power_other_than_by_an_int_constant_is_not_traced(fn):
     assert core.trace(fn, 2) is None
 
 

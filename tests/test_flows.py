@@ -2265,6 +2265,89 @@ def test_a_second_verify_reuses_its_flow_and_writes_the_pinned_bytes(
     assert checks == []
 
 
+# ---------------------------------------------------------------------------
+# traced per-sample evaluations
+
+
+def _catalog_flow(map_id, params):
+    """A fresh catalog flow, not the one ``maps.build_flow`` kept."""
+    maps._flow.cache_clear()
+    return maps.build_flow(map_id, params)
+
+
+def _start_and_span(flow, point):
+    """A quadrature run's non-time start and span: the source point of its
+    image point, and a quarter unit of time from there."""
+    x = flow.map.inverse(point)
+    t = flow.time_index - 1
+    return x[:t] + x[t + 1 :], (x[t], x[t] + 0.25)
+
+
+# every catalog run, every quadrature flow and squash∘kdv3: a builder of a
+# fresh flow, and the non-time start and span of its 21 samples, or for a
+# quadrature flow its image point and None
+EVALUATION_RUNS = {
+    **{
+        run: (partial(_catalog_flow, map_id, params), x0, t_range)
+        for run, (map_id, params, x0, t_range) in CATALOG_FLOWS.items()
+    },
+    **{
+        f"quadrature-{run}": (build, point, None)
+        for run, (build, point, _) in QUADRATURE_FLOWS.items()
+    },
+    "squash-kdv3": LEVEL_FLOWS["squash-kdv3"],
+}
+
+
+def _evaluations(flow, sources, images):
+    """What the flow's image and image time column give at each source
+    point, then what its Hamiltonian values give at each image point
+    (``_result_or_error``), each with the quadrature panels and integrand
+    calls the call charged."""
+    counts = flow.quadrature
+
+    def charged(fn, x):
+        before = counts and dataclasses.astuple(counts)
+        out = _result_or_error(fn, x)
+        if counts is None:
+            return out
+        return out, tuple(a - b for a, b in zip(dataclasses.astuple(counts), before))
+
+    return (
+        [charged(flow.image, x) for x in sources]
+        + [charged(flow.image_time_column, x) for x in sources]
+        + [charged(flow.hamiltonian_values, x) for x in images]
+    )
+
+
+@pytest.mark.parametrize("run", EVALUATION_RUNS)
+def test_traced_evaluations_are_bitwise_the_plain_ones(monkeypatch, run):
+    build, x0, t_range = EVALUATION_RUNS[run]
+    flow = build()  # which solves for the path, on a level set or not
+    if t_range is None:
+        x0, t_range = _start_and_span(flow, x0)
+    x_start = harness.source_start(flow, x0, t_range[0])
+    times = harness._sample_times(*t_range, harness.DEFAULT_SAMPLES)
+    path, _ = harness._source_path(flow, x_start, times)
+    images = [flow.map.forward(x) for x in path]
+    flow = build()
+    rng = random.Random(f"evaluations:{run}")
+    sources = path + _points_with_exact_coordinates(x_start, rng)
+    images += _points_with_exact_coordinates(images[0], rng)
+    # a point one coordinate short is refused by the Hamiltonians as ever
+    images.append((1.0,) * (flow.map.dimension - 1))
+    if flow.map.name == "kdv3":
+        sources.append((-1.0, 1.0, 0.0))  # where 1+xy+xy^2z vanishes
+        images.append((1.0, -0.5, 1.0000000000001))  # where 1+XY+X^2YZ does
+    kept = _spy_on_traces(monkeypatch)
+    traced = _evaluations(flow, sources, images)
+    assert kept == [True, True, True]
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "trace", lambda fn, n: None)
+        untraced = _evaluations(build(), sources, images)
+    assert traced == untraced
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
