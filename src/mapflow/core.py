@@ -73,23 +73,18 @@ class Jet:
     quadrature integrand differentiates the Jacobian determinant of a map
     that declares no closed-form ``det_j``.
 
-    The operators dispatch on the jet's type, never on its length.
-    ``Jet(value, partials)`` copies the partials into a tuple and returns a
-    jet of the class that matches their number: 2 and 3 partials each have
-    a subclass whose operators write every partial out one by one, and
-    ``Jet`` itself serves 1 and 4 or more through comprehensions.  Every
-    operator builds its result in its own class, so the jets that
-    ``seed_jets`` makes keep their class through any arithmetic.  Both
-    kinds of body compute each partial as the same expression in the same
-    operand order, so they agree bit for bit.  The two operands of a binary
+    One class serves any number of partials: ``Jet(value, partials)``
+    copies the partials into a tuple, and every operator computes each
+    partial through one comprehension.  The two operands of a binary
     operator must carry the same number of partials, as jets seeded
-    together do; a jet with any other number is a ``ValueError``.
+    together do; on any other pair ``zip(strict=True)`` raises
+    ``ValueError``.
     """
 
     __slots__ = ("value", "partials")
 
     def __new__(cls, value, partials):
-        return _new_jet(value, tuple(partials))
+        return _jet(value, tuple(partials))
 
     def __repr__(self):
         return f"Jet({self.value!r}, {self.partials!r})"
@@ -146,189 +141,32 @@ class Jet:
 
     def __pow__(self, exponent):
         """Repeated multiplication, left to right; a negative exponent
-        raises 1 / self.  A square is the one product ``self * self`` that
-        the loop would make, without the loop."""
+        raises 1 / self."""
         if not isinstance(exponent, int):
             raise TypeError("jet powers support integer exponents only")
-        if exponent == 2:
-            return self * self
         if exponent < 0:
             return (1.0 / self) ** (-exponent)
         if exponent == 0:
-            return _new_jet(1.0, (0.0,) * len(self.partials))
+            return _jet(1.0, (0.0,) * len(self.partials))
         out = self
         for _ in range(exponent - 1):
             out = out * self
         return out
 
 
-def _mismatch(jet, other):
-    """The error for a binary operator on jets with different numbers of
-    partials."""
-    return ValueError(
-        f"jet operands carry {len(jet.partials)} and {len(other.partials)} partials"
-    )
-
-
-class _Jet2(Jet):
-    """A jet with 2 partials, each written out."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if other.__class__ is _Jet2:
-            (p0, p1), (q0, q1) = self.partials, other.partials
-            return _jet2(self.value + other.value, (p0 + q0, p1 + q1))
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet2(self.value + other, self.partials)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p0, p1 = self.partials
-        return _jet2(-self.value, (-p0, -p1))
-
-    def __sub__(self, other):
-        if other.__class__ is _Jet2:
-            (p0, p1), (q0, q1) = self.partials, other.partials
-            return _jet2(self.value - other.value, (p0 - q0, p1 - q1))
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet2(self.value - other, self.partials)
-
-    def __rsub__(self, other):
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        p0, p1 = self.partials
-        return _jet2(other - self.value, (-p0, -p1))
-
-    def __mul__(self, other):
-        sv, (p0, p1) = self.value, self.partials
-        if other.__class__ is _Jet2:
-            ov, (q0, q1) = other.value, other.partials
-            return _jet2(sv * ov, (p0 * ov + sv * q0, p1 * ov + sv * q1))
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet2(sv * other, (p0 * other, p1 * other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        sv, (p0, p1) = self.value, self.partials
-        if other.__class__ is _Jet2:
-            ov, (q0, q1) = other.value, other.partials
-            sq = ov * ov
-            return _jet2(sv / ov, ((p0 * ov - sv * q0) / sq, (p1 * ov - sv * q1) / sq))
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet2(sv / other, (p0 / other, p1 / other))
-
-    def __rtruediv__(self, other):
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        v, c, (p0, p1) = self.value, -other, self.partials
-        sq = v * v
-        return _jet2(other / v, (c * p0 / sq, c * p1 / sq))
-
-
-class _Jet3(Jet):
-    """A jet with 3 partials, each written out."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if other.__class__ is _Jet3:
-            (p0, p1, p2), (q0, q1, q2) = self.partials, other.partials
-            return _jet3(self.value + other.value, (p0 + q0, p1 + q1, p2 + q2))
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet3(self.value + other, self.partials)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p0, p1, p2 = self.partials
-        return _jet3(-self.value, (-p0, -p1, -p2))
-
-    def __sub__(self, other):
-        if other.__class__ is _Jet3:
-            (p0, p1, p2), (q0, q1, q2) = self.partials, other.partials
-            return _jet3(self.value - other.value, (p0 - q0, p1 - q1, p2 - q2))
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet3(self.value - other, self.partials)
-
-    def __rsub__(self, other):
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        p0, p1, p2 = self.partials
-        return _jet3(other - self.value, (-p0, -p1, -p2))
-
-    def __mul__(self, other):
-        sv, (p0, p1, p2) = self.value, self.partials
-        if other.__class__ is _Jet3:
-            ov, (q0, q1, q2) = other.value, other.partials
-            return _jet3(
-                sv * ov, (p0 * ov + sv * q0, p1 * ov + sv * q1, p2 * ov + sv * q2)
-            )
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet3(sv * other, (p0 * other, p1 * other, p2 * other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        sv, (p0, p1, p2) = self.value, self.partials
-        if other.__class__ is _Jet3:
-            ov, (q0, q1, q2) = other.value, other.partials
-            sq = ov * ov
-            partials = (
-                (p0 * ov - sv * q0) / sq,
-                (p1 * ov - sv * q1) / sq,
-                (p2 * ov - sv * q2) / sq,
-            )
-            return _jet3(sv / ov, partials)
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        return _jet3(sv / other, (p0 / other, p1 / other, p2 / other))
-
-    def __rtruediv__(self, other):
-        if isinstance(other, Jet):
-            raise _mismatch(self, other)
-        v, c, (p0, p1, p2) = self.value, -other, self.partials
-        sq = v * v
-        return _jet3(other / v, (c * p0 / sq, c * p1 / sq, c * p2 / sq))
-
-
-def _maker(cls):
-    """A constructor of ``cls`` jets that holds the tuple ``partials``
-    itself, not a copy."""
-
-    def make(value, partials, _new=object.__new__, _cls=cls):
-        out = _new(_cls)
-        out.value = value
-        out.partials = partials
-        return out
-
-    return make
-
-
-_jet, _jet2, _jet3 = _maker(Jet), _maker(_Jet2), _maker(_Jet3)
-_MAKERS = {2: _jet2, 3: _jet3}
-
-
-def _new_jet(value, partials):
-    """A jet of the class that matches the number of partials, holding the
-    tuple ``partials`` itself."""
-    return _MAKERS.get(len(partials), _jet)(value, partials)
+def _jet(value, partials, _new=object.__new__):
+    """A jet that holds the tuple ``partials`` itself, not a copy."""
+    out = _new(Jet)
+    out.value = value
+    out.partials = partials
+    return out
 
 
 def jet_log(x):
     """Natural log for floats and jets, guarding the domain."""
     if isinstance(x, Jet):
         v = x.value
-        return _new_jet(jet_log(v), tuple([p / v for p in x.partials]))
+        return _jet(jet_log(v), tuple([p / v for p in x.partials]))
     return on_floats(_log, x)
 
 
@@ -346,8 +184,7 @@ def _unit_seeds(n):
 
 def seed_jets(coords):
     """Attach unit derivative seeds to each coordinate of a point."""
-    n = len(coords)
-    return tuple(map(_MAKERS.get(n, _jet), coords, _unit_seeds(n)))
+    return tuple(map(_jet, coords, _unit_seeds(len(coords))))
 
 
 def as_state(coords):

@@ -241,10 +241,9 @@ def test_jet_operators_match_the_reference_bit_for_bit(operands, exponent):
             _same_bits(lambda: jet**exponent, lambda: _ref_pow(plain, exponent))
 
 
-# The operators write out the bodies for 2 and 3 partials and keep the
-# general path for any other count; 1-4 partials, at both levels of a nested
-# jet, reach all three.  Moderate floats round a reordered expression
-# differently more often than any_float's extremes and small integers do.
+# 1-4 partials, at both levels of a nested jet, against the reference.
+# Moderate floats round a reordered expression differently more often than
+# any_float's extremes and small integers do.
 bounded_or_any_float = st.one_of(any_float, st.floats(-100.0, 100.0))
 
 
@@ -267,14 +266,6 @@ def test_unrolled_and_general_jet_bodies_match_the_reference(operands, exponent)
             _same_bits(lambda: jet**exponent, lambda: _ref_pow(plain, exponent))
             if core.float_value(jet) > 0.0:
                 _same_bits(lambda: core.jet_log(jet), lambda: _ref_log(plain))
-
-
-def _generic(x):
-    """x with every jet layer rebuilt as a plain ``Jet``, whose operators
-    run the comprehension bodies at any number of partials."""
-    if isinstance(x, Jet):
-        return core._jet(_generic(x.value), tuple(_generic(p) for p in x.partials))
-    return x
 
 
 def _bits(x):
@@ -301,47 +292,19 @@ any_float_with_specials = st.one_of(
 )
 
 
-@seed(22)
-@settings(max_examples=500, deadline=None)
-@given(
-    jet_operands(
-        min_partials=2, max_partials=3, max_inner=4, values=any_float_with_specials
-    ),
-    st.integers(-3, 3),
-)
-def test_2_and_3_partial_jets_match_the_generic_bodies_bit_for_bit(operands, exponent):
-    # the 2- and 3-partial classes against the same jets run through the
-    # generic comprehensions at every level, scalars on either side
-    x, y = operands
-    gx, gy = _generic(x), _generic(y)
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-        assert _outcome(lambda: op(x, y)) == _outcome(lambda: op(gx, gy)), op
-    for jet, plain in ((x, gx), (y, gy)):
-        if isinstance(jet, Jet):
-            assert type(-jet) is type(jet)
-            assert _outcome(lambda: -jet) == _outcome(lambda: -plain)
-            got = _outcome(lambda: jet**exponent)
-            assert got == _outcome(lambda: plain**exponent)
-            if core.float_value(jet) > 0.0:
-                got = _outcome(lambda: core.jet_log(jet))
-                assert got == _outcome(lambda: core.jet_log(plain))
-
-
 @seed(24)
 @settings(max_examples=300, deadline=None)
 @given(jet_operands(max_partials=5, max_inner=5, values=any_float_with_specials))
 def test_a_jet_squared_is_the_jet_times_itself_bit_for_bit(operands):
-    # 1 to 5 partials, flat and nested: the 2- and 3-partial classes and
-    # the general Jet, with infinite, NaN and signed-zero entries
+    # 1 to 5 partials, flat and nested, with infinite, NaN and signed-zero
+    # entries
     for jet in operands:
         if isinstance(jet, Jet):
             assert _outcome(lambda: jet**2) == _outcome(lambda: jet * jet)
             assert type(jet**2) is type(jet * jet)
 
 
-@pytest.mark.parametrize(
-    "n, cls", [(1, Jet), (2, core._Jet2), (3, core._Jet3), (4, Jet), (5, Jet)]
-)
+@pytest.mark.parametrize("n, cls", [(n, Jet) for n in range(1, 6)])
 def test_every_way_of_making_a_jet_gives_the_class_of_its_length(n, cls):
     seeds = core.seed_jets(tuple(1.0 + 0.25 * i for i in range(n)))
     x, y = seeds[0], seeds[-1]
