@@ -586,8 +586,9 @@ class _Tape:
     or a power can, and a recorded call or check line may, so all four are
     always kept.  A check line (``check``) raises ``_Unassumed`` through the
     compiled code's ``FAIL`` where its condition holds; a map writes its
-    guard and finiteness checks this way.  A constant that only dropped
-    lines read is not bound."""
+    guard and finiteness checks this way, and each distinct check is
+    recorded once.  A constant that only dropped lines read is not
+    bound."""
 
     def __init__(self):
         self.lines = []  # (name, expression, names read, droppable)
@@ -623,14 +624,18 @@ class _Tape:
         and the names it reads, as one line that raises ``_Unassumed``
         where the condition holds, so that the point re-runs through the
         traced function, which raises the error the check stands for; a
-        map's guard and finiteness checks.  False, recording nothing,
-        when the condition reads a value, as a guard that calls ``abs``
-        does."""
+        map's guard and finiteness checks.  A check already recorded,
+        keyed on its line as ``arithmetic`` keys on its expression, is not
+        recorded again: the first one fails first.  False, recording
+        nothing, when the condition reads a value, as a guard that calls
+        ``abs`` does."""
         try:
             condition, reads = fails(self, *args)
         except _Untraceable:
             return False
-        self.record(f"FAIL() if {condition} else None", tuple(reads))
+        expr = f"FAIL() if {condition} else None"
+        if expr not in self.known:
+            self.known[expr] = self.record(expr, tuple(reads))
         return True
 
     def const(self, value):
@@ -801,6 +806,6 @@ def _exec(source):
 
 @lru_cache(maxsize=64)
 def _compiled(source):
-    """``_exec`` of a trace's or a Runge-Kutta step's source, compiled once
-    per source."""
+    """``_exec`` of a trace's, a Runge-Kutta step's or a Runge-Kutta
+    loop's source, compiled once per source."""
     return _exec(source)

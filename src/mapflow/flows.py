@@ -41,13 +41,14 @@ values (``float_hamiltonians``), the forward image (``image``) and the
 image with the time column of the forward Jacobian
 (``image_time_column``).  A trace freezes every constant the
 Hamiltonians use, so they must be pure functions of their point.  A
-Runge-Kutta stage state
-sums weight * stage component by component over the non-zero weights in
-stage order; each method's whole step, every stage sum and the rhs calls
-between them, is compiled into straight-line code once per state
-dimension (``_step``), and only the dense output, whose weights change
-with each sample, sums in a loop.  A step keeps an rhs result that is
-already a tuple of n floats as it is, and converts any other.
+Runge-Kutta stage state sums weight * stage component by component over
+the non-zero weights in stage order.  Each method's whole step, every
+stage sum and the rhs calls between them, is compiled into straight-line
+code once per state dimension (``_step``), and so is the loop that takes
+the steps (``_loop``): its step control, its error norm and its
+continuous extension, whose weights change with each sample, are written
+out component by component.  A step keeps an rhs result that is already
+a tuple of n floats as it is, and converts any other.
 
 The last Hamiltonian's derivative along the coordinate it integrates over
 is the determinant at the integral's endpoint, added once per evaluation,
@@ -688,10 +689,10 @@ def _terms(weights):
 
 def _combine(y, h, terms, k):
     """y + h * (sum of weight * stage over the ``_terms`` of the weights,
-    in stage order), accumulated component by component: the dense
-    output's sum, and the reference of the sums the compiled ``_step``
-    writes out.  A weight of exactly 1.0 adds the stage itself, which is
-    1.0 * stage bit for bit."""
+    in stage order), accumulated component by component: the reference of
+    the sums the compiled ``_step`` and ``_loop`` write out, and ``_loop``'s
+    dense output at a sample where a live weight is 0.0.  A weight of
+    exactly 1.0 adds the stage itself, which is 1.0 * stage bit for bit."""
     (w0, i0), *rest = terms
     k0 = k[i0]
     out = []
@@ -774,11 +775,145 @@ def _stage(k, n):
     return k
 
 
-def _dense_state(y, h, dense, k, x):
-    """The continuous extension's state a fraction 0 < x < 1 of the way
-    through the step of size h from y with stages k."""
-    weights = [x * (p1 + x * (p2 + x * (p3 + x * p4))) for p1, p2, p3, p4 in dense]
-    return _combine(y, h, _terms(weights), k)
+@lru_cache(maxsize=32)
+def _loop(method, n):
+    """``integrate``'s step loop for the method and states of n components,
+    compiled to straight-line code once by ``core._compiled``: a function of
+    (rhs, record, trajectory, every, y, t, t1, h, direction, pending,
+    max_steps, abs_tol, rel_tol) that steps from (t, y) onto t1 with
+    ``_step``, records each sample in ``pending`` (the next one last) as it
+    passes it, and each accepted step when ``every`` is true, and returns
+    ``trajectory`` of its accepted, rejected and rhs counts.  A spent step
+    budget, a step under ``_min_step`` or a non-finite rk4 state raises the
+    error that says so, with ``trajectory`` of the counts so far.
+
+    dopri5's error norm is the max over the components of
+    abs(d) / (abs_tol + rel_tol * max(abs(y), abs(y_new))), d the error sum,
+    or inf when a new-state component or a ratio is not finite.  Its
+    continuous extension's weights are the tableau's polynomials at the
+    sample's fraction x of the step, and its sums are ``_combine``'s, in
+    its order.  A stage whose row is all zero is left out, as ``_terms``
+    leaves out its weight at every finite x; a live weight that is exactly
+    0.0 hands the sample to ``_combine`` over ``_terms`` of the weights, so
+    every sample has its bits."""
+    a, _, e, dense = _TABLEAUS[method]
+    step, fsal = _step(method, n)
+    listed = core._listed
+    zs = [f"z_{c}" for c in range(n)]
+
+    def fail(error, message):
+        counts = "trajectory(accepted, rejected, evals)"
+        return [f"    raise {error}({message!r}, t, y, {counts})"]
+
+    def finite(names):
+        return " and ".join(f"isfinite({v})" for v in names)
+
+    # rk4 steps onto each sample in turn, then t1; dopri5 only onto t1, so
+    # it sets its target once
+    near = "near = 1e-12 * max(1.0, abs(end))"
+    if dense is None:
+        head, body = [], ["end = pending[-1] if pending else t1", near]
+    else:
+        head, body = ["end = t1", near], []
+    body += [
+        "if accepted + rejected >= max_steps:",
+        *fail("MaxStepsError", "step budget exhausted"),
+        "if abs(h) < min_step(t):",
+        *fail("StepUnderflowError", "step size underflow"),
+        "cut = (end - t - h) * direction < near",
+        "h_try = end - t if cut else h",
+        "y_new, k, d = step(rhs, y, h_try, k_first)",
+        f"evals += {len(a)} if k_first is None else {len(a) - 1}",
+        f"{listed(zs)}= y_new",
+    ]
+    if dense is None:
+        # a step ends on its target or short of it, so the one sample it
+        # can reach is the one it lands on
+        samples = ["    record(pending.pop(), y_new)"]
+    else:
+        live = [i for i, row in enumerate(dense) if any(row)]
+        weights = [f"w{i}" if i in live else "0.0" for i in range(len(dense))]
+        stages = listed(
+            f"({listed(f'k{i}_{c}' for c in range(n))})" if i in live else "_"
+            for i in range(len(dense))
+        )
+        sums = listed(
+            f"y_{c} + h_try * (" + " + ".join(f"w{i} * k{i}_{c}" for i in live) + ")"
+            for c in range(n)
+        )
+        samples = [
+            "    s = pending.pop()",
+            "    if s == t_new:",
+            "        record(s, y_new)",
+            "    else:",
+            "        x = (s - t) / h_try",
+            *(
+                f"        w{i} = x * ({p1!r} + x * ({p2!r} + x * ({p3!r} + x * {p4!r})))"
+                for i, (p1, p2, p3, p4) in enumerate(dense)
+                if i in live
+            ),
+            f"        if {' and '.join(f'w{i}' for i in live)}:",
+            f"            {stages}= k",
+            f"            record(s, ({sums}))",
+            "        else:",
+            f"            record(s, combine(y, h_try, terms(({listed(weights)})), k))",
+        ]
+    accept = [
+        "accepted += 1",
+        "t_new = end if cut else t + h_try",
+        "while pending and (pending[-1] - t_new) * direction <= 0:",
+        *samples,
+        "t, y = t_new, y_new",
+        "if every:",
+        "    record(t, y)",
+        # the last stage has a non-zero error weight, so an accepted step
+        # (finite estimate) hands on a finite one
+        "k_first = k[-1]" if fsal else "k_first = None",
+    ]
+    if e is None:  # rk4 never retries a step
+        body += [f"if not ({finite(zs)}):", *fail("IntegrationError", "non-finite state")]
+        body += accept
+    else:
+        rs = [f"r{c}" for c in range(n)]
+        body += [
+            f"{listed(f'y_{c}' for c in range(n))}= y",
+            f"{listed(f'd_{c}' for c in range(n))}= d",
+            *(
+                f"r{c} = abs(d_{c}) / (abs_tol + rel_tol * max(abs(y_{c}), abs(z_{c})))"
+                for c in range(n)
+            ),
+            # max() skips a NaN, and an infinite scale can hide an overflow
+            f"if {finite(zs + rs)}:",
+            f"    err = max({', '.join(rs)})" if n > 1 else "    err = r0",
+            "else:",
+            "    err = inf",
+            "if err <= 1.0:",
+            *("    " + line for line in accept),
+            "    h = h_try * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))",
+            "else:",
+            "    rejected += 1",
+            "    k_first = k[0]",  # a rejected step keeps its own first stage
+            "    h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))",
+        ]
+    source = "\n".join(
+        [
+            "def bind(step, min_step, combine, terms, inf,",
+            "         MaxStepsError, StepUnderflowError, IntegrationError):",
+            "    def loop(rhs, record, trajectory, every, y, t, t1, h, direction,",
+            "             pending, max_steps, abs_tol, rel_tol):",
+            "        accepted = rejected = evals = 0",
+            "        k_first = None",
+            *("        " + line for line in head),
+            "        while t != t1:",
+            *("            " + line for line in body),
+            "        return trajectory(accepted, rejected, evals)",
+            "    return loop",
+        ]
+    )
+    return core._compiled(source)(
+        step, _min_step, _combine, _terms, math.inf,
+        MaxStepsError, StepUnderflowError, IntegrationError,
+    )
 
 
 def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
@@ -799,12 +934,13 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     error estimate, reuses the last stage of an accepted step as the first
     stage of the next (first same as last), and reads the samples an
     accepted step passes off its continuous extension, so it costs
-    1 + 6 * (accepted + rejected) rhs evaluations.  Each step is one
-    function, ``_step``, compiled once per method and state dimension: it
-    evaluates the first stage unless it is handed one, writes out every
-    stage sum and calls ``rhs`` between them, so the loop charges the
-    evaluations of its stages after each attempted step.  The continuous
-    extension sums through ``_combine``.
+    1 + 6 * (accepted + rejected) rhs evaluations.  The loop is one
+    function, ``_loop``, compiled once per method and state dimension: it
+    calls the step, ``_step``, compiled the same way, which evaluates the
+    first stage unless it is handed one, writes out every stage sum and
+    calls ``rhs`` between them; the loop then charges the evaluations of
+    its stages, and writes out the error norm, the step-size control and
+    the continuous extension.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -816,88 +952,38 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     samples = _samples(t0, t1, t_eval, direction)
     if not all(math.isfinite(t) for t in (t0, t1, *samples)):
         raise ValueError("integration times must be finite")
-    a, _, e, dense = _TABLEAUS[cfg.method]
     # the samples still to record, the next one last
     pending = samples[::-1]
-    t = t0
     y = as_state(x0)
-    step, fsal = _step(cfg.method, len(y))
+    loop = _loop(cfg.method, len(y))
     times, states, hams = [], [], []
-    evals = accepted = rejected = 0
 
     def record(t, y):
         times.append(t)
         states.append(y)
         hams.append(() if observe is None else tuple(observe(y)))
 
-    def trajectory():
+    def trajectory(accepted, rejected, evals):
         stats = IntegratorStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
         return Trajectory(
             times=tuple(times), states=tuple(states), ham_values=tuple(hams), stats=stats
         )
 
     if t_eval is None:
-        record(t, y)
-    elif pending[-1] == t:
+        record(t0, y)
+    elif pending[-1] == t0:
         record(pending.pop(), y)
-    if e is None:
+    if _TABLEAUS[cfg.method][2] is None:  # no error estimate: a fixed step
         h = cfg.step
     else:  # a hundredth of the span, or all of it when that is under the floor
         h = abs(t1 - t0) / 100.0
         if h < _min_step(t0):
             h = max(abs(t1 - t0), _min_step(t0))
     h *= direction
-    k_first = None
-    while t != t1:
-        # rk4 steps onto each sample in turn, then t1; dopri5 only onto t1
-        end = pending[-1] if dense is None and pending else t1
-        if accepted + rejected >= cfg.max_steps:
-            raise MaxStepsError("step budget exhausted", t, y, trajectory())
-        if abs(h) < _min_step(t):
-            raise StepUnderflowError("step size underflow", t, y, trajectory())
-        cut = (end - t - h) * direction < 1e-12 * max(1.0, abs(end))
-        h_try = end - t if cut else h
-
-        y_new, k, err_sums = step(rhs, y, h_try, k_first)
-        evals += len(a) - (k_first is not None)
-        # a rejected step keeps its own first stage
-        k_first = k[0]
-        finite = all(map(math.isfinite, y_new))
-        if e is None and not finite:  # rk4 never retries a step
-            raise IntegrationError("non-finite state", t, y, trajectory())
-        err = 0.0
-        if e is not None:
-            # adding to zero is exact, so this is h_try * sum(e_i * k_i)
-            ratios = [
-                abs(d) / (cfg.abs_tol + cfg.rel_tol * max(abs(u), abs(v)))
-                for d, u, v in zip(err_sums, y, y_new)
-            ]
-            # max() skips a NaN, and an infinite scale can hide an overflow
-            finite = finite and all(map(math.isfinite, ratios))
-            err = max(ratios) if finite else math.inf
-
-        if err <= 1.0:
-            accepted += 1
-            t_new = end if cut else t + h_try
-            while pending and (pending[-1] - t_new) * direction <= 0:
-                s = pending.pop()
-                if s == t_new:
-                    record(s, y_new)
-                else:
-                    record(s, _dense_state(y, h_try, dense, k, (s - t) / h_try))
-            t, y = t_new, y_new
-            if t_eval is None:
-                record(t, y)
-            # the last stage has a non-zero error weight, so an accepted
-            # step (finite estimate) hands on a finite one
-            k_first = k[-1] if fsal else None
-            if e is not None:
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-                h = h_try * factor
-        else:
-            rejected += 1
-            h = h_try * min(1.0, max(0.2, 0.9 * err**-0.2))
-    return trajectory()
+    return loop(
+        rhs, record, trajectory, t_eval is None, y, t0, t1, h, direction,
+        pending, cfg.max_steps, cfg.abs_tol, cfg.rel_tol,
+    )
 
 
 def integrate_flow(flow, x0, t0, t1, cfg=None, t_eval=None):

@@ -203,11 +203,11 @@ any_float = st.one_of(
 
 
 @st.composite
-def jet_operands(draw, max_partials=3, max_inner=2, values=any_float, min_partials=1):
+def jet_operands(draw, max_partials=3, max_inner=2, values=any_float):
     """Two operands, at least one a jet; the jets are flat or, with inner
     jets in their value and some partial slots, nested one level.  Jets
-    carry min_partials..max_partials partials, and inner jets 1..max_inner."""
-    n = draw(st.integers(min_partials, max_partials))
+    carry 1..max_partials partials, and inner jets 1..max_inner."""
+    n = draw(st.integers(1, max_partials))
     m = draw(st.integers(1, max_inner))
     nested = draw(st.booleans())
 

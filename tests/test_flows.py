@@ -28,6 +28,7 @@ from mapflow.errors import (
     StepUnderflowError,
 )
 from mapflow.flows import IntegratorConfig
+import reference
 from reference import squash_kdv3
 
 
@@ -1509,6 +1510,163 @@ def test_dopri5_never_reuses_a_nan_last_stage():
     assert [s[0] for s in traj.states] == pytest.approx([0.5, 1.0], abs=1e-12)
 
 
+def _integrated(integrate, make_rhs, *args, **kwargs):
+    """What ``integrate`` makes of a fresh rhs from ``make_rhs``: its
+    trajectory, or the error it raises with the time, state and trajectory
+    an IntegrationError carries, as text in which repr tells every float's
+    bits apart."""
+    try:
+        return repr(integrate(make_rhs(), *args, **kwargs))
+    except IntegrationError as err:
+        return repr((type(err), str(err), err.last_time, err.last_state, err.trajectory))
+    except ValueError as err:
+        return repr((type(err), str(err)))
+
+
+def _reference_outcome(make_rhs, *args, **kwargs):
+    """``_integrated`` of ``flows.integrate``, checked equal to that of the
+    Python loop it compiles (``reference.integrate``)."""
+    got = _integrated(flows.integrate, make_rhs, *args, **kwargs)
+    assert got == _integrated(reference.integrate, make_rhs, *args, **kwargs)
+    return got
+
+
+def _coupled(n):
+    """A smooth field that couples each coordinate to the one after it."""
+
+    def rhs(s):
+        return tuple(math.sin(s[(c + 1) % n]) - 0.5 * s[c] * s[c - 1] for c in range(n))
+
+    return lambda: rhs
+
+
+@pytest.mark.parametrize("method", flows._TABLEAUS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_compiled_loop_is_the_reference_loop_bit_for_bit(method, n):
+    # the same times, states, Hamiltonian values and counters, forward and
+    # backward, at every accepted step and at samples off the steps
+    cfg = IntegratorConfig(method=method, step=0.07)
+    x0 = tuple(0.3 + 0.2 * c for c in range(n))
+    for t0, t1 in [(0.0, 3.0), (2.5, -0.5)]:
+        for t_eval in (None, [t0 + (t1 - t0) * i / 20 for i in range(21)]):
+            got = _reference_outcome(
+                _coupled(n), x0, t0, t1, cfg=cfg, t_eval=t_eval,
+                observe=lambda s: (math.fsum(s), s[0] * s[-1]),
+            )
+            assert got.startswith("Trajectory(")
+
+
+def _cos_sum(s):
+    return (math.cos(s[0]),) + s[1:]
+
+
+def _nan_at_call(count, width):
+    """An rhs of ``width`` ones whose last component is NaN at its
+    count-th call."""
+
+    def make():
+        calls = []
+
+        def rhs(s):
+            calls.append(s)
+            return (1.0,) * (width - 1) + (math.nan if len(calls) == count else 1.0,)
+
+        return rhs
+
+    return make
+
+
+# each run of the loop against the reference: rhs factory, x0, t0, t1, the
+# keyword arguments, and what the run must come to
+LOOP_RUNS = {
+    "rejected steps": (lambda: _cos_sum, (0.0, 1.0), 0.0, 50.0, {}, r"rejected=[1-9]"),
+    "rejected steps, sampled backward": (
+        lambda: _cos_sum, (0.0, -1.0), 40.0, 0.0, {"t_eval": [35.0, 20.5, 3.25, 0.0]},
+        r"rejected=[1-9]",
+    ),
+    # max() passes over a NaN ratio after the first
+    "a NaN error estimate": (_nan_at_call(7, 2), (0.0, 0.0), 0.0, 1.0, {}, r"rejected=1,"),
+    "a NaN last stage": (
+        _nan_at_call(13, 2), (0.0, 0.0), 0.0, 1.0, {"t_eval": [0.5, 1.0]}, r"rejected=1,"
+    ),
+    "the step budget": (
+        lambda: _cos_sum, (0.0,), 0.0, 50.0, {"cfg": IntegratorConfig(max_steps=3)},
+        r"MaxStepsError.*rejected=\d+, rhs_evals=19\)",
+    ),
+    "the rk4 step budget": (
+        lambda: _cos_sum, (0.0, 2.0), 1.0, 0.0,
+        {"cfg": IntegratorConfig(method="rk4", step=0.1, max_steps=4)},
+        r"MaxStepsError.*accepted=4, rejected=0, rhs_evals=16\)",
+    ),
+    "a step underflow": (
+        lambda: lambda s: (1.0 / (1.0 - s[0]),), (0.0,), 0.0, 2.0, {}, "StepUnderflowError"
+    ),
+    "an overflowing step": (
+        lambda: lambda s: (1e308,), (0.0,), 0.0, 10.0, {}, "StepUnderflowError"
+    ),
+    "an rk4 step under the floor": (
+        lambda: _cos_sum, (0.0,), 0.0, 1.0,
+        {"cfg": IntegratorConfig(method="rk4", step=1e-16)},
+        r"StepUnderflowError.*accepted=0, rejected=0, rhs_evals=0\)",
+    ),
+    "a non-finite rk4 state": (
+        _nan_at_call(12, 2), (0.0, 1.0), 0.0, 1.0,
+        {"cfg": IntegratorConfig(method="rk4", step=0.1), "t_eval": [0.05, 0.6]},
+        r"IntegrationError.*accepted=2, rejected=0, rhs_evals=12\)",
+    ),
+    # every weight of the continuous extension underflows to 0.0 at the
+    # sample, which _combine's unpacking of no terms refuses
+    "a sample whose every weight is 0.0": (
+        lambda: lambda s: (0.0,), (1.0,), 0.0, 1000.0, {"t_eval": [5e-324, 1000.0]},
+        "ValueError",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", LOOP_RUNS)
+def test_the_compiled_loop_rejects_and_fails_as_the_reference_loop(run):
+    make_rhs, x0, t0, t1, kwargs, expect = LOOP_RUNS[run]
+    got = _reference_outcome(make_rhs, x0, t0, t1, observe=lambda s: (s[0],), **kwargs)
+    assert re.search(expect, got), got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("stage1", [math.nan, math.inf, -math.inf])
+def test_the_compiled_continuous_extension_is_the_reference_bit_for_bit(n, stage1):
+    # dopri5's stages drawn from +-0.0 and a few magnitudes, its stage 1,
+    # whose continuous-extension weight is zero at every x, non-finite, and
+    # a first sample so close to t0 that every weight but stage 0's is 0.0
+    # there, which keeps the sign of a -0.0 sum
+    dense = flows._TABLEAUS["dopri5"][3]
+    x = 1e-200 / 0.01  # the first sample's fraction of the first step
+    weights = [x * (p1 + x * (p2 + x * (p3 + x * p4))) for p1, p2, p3, p4 in dense]
+    assert weights[0] and not any(weights[1:])
+    pool = [0.0, -0.0, 1.0, -0.5, 0.25, -1e-3]
+
+    def make_rhs():
+        rng = random.Random(f"dense:{n}:{stage1}")
+        calls = []
+
+        def rhs(s):
+            calls.append(s)
+            if len(calls) == 1:  # so the first sample's sums are -0.0
+                return (-0.0,) * n
+            # stage 1 is the second call, then every sixth
+            if (len(calls) - 2) % 6 == 0:
+                return (stage1,) * n
+            return tuple(rng.choice(pool) for _ in range(n))
+
+        return rhs
+
+    cfg = IntegratorConfig(rel_tol=1e-2, abs_tol=1.0)
+    y0 = (-0.0, 0.0, 0.5)[:n]
+    t_eval = [1e-200, *(i / 40 for i in range(1, 41))]
+    got = _reference_outcome(make_rhs, y0, 0.0, 1.0, cfg=cfg, t_eval=t_eval,
+                             observe=lambda s: s[::-1])
+    assert got.startswith("Trajectory(") and "-0.0" in got
+    assert "nan" not in got and "inf" not in got
+
+
 @pytest.mark.parametrize("run", CATALOG_FLOWS)
 def test_dopri5_agrees_with_scipy_rk45_on_catalog_flows(run):
     # scipy's RK45 is the same Dormand-Prince pair with first-same-as-last
@@ -1859,7 +2017,7 @@ QUADRATURE_LINES = {
     "shear4": 70,
 }
 LEVEL_LINES = {
-    "hermite2": 18, "hermite3": 52, "kdv2": 136, "quadrature-hermite2": 126,
+    "hermite2": 18, "hermite3": 50, "kdv2": 136, "quadrature-hermite2": 126,
     "quadrature-kdv2": 680, "squash-kdv3": 589,
 }
 
@@ -1903,6 +2061,26 @@ def test_a_trace_compiles_no_more_lines_than_pinned(
 ):
     source = _trace_source(monkeypatch, flows_table, run)
     assert len(re.findall(r"^ +v\d+ = ", source, re.MULTILINE)) <= lines[run]
+
+
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_no_compiled_trace_of_a_catalog_flow_holds_a_line_twice(monkeypatch, run):
+    # each distinct operation and check is recorded once: hermite m=3's
+    # composite map repeats its first step's guard and finiteness checks
+    map_id, params, x0, (t0, _) = CATALOG_FLOWS[run]
+    x = harness.source_start(maps.build_flow(map_id, params), x0, t0)
+    maps._flow.cache_clear()
+    flow = maps.build_flow(map_id, params)
+    sources = []
+    compiled = core._compiled
+    monkeypatch.setattr(core, "_compiled", lambda s: sources.append(s) or compiled(s))
+    image = flow.map.forward(x)
+    for name in ("velocity", "float_hamiltonians", "image", "level", "image_time_column"):
+        getattr(flow, name)(image if name in ("velocity", "float_hamiltonians") else x)
+    assert len(sources) == 5
+    for source in sources:
+        lines = re.findall(r"^ +v\d+ = (.*)$", source, re.MULTILINE)
+        assert len(set(lines)) == len(lines), source
 
 
 @pytest.mark.parametrize(**TRACE_RUNS)
