@@ -11,11 +11,12 @@ one, goes through :func:`on_floats` (such as :func:`jet_log`'s domain
 check and logarithm) or is a map's guard or finiteness check.  That lets
 :func:`trace` run a function of a point once on traced scalars, which
 record each float operation the jets make, and compile the record into
-straight-line float code: each distinct operation once, in the order the
-jets first made it, so the same bits (see ``_Tape``).  A call through
-``on_floats`` is recorded as a call that runs on the point's floats.  A
-map's guard and finiteness checks are recorded as inline check lines
-over the traced values (see ``MapDescriptor``).  When a call or check
+straight-line float code: each distinct line once, negations and
+recorded calls included, in the order the jets first made it, so the
+same bits (see ``_Tape``).  A call through ``on_floats`` is recorded as
+a call that runs on the point's floats.  A map's guard and finiteness
+checks are recorded as inline check lines over the traced values (see
+``MapDescriptor``).  When a call or check
 raises, or a division by zero does, the point re-runs through the
 traced function itself, which raises what it always has.  A decision
 that may go either way goes through :func:`assume`: a trace takes it as
@@ -575,20 +576,25 @@ class _Tape:
     the constants it reads bound by position, and the calls it makes for
     their effect alone once every line has run.
 
-    Each distinct arithmetic operation is recorded once, keyed on its
-    operator and operand names, with the operands of ``+`` and ``*`` in
-    one order (both commute bit for bit); ``x * 1.0``, ``1.0 * x`` and
-    ``x / 1.0`` are ``x`` itself, bit for bit.  Each distinct constant is
-    bound once: an int or float by its class and ``repr``, so that 0.0 and
-    -0.0 stay apart, any other by identity.  Each line keeps the names it
-    reads, so that ``source`` drops the ``+ - *`` and negation lines
-    whose values nothing reads; neither can raise on floats.  A division
-    or a power can, and a recorded call or check line may, so all four are
-    always kept.  A check line (``check``) raises ``_Unassumed`` through the
-    compiled code's ``FAIL`` where its condition holds; a map writes its
-    guard and finiteness checks this way, and each distinct check is
-    recorded once.  A constant that only dropped lines read is not
-    bound."""
+    Each distinct line is recorded once, keyed in ``known`` on its
+    expression: an arithmetic operation on its operator and operand
+    names, with the operands of ``+`` and ``*`` in one order (both commute
+    bit for bit), a negation on its operand, a recorded call on its
+    function and arguments, and a check on its condition.  A recorded call
+    is of a pure function, so the first line stands for every repeat, and
+    a repeated check could fail only where the first already has.
+    ``x * 1.0``, ``1.0 * x`` and ``x / 1.0`` are ``x`` itself, bit for
+    bit.  Each distinct constant is bound once: an int or float by its
+    class and ``repr``, so that 0.0 and -0.0 stay apart, any other by
+    identity.  Each line keeps the names it reads, so that ``source``
+    drops the ``+ - *`` and negation lines whose values nothing reads;
+    neither can raise on floats.  A division or a power can, and a
+    recorded call or check line may, so all four are always kept.  A
+    check line (``check``) raises ``_Unassumed`` through the compiled
+    code's ``FAIL`` where its condition holds; a map writes its guard and
+    finiteness checks this way.  A call made for its effect (``effect``)
+    is not a line: it is recorded once per call.  A constant that only
+    dropped lines read is not bound."""
 
     def __init__(self):
         self.lines = []  # (name, expression, names read, droppable)
@@ -598,9 +604,13 @@ class _Tape:
         self.effects = []  # (call, names read)
 
     def record(self, expr, reads, droppable=False):
-        name = f"v{len(self.lines)}"
-        self.lines.append((name, expr, reads, droppable))
-        return _Traced(self, name)
+        """The traced scalar that holds ``expr``, recorded as a new line
+        only when no earlier line holds the same expression."""
+        out = self.known.get(expr)
+        if out is None:
+            out = self.known[expr] = _Traced(self, f"v{len(self.lines)}")
+            self.lines.append((out.name, expr, reads, droppable))
+        return out
 
     def arithmetic(self, left, symbol, right):
         """``left symbol right``, where one operand is a traced scalar and
@@ -612,30 +622,20 @@ class _Tape:
         a, b = self.operand(left), self.operand(right)
         if symbol in "+*" and b < a:
             a, b = b, a
-        expr = f"{a} {symbol} {b}"
-        out = self.known.get(expr)
-        if out is None:
-            droppable = symbol in ("+", "-", "*")
-            out = self.known[expr] = self.record(expr, (a, b), droppable)
-        return out
+        return self.record(f"{a} {symbol} {b}", (a, b), symbol in ("+", "-", "*"))
 
     def check(self, fails, *args):
         """Record the check that ``fails(self, *args)`` writes, a condition
         and the names it reads, as one line that raises ``_Unassumed``
         where the condition holds, so that the point re-runs through the
         traced function, which raises the error the check stands for; a
-        map's guard and finiteness checks.  A check already recorded,
-        keyed on its line as ``arithmetic`` keys on its expression, is not
-        recorded again: the first one fails first.  False, recording
-        nothing, when the condition reads a value, as a guard that calls
-        ``abs`` does."""
+        map's guard and finiteness checks.  False, recording nothing, when
+        the condition reads a value, as a guard that calls ``abs`` does."""
         try:
             condition, reads = fails(self, *args)
         except _Untraceable:
             return False
-        expr = f"FAIL() if {condition} else None"
-        if expr not in self.known:
-            self.known[expr] = self.record(expr, tuple(reads))
+        self.record(f"FAIL() if {condition} else None", tuple(reads))
         return True
 
     def const(self, value):
@@ -711,8 +711,9 @@ def on_floats(fn, first, *rest):
     comes here.
 
     When ``first`` is, or holds, a traced scalar, the call is recorded
-    instead, as a call that runs on that point's floats, and a traced
-    scalar stands for its result.  So ``fn`` may decide on ``first``
+    instead, once for each distinct call (see ``_Tape``), as a call that
+    runs on that point's floats, and a traced scalar stands for its
+    result.  So ``fn`` may decide on ``first``
     alone; the other arguments are constants of the trace, or tuples of
     its scalars."""
     tape = _tape_of(first if first.__class__ is tuple else (first,))

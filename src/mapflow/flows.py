@@ -100,12 +100,13 @@ class FlowSystem:
     ``time_index`` is the 1-based source coordinate playing the role of
     time.  ``hamiltonians`` are scalar fields over image space and
     ``det_j_field`` is the Jacobian determinant over source space; both
-    accept float or jet coordinates.  ``hamiltonian_vector`` maps an image
-    point to all n-1 values at once, so that work they share (such as the
-    inverse map) runs once; it must agree with ``hamiltonians``, which are
-    called in turn when it is None.  ``quadrature`` holds the running
-    quadrature totals of Hamiltonians built by quadrature, None for closed
-    forms.  ``jet_velocity`` (the bracket velocity by jet arithmetic),
+    accept float or jet coordinates.  ``hamiltonians_at`` calls the
+    Hamiltonians in turn, so work they share, such as the inverse map,
+    runs once per Hamiltonian by jet arithmetic but once in a traced
+    evaluation, whose tape records each distinct line once (see
+    ``core._Tape``).  ``quadrature`` holds the running quadrature totals
+    of Hamiltonians built by quadrature, None for closed forms.
+    ``jet_velocity`` (the bracket velocity by jet arithmetic),
     ``velocity`` (that function traced), ``checked_velocity`` (``velocity``
     behind ``nambu_rhs``'s check of its point), ``jet_level`` (the values and
     free-slot rows of H(F(x)) that a level-set Newton step reads, by jet
@@ -121,7 +122,6 @@ class FlowSystem:
     time_index: int
     hamiltonians: tuple
     det_j_field: Callable
-    hamiltonian_vector: Callable | None = None
     quadrature: QuadratureCounts | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -134,23 +134,19 @@ class FlowSystem:
         _check_time_index(self.map, self.time_index)
 
     def hamiltonians_at(self, image):
-        """The Hamiltonians at an image point whose entries are floats or jets;
-        a division by zero in H_j is a SingularPointError naming H_j."""
-        try:
-            if self.hamiltonian_vector is None:
-                return tuple(h(image) for h in self.hamiltonians)
-            return tuple(self.hamiltonian_vector(image))
-        except ZeroDivisionError as exc:
-            failure = exc
-        # only the entries say which H_j divides by zero
+        """The Hamiltonians at an image point whose entries are floats or jets,
+        each H_j called in turn, so that a division by zero in H_j is a
+        SingularPointError naming H_j.  Under a trace, a line that two of
+        them share, such as one of the inverse map's, is recorded once."""
+        values = []
         for j, h in enumerate(self.hamiltonians, 1):
             try:
-                h(image)
+                values.append(h(image))
             except ZeroDivisionError as exc:
                 point = tuple(float_value(c) for c in image)
                 label = f"a denominator of H{j}"
                 raise SingularPointError(self.map.name, label, point) from exc
-        raise failure
+        return tuple(values)
 
     def hamiltonian_values(self, point):
         """The Hamiltonians' float values at an image point, checked as a
@@ -267,15 +263,14 @@ def _check_time_index(mapdesc, time_index):
         raise ValueError(f"time index {time_index} out of range 1..{n}")
 
 
-def flow_system(mapdesc, hamiltonians, vector=None):
-    """Flow with explicitly supplied (closed-form) Hamiltonians; time is x_n.
-    ``vector``, when given, returns all of them at once (see FlowSystem)."""
+def flow_system(mapdesc, hamiltonians):
+    """Flow with explicitly supplied (closed-form) Hamiltonians, one scalar
+    field each; time is x_n."""
     return FlowSystem(
         map=mapdesc,
         time_index=mapdesc.dimension,
         hamiltonians=tuple(hamiltonians),
         det_j_field=map_det_field(mapdesc),
-        hamiltonian_vector=vector,
     )
 
 
@@ -414,10 +409,6 @@ def build_hamiltonians(
             value = value + det_field(head + (end,) + tail) * (endpoint - end)
         return -value if flip else value
 
-    def vector(point):
-        src = mapdesc.inverse(point)
-        return [src[j] for j in coords] + [quad_value(src)]
-
     hams = [lambda point, _j=j: mapdesc.inverse(point)[_j] for j in coords]
     hams.append(lambda point: quad_value(mapdesc.inverse(point)))
     flow = FlowSystem(
@@ -425,7 +416,6 @@ def build_hamiltonians(
         time_index=t_idx,
         hamiltonians=tuple(hams),
         det_j_field=det_field,
-        hamiltonian_vector=vector,
         quadrature=counts,
     )
     if check and not flow.det_condition.passed:
@@ -692,7 +682,11 @@ def _combine(y, h, terms, k):
     in stage order), accumulated component by component: the reference of
     the sums the compiled ``_step`` and ``_loop`` write out, and ``_loop``'s
     dense output at a sample where a live weight is 0.0.  A weight of
-    exactly 1.0 adds the stage itself, which is 1.0 * stage bit for bit."""
+    exactly 1.0 adds the stage itself, which is 1.0 * stage bit for bit.
+    With no terms, as at a sample so near the step's start that every
+    weight underflows to 0.0, it is y itself."""
+    if not terms:
+        return y
     (w0, i0), *rest = terms
     k0 = k[i0]
     out = []

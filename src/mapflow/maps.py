@@ -291,11 +291,6 @@ def henon_composite(steps, b, c):
     return [henon(b, c)] * steps, flow
 
 
-def _components(vector, count):
-    """The scalar Hamiltonians H_1..H_count read off a vector-valued one."""
-    return tuple(lambda state, _j=j: vector(state)[_j] for j in range(count))
-
-
 # ---------------------------------------------------------------------------
 # three-point KdV lattice
 
@@ -381,11 +376,9 @@ def kdv3_velocity(state):
 def kdv3_flow():
     """Flow conserving the first two source coordinates (det J = 1)."""
     mapdesc = kdv3()
-
-    def vector(state):
-        return mapdesc.inverse(state)[:2]
-
-    return flow_system(mapdesc, _components(vector, 2), vector)
+    return flow_system(
+        mapdesc, (lambda s: mapdesc.inverse(s)[0], lambda s: mapdesc.inverse(s)[1])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +569,10 @@ def qp4_flow(a, b, c, normalization=None):
     if normalization not in QP4_NORMALIZATIONS:
         raise ConfigError(f"unknown qp4 normalization {normalization!r}")
     scale = q * q if normalization == "prop2" else 1.0
-
-    def vector(state):
-        x, y, _ = mapdesc.inverse(state)
-        return (x, scale * y)
-
-    return flow_system(mapdesc, _components(vector, 2), vector)
+    return flow_system(
+        mapdesc,
+        (lambda s: mapdesc.inverse(s)[0], lambda s: scale * mapdesc.inverse(s)[1]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1140,3 +1140,44 @@ def test_program_runs_without_importing_numpy():
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[0, 0, 0, 0, 0] False\n"
+
+
+QUADRATURE_VERIFY_SCRIPT = """
+import json
+from mapflow import flows, harness, maps
+flow = flows.build_hamiltonians(
+    maps.hermite_chain(2), ref_point=(0.0, 1.0), check=False
+)
+report = harness.verify_correspondence(
+    "hermite", {"m": 2}, x0=(2.6060594742725938,), t_range=(0.5, 2.01953125),
+    flow=flow,
+)
+assert report.passed
+assert report.quadrature == {"panels": 628, "integrand_calls": 9420}, report.quadrature
+assert flow.velocity is not flow.jet_velocity
+print(json.dumps(report.to_dict()))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "mapflow.cli", "flow", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1",
+         "--t1", "2", "--method", "rk4", "--step", "2e-3"],
+        ["-c", QUADRATURE_VERIFY_SCRIPT],
+    ],
+    ids=["kdv3-rk4-flow", "hermite2-quadrature-verify"],
+)
+def test_traced_runs_write_the_same_bytes_under_two_hash_seeds(argv):
+    # traced and compiled code follows the order operations are recorded
+    # in, never a hash order; each seed needs a fresh process
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

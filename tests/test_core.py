@@ -814,6 +814,39 @@ def test_a_trace_replays_the_float_operations_bit_for_bit():
         assert repr(traced(x)) == repr(fn(x)), x
 
 
+def _compiled_lines(monkeypatch, fn, n):
+    """The traced function of ``fn`` and the expressions of the ``vN = ...``
+    lines its compiled source holds, in order."""
+    sources = []
+    compiled = core._compiled
+    monkeypatch.setattr(core, "_compiled", lambda s: sources.append(s) or compiled(s))
+    traced = core.trace(fn, n)
+    (source,) = sources
+    lines = [line.strip() for line in source.splitlines()]
+    return traced, [line.split(" = ", 1)[1] for line in lines if line[:1] == "v"]
+
+
+def test_a_negation_made_twice_is_recorded_once(monkeypatch):
+    def fn(x):
+        return (-x[0], x[1] * -x[0])
+
+    traced, lines = _compiled_lines(monkeypatch, fn, 2)
+    assert lines.count("-x0") == 1, lines
+    for x in [(1.5, -2.0), (-0.0, 3.0), (0.0, -0.0)]:
+        assert repr(traced(x)) == repr(fn(x))
+
+
+def test_a_call_made_twice_on_the_same_value_is_recorded_once(monkeypatch):
+    def fn(x):
+        return (core.jet_log(x[0]), x[1] * core.jet_log(x[0]))
+
+    traced, lines = _compiled_lines(monkeypatch, fn, 2)
+    assert [line for line in lines if line.endswith("(x0)")] == ["c0(x0)"], lines
+    assert repr(traced((math.e, 2.0))) == repr(fn((math.e, 2.0)))
+    with pytest.raises(LogDomainError):
+        traced((-1.0, 2.0))
+
+
 @pytest.mark.parametrize(
     "fn",
     [

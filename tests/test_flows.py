@@ -183,76 +183,10 @@ CATALOG_FLOWS = {
 }
 
 
-def _vector_and_tuple_agree_bitwise(flow):
-    points = [flow.map.forward(p) for p in core.sample_points(flow.map, 4, seed=7)]
-    for X in points + [core.seed_jets(X) for X in points]:
-        by_tuple = tuple(h(X) for h in flow.hamiltonians)
-        # repr round-trips floats, and a jet's repr lists its value and partials
-        assert repr(flow.hamiltonians_at(X)) == repr(by_tuple)
-
-
-@pytest.mark.parametrize(
-    "map_id, params",
-    [entry[:2] for entry in CATALOG_FLOWS.values()]
-    + [("hermite", {"m": 2}), ("qp4", {"a": 2.0, "normalization": "paper-display"})],
-)
-def test_catalog_hamiltonian_vector_matches_the_tuple_bitwise(map_id, params):
-    flow = maps.build_flow(map_id, params)
-    assert (flow.hamiltonian_vector is not None) == (map_id in ("kdv3", "qp4"))
-    _vector_and_tuple_agree_bitwise(flow)
-
-
-@pytest.mark.parametrize("map_id", ["henon", "kdv3", "qp4"])
-def test_built_hamiltonian_vector_matches_the_tuple_bitwise(map_id):
-    flow = flows.build_hamiltonians(maps.build_map(map_id))
-    assert flow.hamiltonian_vector is not None
-    _vector_and_tuple_agree_bitwise(flow)
-
-
-def test_division_by_zero_in_a_hamiltonian_vector_names_the_component():
-    calls = []
-
-    def vector(s):
-        calls.append(s)
-        return (s[0], 1.0 / s[2])
-
-    fl = flows.FlowSystem(
-        map=maps.kdv3(),
-        time_index=3,
-        hamiltonians=(lambda s: s[0], lambda s: 1.0 / s[2]),
-        det_j_field=core.map_det_field(maps.kdv3()),
-        hamiltonian_vector=vector,
-    )
-    assert fl.hamiltonians_at((1.0, 2.0, 4.0)) == (1.0, 0.25)
-    with pytest.raises(SingularPointError) as exc_info:
-        fl.hamiltonians_at((1.0, 2.0, 0.0))
-    err = exc_info.value
-    assert (err.label, err.point) == ("a denominator of H2", (1.0, 2.0, 0.0))
-    assert isinstance(err.__cause__, ZeroDivisionError)
-    assert len(calls) == 2
-
-
 def test_build_hamiltonians_refuses_when_condition_fails():
     with pytest.raises(DetConditionError) as exc_info:
         flows.build_hamiltonians(maps.hermite_chain(2))
     assert exc_info.value.report.entries  # diagnostic samples attached
-
-
-def test_a_division_by_zero_that_no_entry_repeats_propagates():
-    # the vector divides by zero where each entry on its own evaluates, so
-    # no H_j can be named and the original error is the one raised
-    def vector(s):
-        raise ZeroDivisionError("only the vector divides")
-
-    fl = flows.FlowSystem(
-        map=maps.kdv3(),
-        time_index=3,
-        hamiltonians=(lambda s: s[0], lambda s: s[1]),
-        det_j_field=core.map_det_field(maps.kdv3()),
-        hamiltonian_vector=vector,
-    )
-    with pytest.raises(ZeroDivisionError, match="only the vector divides"):
-        fl.hamiltonians_at((1.0, 2.0, 3.0))
 
 
 def test_build_and_verify_check_the_determinant_condition_once(monkeypatch):
@@ -443,7 +377,7 @@ def test_endpoint_rule_matches_the_full_jet_quadrature(mapdesc, kwargs, src):
     assert scale > 0.0
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale
     reference = dataclasses.replace(
-        flow, hamiltonians=flow.hamiltonians[:-1] + (h_last,), hamiltonian_vector=None
+        flow, hamiltonians=flow.hamiltonians[:-1] + (h_last,)
     )
     got_v, want_v = flows.nambu_rhs(flow, X), flows.nambu_rhs(reference, X)
     scale = max(abs(v) for v in want_v)
@@ -765,15 +699,13 @@ def test_velocity_is_the_signed_det_minors_of_the_gradient_rows(make_flow):
         assert repr(flows.nambu_rhs(flow, X)) == repr(want), X
 
 
-@pytest.mark.parametrize("with_vector", [False, True])
-def test_velocity_names_the_hamiltonian_that_divides_by_zero(with_vector):
+def test_velocity_names_the_hamiltonian_that_divides_by_zero():
     hams = (lambda s: s[0], lambda s: 1.0 / (s[2] - 1.0))
     fl = flows.FlowSystem(
         map=maps.kdv3(),
         time_index=3,
         hamiltonians=hams,
         det_j_field=core.map_det_field(maps.kdv3()),
-        hamiltonian_vector=(lambda s: [h(s) for h in hams]) if with_vector else None,
     )
     # dH2/dz = -1/4 at z = 3
     assert fl.velocity((1.0, 2.0, 3.0)) == (0.0, 0.25, 0.0)
@@ -794,7 +726,6 @@ def test_velocity_names_the_hamiltonian_that_divides_by_zero(with_vector):
         time_index=4,
         hamiltonians=hams4,
         det_j_field=lambda s: 1.0,
-        hamiltonian_vector=(lambda s: [h(s) for h in hams4]) if with_vector else None,
     )
     with pytest.raises(SingularPointError) as exc_info:
         flows.nambu_rhs(fl4, (1.0, 2.0, 3.0, 1.0))
@@ -1615,10 +1546,10 @@ LOOP_RUNS = {
         r"IntegrationError.*accepted=2, rejected=0, rhs_evals=12\)",
     ),
     # every weight of the continuous extension underflows to 0.0 at the
-    # sample, which _combine's unpacking of no terms refuses
+    # sample, which _combine then records at the step's start state
     "a sample whose every weight is 0.0": (
         lambda: lambda s: (0.0,), (1.0,), 0.0, 1000.0, {"t_eval": [5e-324, 1000.0]},
-        "ValueError",
+        r"states=\(\(1\.0,\), \(1\.0,\)\).*rhs_evals=25\)",
     ),
 }
 
@@ -2083,6 +2014,41 @@ def test_no_compiled_trace_of_a_catalog_flow_holds_a_line_twice(monkeypatch, run
         assert len(set(lines)) == len(lines), source
 
 
+@pytest.mark.parametrize(
+    "flows_table, run",
+    [(TRACED_FLOWS, run) for run in TRACED_FLOWS]
+    + [(QUADRATURE_FLOWS, run) for run in QUADRATURE_FLOWS]
+    + [(LEVEL_FLOWS, run) for run in LEVEL_FLOWS],
+    ids=[
+        *TRACED_FLOWS,
+        *(f"quadrature-{run}" for run in QUADRATURE_FLOWS),
+        *(f"level-{run}" for run in LEVEL_FLOWS),
+    ],
+)
+def test_no_compiled_trace_of_a_built_or_test_flow_holds_a_line_twice(
+    monkeypatch, flows_table, run
+):
+    # each H_j reads the inverse map on its own, so every line of the
+    # inverse, its negations and recorded calls included, is made once per
+    # Hamiltonian unless the tape records each distinct line once
+    build, point, *rest = flows_table[run]
+    flow = build()
+    if flows_table is LEVEL_FLOWS:
+        x = harness.source_start(flow, point, rest[0][0])
+    else:
+        x = flow.map.inverse(point)
+    sources = []
+    compiled = core._compiled
+    monkeypatch.setattr(core, "_compiled", lambda s: sources.append(s) or compiled(s))
+    image = flow.map.forward(x)
+    for name in ("velocity", "float_hamiltonians", "image", "level", "image_time_column"):
+        getattr(flow, name)(image if name in ("velocity", "float_hamiltonians") else x)
+    assert len(sources) == 5
+    for source in sources:
+        lines = re.findall(r"^ +v\d+ = (.*)$", source, re.MULTILINE)
+        assert len(set(lines)) == len(lines), source
+
+
 @pytest.mark.parametrize(**TRACE_RUNS)
 def test_a_trace_binds_only_the_constants_its_code_reads(
     monkeypatch, flows_table, lines, run
@@ -2136,7 +2102,7 @@ def test_a_five_dimensional_flow_keeps_its_kernel():
 
 def _kdv3_flow_whose_h2_divides_by_zero():
     hams = (lambda s: s[0], lambda s: 1.0 / (s[2] - 1.0))
-    return flows.flow_system(maps.kdv3(), hams, lambda s: [h(s) for h in hams])
+    return flows.flow_system(maps.kdv3(), hams)
 
 
 def _kdv3_flow_whose_h2_divides_by_zero_unread():
@@ -2147,7 +2113,7 @@ def _kdv3_flow_whose_h2_divides_by_zero_unread():
         return s[1]
 
     hams = (lambda s: s[0], h2)
-    return flows.flow_system(maps.kdv3(), hams, lambda s: [h(s) for h in hams])
+    return flows.flow_system(maps.kdv3(), hams)
 
 
 def _hermite3_flow_through_its_inverse():
