@@ -394,11 +394,23 @@ def det(matrix):
     return out
 
 
+def minors(rows):
+    """The signed minors of n-1 rows of n floats or jets: component j is
+    det(rows + [e_j]), so each row dotted with them is zero; no rows give
+    (1.0,).  Up to n = 4 they are ``det``'s closed forms, which read no value."""
+    n = len(rows) + 1
+    return tuple(
+        (1.0 if (n + j + 1) % 2 == 0 else -1.0)
+        * det([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(n)
+    )
+
+
 def nambu_bracket(fields, point):
     """Bracket of n scalar fields at an n-dimensional point.
 
-    Defined as the determinant of the matrix with rows grad(f_i).  It is
-    multilinear and alternating in the fields.
+    Defined as the determinant of the matrix with rows grad(f_i): the last
+    row dotted with the others' ``minors``.  Multilinear and alternating.
     """
     x = as_state(point)
     n = len(x)
@@ -408,8 +420,8 @@ def nambu_bracket(fields, point):
             f"bracket over {n} coordinates needs exactly {n} fields, "
             f"got {len(fields)}"
         )
-    rows = jet_rows(lambda s: [f(s) for f in fields], x)
-    return float(det([[float(p) for p in row] for row in rows]))
+    *rows, last = jet_rows(lambda s: [f(s) for f in fields], x)
+    return float(sum(p * c for p, c in zip(last, minors(rows))))
 
 
 def map_det_field(mapdesc):

@@ -10,9 +10,9 @@ sides in image space and source space, and integrates them with either a
 classical fixed-step RK4 or an adaptive Dormand-Prince 5(4) pair.
 
 A velocity is the signed minors of the Hamiltonians' gradient rows, read
-straight off the partials of the Hamiltonians at one seeded point.  One
-function computes it for every n: it seeds the point through
-``core.jet_rows`` and takes each minor from ``core.det``.  Each flow binds
+off their partials at one seeded point (``core.jet_rows``) by
+``core.minors``, the one kernel ``core.nambu_bracket`` and the harness's
+level-set Newton step share too.  Each flow binds
 it to its Hamiltonians once, as its ``jet_velocity``; ``nambu_rhs``
 checks a point and calls the flow's ``velocity``, and ``source_rhs`` runs
 the same function over the Hamiltonians composed with the forward map.
@@ -429,22 +429,11 @@ def build_hamiltonians(
 
 def _bracket_velocity(hamiltonians, x):
     """The bracket velocity of n-1 Hamiltonians at a state, a tuple of n
-    floats: component j is det of (rows + [e_j]), the signed ``core.det``
-    of the Hamiltonians' gradient rows with column j struck out.
-
-    ``hamiltonians`` maps a seeded state to the sequence of n-1
-    Hamiltonians, and ``core.jet_rows`` seeds ``x`` and reads their rows
-    off (zero for a constant).  The minors are ``core.det``'s closed forms
-    up to n = 4, so a trace of this function reads no value there.  The
-    state's length is the caller's to check.
-    """
-    rows = core.jet_rows(hamiltonians, x)
-    n = len(x)
-    return tuple(
-        (1.0 if (n + j + 1) % 2 == 0 else -1.0)
-        * core.det([row[:j] + row[j + 1 :] for row in rows])
-        for j in range(n)
-    )
+    floats: ``core.minors`` of their gradient rows, which ``core.jet_rows``
+    reads off ``hamiltonians`` (a map from a seeded state to the n-1
+    Hamiltonians; a zero row for a constant) at ``x``.  A trace of it reads
+    no value up to n = 4.  The state's length is the caller's to check."""
+    return core.minors(core.jet_rows(hamiltonians, x))
 
 
 def _hamiltonian_floats(flow, image):

@@ -20,6 +20,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from . import chain1d, core, flows, maps
+from .core import minors
 from .errors import LevelSetError, MapflowError, SingularPointError
 from .flows import IntegratorConfig
 
@@ -122,14 +123,6 @@ def flow_from_source(flow, x0, t0, t1, cfg, num_samples):
     return path, oracle, traj
 
 
-def _solve(a, d, b):
-    """x with a x = b by Cramer's rule, where d = det(a) is non-zero."""
-    return [
-        core.det([row[:k] + [b_i] + row[k + 1 :] for row, b_i in zip(a, b)]) / d
-        for k in range(len(a))
-    ]
-
-
 def _level_set_path(flow, x_start, times):
     """The source points on the level set H(F(x)) = H(F(x_start)) with the
     time slot at each time, and the solve's oracle record.
@@ -138,10 +131,13 @@ def _level_set_path(flow, x_start, times):
     point.  An iteration reads G(x) = H(F(x)) - H(F(x_start)) and its
     derivative rows along those slots off one call of the flow's ``level``
     (traced on first use into float code, falling back to jets exactly as
-    the flow's velocity does) and solves dG/dx_free dx = -G by Cramer's
-    rule.  It stops when |dx| <= 1e-13 (1 + |x|), or when |dx|
-    has shrunk and then stops shrinking (rounding noise in G); a solve
-    that does neither within LEVEL_SET_MAX_ITERATIONS is a LevelSetError.
+    the flow's velocity does).  The step dx solving dG/dx_free dx = -G is
+    the null vector of [dG/dx_free | G]: its ``minors``, divided by the
+    last one, d = det(dG/dx_free).  It stops when |dx| <= 1e-13 (1 + |x|),
+    or when |dx| has shrunk and then stops shrinking (rounding noise in
+    G); a solve that does neither within LEVEL_SET_MAX_ITERATIONS is a
+    LevelSetError.  The target H(F(x_start)) is read off ``level`` too, so
+    the oracle evaluates H(F(x)) through one function.
     det(dG/dx_free), which equals det J for the flow's own Hamiltonians,
     may neither vanish nor change sign between two times.  The record's
     ``max_residual`` is the largest |G_j| / (1 + |H_j|) at the last
@@ -151,7 +147,7 @@ def _level_set_path(flow, x_start, times):
     free = [k for k in range(len(x_start)) if k != t_index]
     m = len(free)
     name = flow.map.name
-    target = flow.hamiltonian_values(flow.map.forward(x_start))
+    target = flow.level(x_start)[:m]
     path = []
     iterations = 0
     residual = 0.0
@@ -163,17 +159,18 @@ def _level_set_path(flow, x_start, times):
             iterations += 1
             out = flow.level(x)
             g = [v - h for v, h in zip(out, target)]
-            a = [list(out[k : k + m]) for k in range(m, m * (m + 1), m)]
-            d = float(core.det(a))
+            *nums, d = minors(
+                [[*out[m * (j + 1) : m * (j + 2)], g_j] for j, g_j in enumerate(g)]
+            )
             if abs(d) <= core.GUARD_CUTOFF:
                 raise SingularPointError(name, "det J", x)
-            dx = _solve(a, d, [-v for v in g])
-            sizes.append(max(map(abs, dx)))
+            dx = [c / d for c in nums]
+            sizes.append(max(map(abs, dx), default=0.0))
             dx.insert(t_index, 0.0)
             x = tuple(v + s for v, s in zip(x, dx))
             if not math.isfinite(sizes[-1]):
                 raise LevelSetError(name, t, x)
-            scale = 1.0 + max(abs(x[k]) for k in free)
+            scale = 1.0 + max((abs(x[k]) for k in free), default=0.0)
             if sizes[-1] <= LEVEL_SET_STEP_TOL * scale:
                 break
             if len(sizes) > 2 and sizes[-3] > sizes[-2] <= sizes[-1]:

@@ -51,7 +51,7 @@ def kdv2_source_velocity(r):
 
 def squash_kdv3():
     """kdv3 after squashing z: det J = 1/(1+z)^2 depends on the time slot z,
-    so a level-set Newton on it moves x and y with a 2x2 Cramer solve."""
+    so a level-set Newton on it moves x and y, two free slots."""
     squash = core.MapDescriptor(
         name="squash",
         dimension=3,

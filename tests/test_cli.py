@@ -1165,8 +1165,17 @@ print(json.dumps(report.to_dict()))
         ["-m", "mapflow.cli", "flow", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1",
          "--t1", "2", "--method", "rk4", "--step", "2e-3"],
         ["-c", QUADRATURE_VERIFY_SCRIPT],
+        # the traced level-set Newton, over one and two free slots' minors
+        ["-m", "mapflow.cli", "verify", "--map", "hermite", "--param", "m=3",
+         "--x0", "42", "--t0", "0.5", "--t1", "2"],
+        ["-m", "mapflow.cli", "verify", "--map", "kdv2", "--param", "r=2",
+         "--x0", "1", "--t0", "1", "--t1", "2"],
+        # qp4's guard and finiteness checks inline in its traced velocity
+        ["-m", "mapflow.cli", "flow", "--map", "qp4", "--x0", "1,1", "--t0", "1",
+         "--t1", "2", "--method", "rk4", "--step", "2e-3"],
     ],
-    ids=["kdv3-rk4-flow", "hermite2-quadrature-verify"],
+    ids=["kdv3-rk4-flow", "hermite2-quadrature-verify", "hermite3-verify",
+         "kdv2-verify", "qp4-rk4-flow"],
 )
 def test_traced_runs_write_the_same_bytes_under_two_hash_seeds(argv):
     # traced and compiled code follows the order operations are recorded

@@ -483,6 +483,36 @@ def test_det_refuses_a_matrix_that_is_not_square():
 
 
 # ---------------------------------------------------------------------------
+# signed minors
+
+
+def test_minors_of_no_rows_is_the_one_dimensional_velocity():
+    assert core.minors([]) == (1.0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_row_is_orthogonal_to_its_minors(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(200):
+        small = rng.integers(-3, 4, size=(n - 1, n)).astype(float).tolist()
+        mins = core.minors(small)
+        assert len(mins) == n
+        for row in small:
+            dot = sum(a * b for a, b in zip(row, mins))
+            if n <= 4:
+                # closed-form minors of small integers are exact
+                assert dot == 0.0, small
+            else:
+                # 4x4 minors pivot and divide, so they round
+                assert abs(dot) <= 1e-12 * sum(abs(a * b) for a, b in zip(row, mins))
+        rows = rng.uniform(-10.0, 10.0, size=(n - 1, n)).tolist()
+        mins = core.minors(rows)
+        for row in rows:
+            dot = sum(a * b for a, b in zip(row, mins))
+            assert abs(dot) <= 1e-12 * sum(abs(a * b) for a, b in zip(row, mins))
+
+
+# ---------------------------------------------------------------------------
 # nambu bracket
 
 

@@ -699,6 +699,25 @@ def test_velocity_is_the_signed_det_minors_of_the_gradient_rows(make_flow):
         assert repr(flows.nambu_rhs(flow, X)) == repr(want), X
 
 
+@pytest.mark.parametrize(
+    "make_flow",
+    [lambda entry=entry: maps.build_flow(*entry) for entry in KERNEL_FLOWS.values()]
+    + [_shear4_flow],
+    ids=list(KERNEL_FLOWS) + ["shear4"],
+)
+def test_each_velocity_component_is_the_bracket_with_its_coordinate(make_flow):
+    # both take their minors from core.minors, so they agree bit for bit
+    flow = make_flow()
+    n = flow.map.dimension
+    points = [flow.map.forward(p) for p in core.sample_points(flow.map, 20, seed=8)]
+    for X in points:
+        rhs = flows.nambu_rhs(flow, X)
+        for j in range(n):
+            coord = lambda s, j=j: s[j]
+            bracket = core.nambu_bracket(list(flow.hamiltonians) + [coord], X)
+            assert rhs[j] == bracket, (X, j)
+
+
 def test_velocity_names_the_hamiltonian_that_divides_by_zero():
     hams = (lambda s: s[0], lambda s: 1.0 / (s[2] - 1.0))
     fl = flows.FlowSystem(

@@ -520,16 +520,17 @@ def test_flow_from_source_follows_the_level_set_of_a_flow_outside_the_catalog():
 
 def test_level_set_newton_solves_for_two_free_slots(monkeypatch):
     # squashing z before kdv3 makes det J = 1/(1+z)^2 depend on the time
-    # slot, so the oracle's Newton moves x and y with a 2x2 Cramer solve
+    # slot, so the oracle's Newton moves x and y, reading its step off the
+    # minors of two rows [dG_j/dx, dG_j/dy, G_j]
     flow = flows.build_hamiltonians(squash_kdv3(), check=False)
     sizes = []
-    solve = harness._solve
+    minors = harness.minors
 
-    def recorded(a, d, b):
-        sizes.append(len(a))
-        return solve(a, d, b)
+    def recorded(rows):
+        sizes.append(len(rows))
+        return minors(rows)
 
-    monkeypatch.setattr(harness, "_solve", recorded)
+    monkeypatch.setattr(harness, "minors", recorded)
     report = harness.verify_correspondence(
         "kdv3", x0=(1.1, 0.9), t_range=(1.0, 2.0), flow=flow
     )
@@ -693,26 +694,60 @@ def test_a_non_finite_newton_step_is_a_level_set_error(monkeypatch):
 
 
 def test_a_non_finite_newton_step_in_traced_code_is_a_level_set_error(monkeypatch):
-    # the flow of the test above, its level function traced: each step's
-    # size is read off the solve, which spies on no traced value
+    # the flow of the test above, its level function traced: each step is
+    # read off the minors, which spy on no traced value
     flow = flows.flow_system(
         maps.hermite_chain(2), (lambda s: 1e307 * s[0] * (s[0] - s[1]) ** 2,)
     )
     finite = []
-    solve = harness._solve
+    minors = harness.minors
 
-    def recorded(a, d, b):
-        dx = solve(a, d, b)
-        finite.append(all(map(math.isfinite, dx)))
-        return dx
+    def recorded(rows):
+        *nums, d = out = minors(rows)
+        finite.append(all(math.isfinite(c / d) for c in nums))
+        return out
 
-    monkeypatch.setattr(harness, "_solve", recorded)
+    monkeypatch.setattr(harness, "minors", recorded)
     with pytest.raises(LevelSetError) as exc_info:
         harness.flow_from_source(flow, (1.0,), 0.5, 0.1, COARSE, 3)
     assert exc_info.value.time == 0.1
     assert flow.level.__code__.co_filename == "<trace>"
     # the first non-finite step stops it
     assert finite.count(False) == 1 and finite[-1] is False
+
+
+def _one_dimensional(name, forward, inverse, det_j):
+    return core.MapDescriptor(
+        name=name, dimension=1, params={}, forward_fn=forward,
+        inverse_fn=inverse, det_j=det_j,
+    )
+
+
+def test_a_one_dimensional_flow_runs_the_level_set_oracle():
+    # no Hamiltonians (so no inverse is read): the flow is dX/dt = 1 and the
+    # Newton step has no free slot to move, so the level-set oracle takes one
+    # iteration a time; the catalog id only names the report
+    cube = _one_dimensional(
+        "cube", lambda s: (s[0] ** 3 + s[0],), lambda s: s,
+        lambda s: 3 * s[0] ** 2 + 1,
+    )
+    report = harness.verify_correspondence(
+        "henon", x0=(), t_range=(1.0, 2.0), flow=flows.flow_system(cube, ())
+    )
+    assert report.oracle["method"] == "level-set"
+    assert report.oracle["newton_iterations"] == harness.DEFAULT_SAMPLES
+    # X = x^3 + x does not move at unit speed, so the flow does not retrace it
+    assert not report.passed
+    assert report.max_deviation > 0.5
+
+    shift = _one_dimensional(
+        "shift", lambda s: (s[0] + 0.5,), lambda s: (s[0] - 0.5,), lambda s: 1.0
+    )
+    report = harness.verify_correspondence(
+        "henon", x0=(), t_range=(1.0, 2.0), flow=flows.flow_system(shift, ())
+    )
+    assert report.passed
+    assert report.oracle["method"] == "time-slot"
 
 
 def test_verify_needs_two_samples():
