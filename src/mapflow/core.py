@@ -11,12 +11,14 @@ one, goes through :func:`on_floats` (such as :func:`jet_log`'s domain
 check and logarithm) or is a map's guard or finiteness check.  That lets
 :func:`trace` run a function of a point once on traced scalars, which
 record each float operation the jets make, and compile the record into
-straight-line float code: each distinct line once, negations and
-recorded calls included, in the order the jets first made it, so the
-same bits (see ``_Tape``).  A call through ``on_floats`` is recorded as
-a call that runs on the point's floats.  A map's guard and finiteness
-checks are recorded as inline check lines over the traced values (see
-``MapDescriptor``).  When a call or check
+straight-line float code: each distinct operation once, negations and
+recorded calls included, on the operands the jets gave it, so the same
+bits (see ``_Tape``).  Divisions, powers, calls and checks run in the
+order the jets first made them; a ``+ - *`` or negation whose value one
+other line reads is written into that line.  A call through
+``on_floats`` is recorded as a call that runs on the point's floats.  A
+map's guard and finiteness checks are recorded as inline check lines over
+the traced values (see ``MapDescriptor``).  When a call or check
 raises, or a division by zero does, the point re-runs through the
 traced function itself, which raises what it always has.  A decision
 that may go either way goes through :func:`assume`: a trace takes it as
@@ -40,6 +42,8 @@ from __future__ import annotations
 import math
 import random
 import threading
+from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -282,25 +286,23 @@ def _tape_of(values):
 
 
 def _poles_fail(tape, point, guards):
-    """``_refuse_poles``'s condition as an expression over the recorded
-    guard values and point, and the names it reads."""
-    values = [tape.operand(guard(point)) for _, guard in guards]
+    """``_refuse_poles``'s condition as a form over the recorded guard
+    values and point (see ``_Tape.record``), and the names it reads."""
+    first, *rest = [tape.operand(guard(point)) for _, guard in guards]
     xs = [tape.operand(x) for x in point]
-    largest = ", ".join([f"abs({x})" for x in xs])
+    largest = ", ".join(["abs({})"] * len(xs))
     if len(xs) > 1:
-        largest = f"max({largest})"
-    cutoff = tape.const(GUARD_CUTOFF)
-    first, *rest = values
-    fails = f"abs({first}) <= (s_ := {cutoff} * (1.0 + {largest}))"
-    fails += "".join([f" or abs({g}) <= s_" for g in rest])
-    return fails, (*values, *xs, cutoff)
+        largest = "max(" + largest + ")"
+    fails = "abs({}) <= (s_ := {} * (1.0 + " + largest + "))"
+    fails += " or abs({}) <= s_" * len(rest)
+    return fails, (first, tape.const(GUARD_CUTOFF), *xs, *rest)
 
 
 def _non_finite_fail(tape, values):
-    """``_refuse_non_finite``'s condition as an expression over the
-    recorded values, and the names it reads."""
+    """``_refuse_non_finite``'s condition as a form over the recorded
+    values, and the names it reads."""
     names = [tape.operand(v) for v in values]
-    return f"not ({' and '.join([f'isfinite({v})' for v in names])})", names
+    return "not (" + " and ".join(["isfinite({})"] * len(names)) + ")", names
 
 
 def sample_points(mapdesc, count, seed=42, rng=None):
@@ -565,7 +567,7 @@ class _Traced:
     __truediv__, __rtruediv__ = _binary("/")
 
     def __neg__(self):
-        return self.tape.record(f"-{self.name}", (self.name,), droppable=True)
+        return self.tape.record("-{}", (self.name,), droppable=True)
 
     def __pow__(self, exponent):
         """``self ** k`` for an int constant k, the one C operation the
@@ -583,45 +585,56 @@ def _is_one(value):
     return value.__class__ is float and value == 1.0
 
 
-class _Tape:
-    """The straight-line code a trace records, one assignment a line, with
-    the constants it reads bound by position, and the calls it makes for
-    their effect alone once every line has run.
+# how deep the parentheses of values written into their readers may nest:
+# CPython refuses more than 200, and a call or check adds a few of its own
+_INLINE_DEPTH = 50
 
-    Each distinct line is recorded once, keyed in ``known`` on its
-    expression: an arithmetic operation on its operator and operand
-    names, with the operands of ``+`` and ``*`` in one order (both commute
-    bit for bit), a negation on its operand, a recorded call on its
-    function and arguments, and a check on its condition.  A recorded call
-    is of a pure function, so the first line stands for every repeat, and
-    a repeated check could fail only where the first already has.
+
+# the form of each arithmetic operation over its two operands' names
+_FORMS = {symbol: "{} " + symbol + " {}" for symbol in ("+", "-", "*", "/", "**")}
+
+
+class _Tape:
+    """The straight-line code a trace records, with the constants it reads
+    bound by position, and the calls it makes for their effect alone once
+    every line has run.
+
+    Each distinct line is recorded once, keyed in ``known`` on its form
+    and the names it reads: an arithmetic operation on its operator and
+    operand names, with the operands of ``+`` and ``*`` in one order (both
+    commute bit for bit), a negation on its operand, a recorded call on
+    its function and arguments, and a check on its condition.  A recorded
+    call is of a pure function, so the first line stands for every repeat,
+    and a repeated check could fail only where the first already has.
     ``x * 1.0``, ``1.0 * x`` and ``x / 1.0`` are ``x`` itself, bit for
     bit.  Each distinct constant is bound once: an int or float by its
     class and ``repr``, so that 0.0 and -0.0 stay apart, any other by
     identity.  Each line keeps the names it reads, so that ``source``
-    drops the ``+ - *`` and negation lines whose values nothing reads;
-    neither can raise on floats.  A division or a power can, and a
-    recorded call or check line may, so all four are always kept.  A
-    check line (``check``) raises ``_Unassumed`` through the compiled
-    code's ``FAIL`` where its condition holds; a map writes its guard and
-    finiteness checks this way.  A call made for its effect (``effect``)
-    is not a line: it is recorded once per call.  A constant that only
-    dropped lines read is not bound."""
+    drops the ``+ - *`` and negation lines whose values nothing reads, and
+    writes each one that a single other line reads into that line; none of
+    them can raise on floats.  A division or a power can, and a recorded
+    call or check line may, so all four are always kept as lines of their
+    own.  A check line (``check``) raises ``_Unassumed`` through the
+    compiled code's ``FAIL`` where its condition holds; a map writes its
+    guard and finiteness checks this way.  A call made for its effect
+    (``effect``) is not a line: it is recorded once per call.  A constant
+    that only dropped lines read is not bound."""
 
     def __init__(self):
-        self.lines = []  # (name, expression, names read, droppable)
-        self.known = {}  # expression -> the traced scalar that holds it
+        self.lines = []  # (name, form, names read, droppable)
+        self.known = {}  # (form, names read) -> the traced scalar that holds it
         self.consts = []
         self.const_names = {}
-        self.effects = []  # (call, names read)
+        self.effects = []  # (form, names read) of a call
 
-    def record(self, expr, reads, droppable=False):
-        """The traced scalar that holds ``expr``, recorded as a new line
-        only when no earlier line holds the same expression."""
-        out = self.known.get(expr)
+    def record(self, form, reads, droppable=False):
+        """The traced scalar that holds ``form`` over ``reads``, an
+        expression with ``{}`` for each name it reads, in order; recorded
+        as a new line only when no earlier line holds the same one."""
+        out = self.known.get((form, reads))
         if out is None:
-            out = self.known[expr] = _Traced(self, f"v{len(self.lines)}")
-            self.lines.append((out.name, expr, reads, droppable))
+            out = self.known[form, reads] = _Traced(self, f"v{len(self.lines)}")
+            self.lines.append((out.name, form, reads, droppable))
         return out
 
     def arithmetic(self, left, symbol, right):
@@ -634,7 +647,7 @@ class _Tape:
         a, b = self.operand(left), self.operand(right)
         if symbol in "+*" and b < a:
             a, b = b, a
-        return self.record(f"{a} {symbol} {b}", (a, b), symbol in ("+", "-", "*"))
+        return self.record(_FORMS[symbol], (a, b), symbol in ("+", "-", "*"))
 
     def check(self, fails, *args):
         """Record the check that ``fails(self, *args)`` writes, a condition
@@ -647,7 +660,7 @@ class _Tape:
             condition, reads = fails(self, *args)
         except _Untraceable:
             return False
-        self.record(f"FAIL() if {condition} else None", tuple(reads))
+        self.record("FAIL() if " + condition + " else None", tuple(reads))
         return True
 
     def const(self, value):
@@ -668,35 +681,57 @@ class _Tape:
         raise _Untraceable(f"a {type(value).__name__} constant")
 
     def arg(self, value, reads):
-        """An argument of a recorded call, a traced scalar, a tuple that
-        holds one, or any constant, whose names are added to ``reads``."""
+        """The form of an argument of a recorded call, a traced scalar, a
+        tuple that holds one, or any constant, whose names are added to
+        ``reads``."""
         if value.__class__ is tuple and any(v.__class__ is _Traced for v in value):
-            return f"({_listed(self.arg(v, reads) for v in value)})"
-        name = value.name if value.__class__ is _Traced else self.const(value)
-        reads.append(name)
-        return name
+            return "(" + _listed(self.arg(v, reads) for v in value) + ")"
+        reads.append(value.name if value.__class__ is _Traced else self.const(value))
+        return "{}"
 
     def call(self, fn, args):
-        """The text of the call ``fn(*args)`` and the names it reads, its
+        """The form of the call ``fn(*args)`` and the names it reads, its
         constants included."""
         reads = [self.const(fn)]
-        text = f"{reads[0]}({', '.join([self.arg(a, reads) for a in args])})"
-        return text, tuple(reads)
+        form = "{}(" + ", ".join([self.arg(a, reads) for a in args]) + ")"
+        return form, tuple(reads)
 
     def source(self, inputs, out):
         """The lines that compute ``out`` or may raise, in the order they
-        were recorded, and the constants they read: one backward pass keeps
-        a line when it may raise or a kept line, a call or ``out`` reads its
-        value, and binds a constant only when one of those reads it."""
-        live = set(out)
+        were recorded, and the constants they read.  One backward pass
+        keeps a line when it may raise or a kept line, a call or ``out``
+        reads its value, and binds a constant only when one of those reads
+        it.  Then each kept ``+ - *`` or negation line that exactly one
+        other kept line reads, and no call or ``out``, is written into that
+        line in parentheses instead of assigned, while its parentheses nest
+        at most ``_INLINE_DEPTH`` deep.  It cannot raise and has no effect,
+        and every name is assigned once, so making it where its value is
+        read changes no operand and no bit."""
+        outside = set(out)
         for _, reads in self.effects:
-            live.update(reads)
+            outside.update(reads)
+        live = set(outside)
         kept = []
-        for name, expr, reads, droppable in reversed(self.lines):
+        for line in reversed(self.lines):
+            name, _, reads, droppable = line
             if not droppable or name in live:
                 live.update(reads)
-                kept.append(f"{name} = {expr}")
+                kept.append(line)
         kept.reverse()
+        uses = Counter(chain.from_iterable([reads for _, _, reads, _ in kept]))
+        once = {name for name, count in uses.items() if count == 1} - outside
+        inlined = {}  # name -> its expression in parentheses
+        depth = {}  # name -> how deep those nest
+        body = []
+        for name, form, reads, droppable in kept:
+            expr = form.format(*map(inlined.get, reads, reads))
+            if droppable and name in once:
+                nest = 1 + max([depth.get(r, 0) for r in reads])
+                if nest <= _INLINE_DEPTH:
+                    inlined[name] = f"({expr})"
+                    depth[name] = nest
+                    continue
+            body.append(f"{name} = {expr}")
         bound = [i for i in range(len(self.consts)) if f"c{i}" in live]
         source = "\n".join(
             [
@@ -704,10 +739,10 @@ class _Tape:
                 "    def traced(x):",
                 "        try:",
                 "            " + _listed(inputs) + "= x",
-                *("            " + line for line in kept),
+                *("            " + line for line in body),
                 "        except (ZeroDivisionError, MapflowError):",
                 "            return fallback(x)",
-                *("        " + call for call, _ in self.effects),
+                *("        " + form.format(*reads) for form, reads in self.effects),
                 f"        return ({_listed(out)})",
                 "    return traced",
             ]
@@ -783,14 +818,14 @@ def trace(fn, n):
     float code; None when the trace is abandoned.
 
     The compiled function makes each distinct float operation the trace
-    made once, in the order the trace first made it, and none whose value
-    goes unread and that cannot raise (see ``_Tape``), so it returns the
-    same bits.  When a recorded ``on_floats`` call raises a MapflowError,
-    an ``assume`` check or an inline guard or finiteness check fails, or a
-    division by zero is raised, it returns ``fn`` of the point instead,
-    which raises what it always has; otherwise
-    it makes the recorded ``effect`` calls and returns.  The trace itself
-    makes none of them."""
+    made once, on the same operands, and none whose value goes unread and
+    that cannot raise; those that may raise run in the order the trace
+    first made them (see ``_Tape``), so it returns the same bits.  When a
+    recorded ``on_floats`` call raises a MapflowError, an ``assume`` check
+    or an inline guard or finiteness check fails, or a division by zero is
+    raised, it returns ``fn`` of the point instead, which raises what it
+    always has; otherwise it makes the recorded ``effect`` calls and
+    returns.  The trace itself makes none of them."""
     tape = _Tape()
     inputs = [_Traced(tape, f"x{i}") for i in range(n)]
     outer, _active.tape = _active.tape, tape

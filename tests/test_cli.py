@@ -521,6 +521,27 @@ def test_hermite_check_command(capsys):
     assert payload["m_max"] == 12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1", "--t1", "2"],
+        ["chain", "--m", "3"],
+        ["hermite-check", "--m-max", "40"],
+    ],
+    ids=["verify-kdv3", "chain", "hermite-check"],
+)
+def test_a_report_holds_no_nan_or_infinity(tmp_path, capsys, argv):
+    # NaN and Infinity are not JSON (RFC 8259), though json writes them
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert json.loads(out.read_text(), parse_constant=refuse)
+
+
 def test_hermite_check_needs_two_members(capsys):
     code, out, err = run_cli(capsys, "hermite-check", "--m-max", "1")
     assert (code, out) == (2, "")

@@ -1012,3 +1012,20 @@ def test_an_assumed_decision_is_checked_and_an_effect_runs_once_per_call():
     # the check fails, so fn decides afresh and charges once
     assert traced((2.0,)) == (6.0,)
     assert charged == ["charge"] * 2
+
+
+def test_a_single_use_chain_longer_than_the_nesting_bound_compiles():
+    # each step's value and partials are read once, by the next step, so
+    # written into their readers they would nest 600 deep; CPython refuses
+    # more than 200 nested parentheses
+    def fn(x):
+        u, x1 = core.seed_jets(x)
+        u = u * x1
+        for _ in range(300):
+            u = u * 1.0000001 + x1
+        return (u.value, *u.partials)
+
+    traced = core.trace(fn, 2)
+    assert traced.__code__.co_filename == "<trace>"
+    for x in [(1.5, -2.0), (0.1, 0.2), (-0.0, 3.0), (1e300, 1e300), (math.inf, 1.0)]:
+        assert repr(traced(x)) == repr(fn(x)), x

@@ -1,5 +1,6 @@
 """Flow construction, right-hand sides and integrator tests."""
 
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -7,7 +8,7 @@ import itertools
 import math
 import random
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,7 @@ from mapflow.errors import (
 )
 from mapflow.flows import IntegratorConfig
 import reference
+import test_core
 from reference import squash_kdv3
 
 
@@ -1918,6 +1920,38 @@ def test_a_traced_level_set_is_bitwise_the_jet_level_set(monkeypatch, run):
     assert traced == untraced
 
 
+def _overflowing_points(point):
+    """Copies of ``point``, each with one coordinate at +-1e155 or +-1e300,
+    so that intermediates reach inf and 0.0 * inf gives nan: where a
+    rewrite of traced code that changed an operand or the order of two
+    operations would show."""
+    return [
+        point[:j] + (v,) + point[j + 1 :]
+        for j in range(len(point))
+        for v in (1e155, -1e155, 1e300, -1e300)
+    ]
+
+
+@pytest.mark.parametrize("run", TRACED_FLOWS)
+def test_a_traced_velocity_is_the_jet_kernel_where_intermediates_overflow(run):
+    build, point = TRACED_FLOWS[run]
+    flow = _traced_flow(build, point)
+    for x in _overflowing_points(point):
+        traced = _outcome(partial(flows.nambu_rhs, flow), x)
+        assert traced == _outcome(flow.jet_velocity, x), x
+    assert _is_traced(flow)
+
+
+@pytest.mark.parametrize("run", LEVEL_FLOWS)
+def test_a_traced_level_function_is_the_jet_one_where_intermediates_overflow(run):
+    build, x0, t_range = LEVEL_FLOWS[run]
+    flow = _traced_level(build, x0, t_range)
+    start = harness.source_start(flow, x0, t_range[0])
+    for x in _overflowing_points(start):
+        assert _outcome(flow.level, x) == _outcome(flow.jet_level, x), x
+    assert flow.level.__code__.co_filename == "<trace>"
+
+
 def _raised(fn, x):
     """The type of the MapflowError ``fn(x)`` raises, and the error."""
     with pytest.raises(MapflowError) as info:
@@ -2077,6 +2111,70 @@ def test_a_trace_binds_only_the_constants_its_code_reads(
     params = re.fullmatch(r"def bind\(fallback, (.*)\):", header).group(1)
     names = params.split(", ")[:-1]  # each parameter is followed by a comma
     assert set(re.findall(r"\bc\d+\b", body)) == set(names)
+
+
+def _nesting(expression):
+    """How deep the parentheses of an expression nest."""
+    depth = deepest = 0
+    for ch in expression:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _stored_operations_read_once(source):
+    """The stored ``+ - *`` and negation lines of a compiled trace that
+    exactly one other line reads, and not its return or an effect call,
+    each with how deep its parentheses nest."""
+    stored = dict(re.findall(r"^ +(v\d+) = (.*)$", source, re.MULTILINE))
+    reads = Counter(re.findall(r"\bv\d+\b", "\n".join(stored.values())))
+    rest = [line for line in source.splitlines() if not re.match(r" +v\d+ = ", line)]
+    outside = set(re.findall(r"\bv\d+\b", "\n".join(rest)))
+    once = []
+    for name, expr in stored.items():
+        tree = ast.parse(expr, mode="eval").body
+        operation = isinstance(tree, ast.UnaryOp) or (
+            isinstance(tree, ast.BinOp)
+            and isinstance(tree.op, (ast.Add, ast.Sub, ast.Mult))
+        )
+        if operation and reads[name] == 1 and name not in outside:
+            once.append((name, _nesting(expr)))
+    return once
+
+
+def _catalog_trace_sources(monkeypatch, run):
+    """The five sources a fresh catalog flow of ``run`` compiles: its
+    velocity, Hamiltonian values, image, level and image time column."""
+    map_id, params, x0, (t0, _) = CATALOG_FLOWS[run]
+    x = harness.source_start(maps.build_flow(map_id, params), x0, t0)
+    maps._flow.cache_clear()
+    flow = maps.build_flow(map_id, params)
+    sources = []
+    compiled = core._compiled
+    monkeypatch.setattr(core, "_compiled", lambda s: sources.append(s) or compiled(s))
+    image = flow.map.forward(x)
+    for name in ("velocity", "float_hamiltonians", "image", "level", "image_time_column"):
+        getattr(flow, name)(image if name in ("velocity", "float_hamiltonians") else x)
+    assert len(sources) == 5
+    return sources
+
+
+@pytest.mark.parametrize(
+    "flows_table, run",
+    [(table, run) for table, _, run in TRACE_RUNS["argvalues"]]
+    + [(CATALOG_FLOWS, run) for run in CATALOG_FLOWS],
+    ids=[*TRACE_RUNS["ids"], *(f"catalog-{run}" for run in CATALOG_FLOWS)],
+)
+def test_no_stored_operation_is_read_by_one_line_alone(monkeypatch, flows_table, run):
+    # a + - * or negation that one other line reads is written into that
+    # line, unless its parentheses would then nest deeper than the bound
+    if flows_table is CATALOG_FLOWS:
+        sources = _catalog_trace_sources(monkeypatch, run)
+    else:
+        sources = [_trace_source(monkeypatch, flows_table, run)]
+    for source in sources:
+        once = _stored_operations_read_once(source)
+        assert [name for name, depth in once if depth < core._INLINE_DEPTH] == []
 
 
 def _overflowing_flow():
@@ -2597,3 +2695,161 @@ def test_source_rhs_raises_at_degenerate_determinant():
     )
     with pytest.raises(SingularPointError):
         flows.source_rhs(fl, (1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# committed mutants
+
+
+def _rewritten(marker, rewrite):
+    """A mutation that compiles each generated source holding ``marker``
+    through ``rewrite``."""
+
+    def mutate(monkeypatch):
+        compile_source = core._exec
+        monkeypatch.setattr(
+            core, "_exec", lambda s: compile_source(rewrite(s) if marker in s else s)
+        )
+
+    return mutate
+
+
+def _bare(source):
+    """The source with the parentheses of each arithmetic line dropped, as
+    if single-use values were written into their readers without them;
+    a line that calls a function is left as it is."""
+
+    def drop(line):
+        head, expr = line[1], line[2]
+        if re.search(r"\w\(", expr):
+            return line[0]
+        return head + expr.replace("(", "").replace(")", "")
+
+    return re.sub(r"^( +v\d+ = )(.*)$", drop, source, flags=re.MULTILINE)
+
+
+def _without(pattern):
+    """A rewrite that deletes each match of ``pattern``."""
+    return lambda source: re.sub(pattern, "", source)
+
+
+def _recorded_as(change):
+    """A mutation that records each tape line as ``change(form, reads,
+    droppable)`` gives it."""
+
+    def mutate(monkeypatch):
+        record = core._Tape.record
+        monkeypatch.setattr(
+            core._Tape, "record", lambda tape, *line: record(tape, *change(*line))
+        )
+
+    return mutate
+
+
+def _power_droppable(form, reads, droppable=False):
+    return form, reads, droppable or form == "{} ** {}"
+
+
+def _power_commuted(form, reads, droppable=False):
+    if form == "{} ** {}" and reads[1] < reads[0]:
+        reads = reads[::-1]
+    return form, reads, droppable
+
+
+def _every_traced_velocity_is_the_jet_kernel(monkeypatch):
+    for run in TRACED_FLOWS:
+        test_a_traced_velocity_is_bitwise_the_jet_kernel(run)
+
+
+def _every_overflow_is_the_jet_kernel(monkeypatch):
+    for run in TRACED_FLOWS:
+        test_a_traced_velocity_is_the_jet_kernel_where_intermediates_overflow(run)
+
+
+def _kdv3_takes_every_point_as_the_reference(monkeypatch):
+    test_nambu_rhs_takes_every_point_as_its_reference_check_does(
+        monkeypatch, lambda _: maps.build_flow("kdv3"), (1.1, 0.9, 1.2), True
+    )
+
+
+def _checks_decide_as_the_kernel_at_the_cutoff(monkeypatch):
+    # _checked_flow keeps the flows it traced: these are traced afresh
+    fresh = functools.lru_cache(maxsize=None)(_checked_flow.__wrapped__)
+    monkeypatch.setitem(globals(), "_checked_flow", fresh)
+    decide = test_inline_checks_decide_as_the_jet_kernel_at_the_guard_cutoff
+    for run in GUARDED_RUNS:
+        for image in (True, False):
+            decide.hypothesis.inner_test(run, image, [0.0, 0.0, 0.0])
+
+
+_nesting_proof = (
+    test_core.test_a_single_use_chain_longer_than_the_nesting_bound_compiles
+)
+_power_proof = test_core.test_a_traced_int_power_replays_the_float_power_bit_for_bit
+_stage_proof = test_a_compiled_step_takes_an_rhs_result_in_any_form
+
+TRACED = "def traced(x):"
+CHECKED = "def checked(point):"
+STEP = "def step(rhs, y, h, k0):"
+
+# a broken generator, and the proof check that must fail on it
+MUTANTS = {
+    "inlined-without-parentheses": (
+        _rewritten(TRACED, _bare),
+        _every_traced_velocity_is_the_jet_kernel,
+        AssertionError,
+    ),
+    "no-nesting-bound": (
+        lambda patch: patch.setattr(core, "_INLINE_DEPTH", 10**6),
+        lambda _: _nesting_proof(),
+        SyntaxError,
+    ),
+    "pole-check-strict": (
+        _rewritten(TRACED, lambda s: s.replace(" <= ", " < ")),
+        _checks_decide_as_the_kernel_at_the_cutoff,
+        AssertionError,
+    ),
+    "finiteness-of-the-first-value-only": (
+        _rewritten(TRACED, _without(r" and isfinite\(\w+\)")),
+        _every_overflow_is_the_jet_kernel,
+        AssertionError,
+    ),
+    "no-fallback": (
+        _rewritten(TRACED, lambda s: s.replace("return fallback(x)", "raise")),
+        _every_overflow_is_the_jet_kernel,
+        AssertionError,
+    ),
+    "droppable-power": (
+        _recorded_as(_power_droppable),
+        lambda _: _power_proof(),
+        AssertionError,
+    ),
+    "commuted-power": (
+        _recorded_as(_power_commuted),
+        lambda _: _power_proof(),
+        AssertionError,
+    ),
+    "point-finiteness-unchecked": (
+        _rewritten(CHECKED, _without(r" and isfinite\(x\d+\)")),
+        _kdv3_takes_every_point_as_the_reference,
+        AssertionError,
+    ),
+    "point-item-class-unchecked": (
+        _rewritten(CHECKED, _without(r"x\d+\.__class__ is float and ")),
+        _kdv3_takes_every_point_as_the_reference,
+        AssertionError,
+    ),
+    "stage-item-class-unchecked": (
+        _rewritten(STEP, _without(r" and k\d+\[\d+\]\.__class__ is float")),
+        lambda _: _stage_proof("rk4", 2, "float64"),
+        AssertionError,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_each_committed_mutant_fails_its_proof_check(monkeypatch, mutant):
+    mutate, proof, error = MUTANTS[mutant]
+    mutate(monkeypatch)
+    with pytest.raises(error):
+        proof(monkeypatch)
