@@ -615,10 +615,10 @@ class _Tape:
     them can raise on floats.  A division or a power can, and a recorded
     call or check line may, so all four are always kept as lines of their
     own.  A check line (``check``) raises ``_Unassumed`` through the
-    compiled code's ``FAIL`` where its condition holds; a map writes its
-    guard and finiteness checks this way.  A call made for its effect
-    (``effect``) is not a line: it is recorded once per call.  A constant
-    that only dropped lines read is not bound."""
+    compiled code's ``FAIL`` where its condition holds, and assigns
+    nothing; a map writes its guard and finiteness checks this way.  A
+    call made for its effect (``effect``) is not a line: it is recorded
+    once per call.  A constant that only dropped lines read is not bound."""
 
     def __init__(self):
         self.lines = []  # (name, form, names read, droppable)
@@ -651,16 +651,17 @@ class _Tape:
 
     def check(self, fails, *args):
         """Record the check that ``fails(self, *args)`` writes, a condition
-        and the names it reads, as one line that raises ``_Unassumed``
-        where the condition holds, so that the point re-runs through the
-        traced function, which raises the error the check stands for; a
-        map's guard and finiteness checks.  False, recording nothing, when
-        the condition reads a value, as a guard that calls ``abs`` does."""
+        and the names it reads, as one line, ``if condition: FAIL()``,
+        that raises ``_Unassumed`` where the condition holds, so that the
+        point re-runs through the traced function, which raises the error
+        the check stands for; a map's guard and finiteness checks.  False,
+        recording nothing, when the condition reads a value, as a guard
+        that calls ``abs`` does."""
         try:
             condition, reads = fails(self, *args)
         except _Untraceable:
             return False
-        self.record("FAIL() if " + condition + " else None", tuple(reads))
+        self.record("if " + condition + ": FAIL()", tuple(reads))
         return True
 
     def const(self, value):
@@ -731,7 +732,7 @@ class _Tape:
                     inlined[name] = f"({expr})"
                     depth[name] = nest
                     continue
-            body.append(f"{name} = {expr}")
+            body.append(expr if form.startswith("if ") else f"{name} = {expr}")
         bound = [i for i in range(len(self.consts)) if f"c{i}" in live]
         source = "\n".join(
             [

@@ -19,7 +19,10 @@ the same function over the Hamiltonians composed with the forward map.
 The check is compiled once per dimension and bound once per flow, as its
 ``checked_velocity``: a tuple of n finite floats goes straight to
 ``velocity``, and any other point is converted or refused as a float
-state of the map.  A
+state of the map.  ``integrate_flow`` takes neither route: it checks its
+start once, and the compiled Runge-Kutta step calls ``velocity`` itself
+on each stage state, a tuple of n floats whose finiteness the step
+checks.  A
 flow's ``velocity`` is its ``jet_velocity`` traced on first use by
 ``core.trace`` into straight-line float code, which returns the same
 bits.  A flow keeps ``jet_velocity`` only when its trace is abandoned:
@@ -471,8 +474,13 @@ def _flow_state(flow, point):
             f"got {len(x)}"
         )
     if not all(map(math.isfinite, x)):
-        raise NonFiniteStateError(f"non-finite coordinate in state {x}")
+        _non_finite(x)
     return x
+
+
+def _non_finite(x):
+    """Refuse the state x, which has a NaN or infinite coordinate."""
+    raise NonFiniteStateError(f"non-finite coordinate in state {x}")
 
 
 @lru_cache(maxsize=32)
@@ -510,9 +518,10 @@ def nambu_rhs(flow, point):
     flow's map (else a ValueError naming the map and both counts) and all
     finite (else a NonFiniteStateError), and handed to the flow's
     ``velocity``.  The flow's ``checked_velocity`` makes the check in
-    compiled code: a tuple of n finite floats, which every Runge-Kutta
-    stage state is, goes straight through, and any other point is
-    converted by ``_flow_state``."""
+    compiled code: a tuple of n finite floats goes straight through, and
+    any other point is converted by ``_flow_state``.  ``integrate_flow``
+    does not call it: its compiled step makes the same check of each
+    stage state and calls ``velocity`` itself."""
     return flow.checked_velocity(point)
 
 
@@ -688,7 +697,7 @@ def _combine(y, h, terms, k):
 
 
 @lru_cache(maxsize=32)
-def _step(method, n):
+def _step(method, n, finite=False):
     """One step of the method for states of n components, compiled to
     straight-line code once by ``core._compiled``, and whether its last
     stage is taken at the new state, so that it is the next step's first
@@ -702,11 +711,14 @@ def _step(method, n):
     same operand order and with no multiply by a unit weight (the error
     sums over a zero state, as ``_combine`` sums them), so they have its
     bits.  ``rhs`` is called on y and then
-    between rows, on each stage state in turn.  A result whose class is
-    exactly tuple, with n items that are all exactly float, is kept as it
-    is; any other is converted by ``_stage``, which makes it floats and
-    requires n of them.  A last row that sums as the new state does is not
-    summed twice."""
+    between rows, on each stage state in turn.  With ``finite`` (``rhs``
+    a flow's ``velocity``), a stage state with a non-finite component is
+    refused first, with the NonFiniteStateError ``nambu_rhs`` raises; y is
+    finite, as the loop only hands on a finite state.  A result whose
+    class is exactly tuple, with n items that are all exactly float, is
+    kept as it is; any other is converted by ``_stage``, which makes it
+    floats and requires n of them.  A last row that sums as the new state
+    does is not summed twice."""
     a, b, e, _ = _TABLEAUS[method]
     listed = core._listed
 
@@ -734,19 +746,26 @@ def _step(method, n):
             f"{indent}    {k} = stage({k}, {n})",
         ]
 
+    checks = []
+    if finite:
+        checks = [
+            unpack("s"),
+            f"if not ({' and '.join(f'isfinite(s_{c})' for c in range(n))}):",
+            "    non_finite(s)",
+        ]
     body = ["if k0 is None:", *evaluate(0, "y", "    "), unpack("y"), unpack("k0")]
     for i, row in enumerate(a[1:], 1):
-        body += [f"s = ({sums(row)})", *evaluate(i, "s"), unpack(f"k{i}")]
+        body += [f"s = ({sums(row)})", *checks, *evaluate(i, "s"), unpack(f"k{i}")]
     fsal = _terms(a[-1]) == _terms(b)
     y_new = "s" if fsal else f"({sums(b)})"
     err = "None" if e is None else f"({sums(e, '0.0')})"
     body.append(f"return {y_new}, ({listed(f'k{i}' for i in range(len(a)))}), {err}")
     source = "\n".join(
-        ["def bind(stage):", "    def step(rhs, y, h, k0):"]
+        ["def bind(stage, non_finite):", "    def step(rhs, y, h, k0):"]
         + ["        " + line for line in body]
         + ["    return step"]
     )
-    return core._compiled(source)(_stage), fsal
+    return core._compiled(source)(_stage, _non_finite), fsal
 
 
 def _stage(k, n):
@@ -759,9 +778,10 @@ def _stage(k, n):
 
 
 @lru_cache(maxsize=32)
-def _loop(method, n):
+def _loop(method, n, finite=False):
     """``integrate``'s step loop for the method and states of n components,
-    compiled to straight-line code once by ``core._compiled``: a function of
+    over ``_step`` of the same ``finite``, compiled to straight-line code
+    once by ``core._compiled``: a function of
     (rhs, record, trajectory, every, y, t, t1, h, direction, pending,
     max_steps, abs_tol, rel_tol) that steps from (t, y) onto t1 with
     ``_step``, records each sample in ``pending`` (the next one last) as it
@@ -780,7 +800,7 @@ def _loop(method, n):
     0.0 hands the sample to ``_combine`` over ``_terms`` of the weights, so
     every sample has its bits."""
     a, _, e, dense = _TABLEAUS[method]
-    step, fsal = _step(method, n)
+    step, fsal = _step(method, n, finite)
     listed = core._listed
     zs = [f"z_{c}" for c in range(n)]
 
@@ -903,10 +923,12 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     """Integrate dy/dt = rhs(y) from t0 to t1 (either direction).
 
     ``rhs`` maps a state tuple of floats to a velocity sequence with one
-    entry per coordinate.  When ``t_eval`` is given, samples are recorded
-    at exactly those times and no others (they must be finite and
-    strictly monotone from t0 towards t1; t0 and t1 are recorded only
-    when listed); otherwise t0 and every accepted step are recorded.
+    entry per coordinate, or is a FlowSystem, whose image-space flow is
+    integrated as ``integrate_flow`` describes.  When ``t_eval`` is
+    given, samples are recorded at exactly those times and no others
+    (they must be finite and strictly monotone from t0 towards t1; t0 and
+    t1 are recorded only when listed); otherwise t0 and every accepted
+    step are recorded.
     ``observe`` maps a sample's state to the values stored alongside it.
 
     Both methods share one explicit Runge-Kutta loop with one stop rule:
@@ -923,7 +945,9 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     first stage unless it is handed one, writes out every stage sum and
     calls ``rhs`` between them; the loop then charges the evaluations of
     its stages, and writes out the error norm, the step-size control and
-    the continuous extension.
+    the continuous extension.  A FlowSystem gets its own compiled loop and
+    step, which check each stage state as ``nambu_rhs`` would and call
+    its ``velocity``; an rhs function sees every stage state as it is.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -938,7 +962,10 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
     # the samples still to record, the next one last
     pending = samples[::-1]
     y = as_state(x0)
-    loop = _loop(cfg.method, len(y))
+    finite = isinstance(rhs, FlowSystem)
+    if finite:  # a wrong length is refused as nambu_rhs refuses it
+        _flow_state(rhs, y)
+    loop = _loop(cfg.method, len(y), finite)
     times, states, hams = [], [], []
 
     def record(t, y):
@@ -963,18 +990,26 @@ def integrate(rhs, x0, t0, t1, cfg=None, t_eval=None, observe=None):
         if h < _min_step(t0):
             h = max(abs(t1 - t0), _min_step(t0))
     h *= direction
+    # a flow's velocity is read after the first sample's Hamiltonian values,
+    # so that a trace on first use comes where a first rhs call made it
     return loop(
-        rhs, record, trajectory, t_eval is None, y, t0, t1, h, direction,
-        pending, cfg.max_steps, cfg.abs_tol, cfg.rel_tol,
+        rhs.velocity if finite else rhs, record, trajectory, t_eval is None, y,
+        t0, t1, h, direction, pending, cfg.max_steps, cfg.abs_tol, cfg.rel_tol,
     )
 
 
 def integrate_flow(flow, x0, t0, t1, cfg=None, t_eval=None):
-    """Integrate the image-space flow, recording Hamiltonian values.  Each
-    evaluation goes through the module's ``nambu_rhs``, looked up once per
-    call, so a rebinding of it (a counter, a trace span) sees every one."""
-    rhs = partial(nambu_rhs, flow)
+    """Integrate the image-space flow, recording Hamiltonian values.
+
+    ``x0`` is checked once, as ``nambu_rhs`` checks a point: exactly one
+    float per coordinate of the flow's map (else its ValueError), all
+    finite.  Then the compiled step calls the flow's ``velocity`` itself
+    on each stage state, after refusing a non-finite one with the
+    NonFiniteStateError ``nambu_rhs`` raises, so an evaluation goes
+    through neither ``nambu_rhs`` nor its check.  The integration goes
+    through the module's ``integrate``, looked up once per call, so a
+    rebinding of it (a counter, a trace span) sees each one."""
     return integrate(
-        rhs, x0, t0, t1, cfg=cfg, t_eval=t_eval, observe=flow.hamiltonian_values
+        flow, x0, t0, t1, cfg=cfg, t_eval=t_eval, observe=flow.hamiltonian_values
     )
 

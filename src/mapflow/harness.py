@@ -248,13 +248,17 @@ def verify_correspondence(
     lattice reduction) the map reproduces the flow only along a moving
     source curve, whose points are solved for on the level set (see
     ``flow_from_source``); the report's ``oracle`` record says which.
-    ``flow`` overrides the catalog flow (used by the negative controls).
-    A flow whose Hamiltonians are built by quadrature reports the panels
-    and integrand evaluations the whole check took in ``quadrature``.
+    ``flow`` replaces the catalog flow, a user's or a negative control's:
+    ``map_id`` and ``params`` are then not read, and the report names the
+    flow's own map, its ``name`` and ``params``.  A flow whose
+    Hamiltonians are built by quadrature reports the panels and integrand
+    evaluations the whole check took in ``quadrature``.
     """
-    params = maps.resolve_params(map_id, params)
     if flow is None:
+        params = maps.resolve_params(map_id, params)
         flow = maps.build_flow(map_id, params)
+    else:
+        map_id, params = flow.map.name, flow.map.params
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_range[0]), float(t_range[1])
     counts = flow.quadrature

@@ -13,3 +13,18 @@ def fresh_catalog_flows():
     flows._step.cache_clear()
     flows._loop.cache_clear()
     flows._checked.cache_clear()
+
+
+@pytest.fixture
+def velocity_calls(monkeypatch):
+    # the states every flow's velocity is called on from here on: the
+    # compiled Runge-Kutta step calls it once per rhs evaluation
+    calls = []
+    velocity = flows.FlowSystem.velocity
+
+    def counted(flow):
+        traced = velocity.__get__(flow)
+        return lambda x: calls.append(x) or traced(x)
+
+    monkeypatch.setattr(flows.FlowSystem, "velocity", property(counted))
+    return calls

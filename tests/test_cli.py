@@ -236,24 +236,28 @@ def test_verify_pole_on_the_source_path_is_a_numerical_failure(capsys):
     assert "1+xy+xy^2z vanishes between t=-1.3503 and t=-1.3446" in err
 
 
+def test_verify_pole_names_the_guard_the_source_point_crosses(capsys):
+    # x0 after an equals sign, as a negative value must be given there too
+    code, out, err = run_cli(
+        capsys, "verify", "--map", "kdv3", "--x0=-1,1", "--t0", "1", "--t1", "3"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "mapflow: numerical failure: singular point in kdv3: 1+yz+xyz^2 "
+        "vanishes between t=1.6 and t=1.7\n"
+    )
+
+
 def test_flow_refuses_a_pole_on_the_source_path_before_integrating(
-    capsys, monkeypatch
+    capsys, velocity_calls
 ):
-    calls = []
-    nambu_rhs = flows.nambu_rhs
-
-    def counted(flow, x):
-        calls.append(x)
-        return nambu_rhs(flow, x)
-
-    monkeypatch.setattr(flows, "nambu_rhs", counted)
     code, out, err = run_cli(
         capsys, "flow", "--map", "kdv3", "--x0", "32.07364999713352,0.7720383563118013",
         "--t0", "-1.356", "--t1", "-1.242", "--max-steps", "3000",
     )
     assert (code, out) == (3, "")
     assert "1+xy+xy^2z vanishes between t=-1.3503 and t=-1.3446" in err
-    assert calls == []
+    assert velocity_calls == []
 
 
 @pytest.mark.parametrize("m", ["1", "4"])
@@ -266,22 +270,16 @@ def test_a_hermite_m_without_a_closed_form_is_a_usage_error(capsys, m):
     assert err == f"mapflow: no closed-form chain Hamiltonian for m={m}\n"
 
 
-def test_a_counter_on_nambu_rhs_sees_every_rhs_evaluation(capsys, monkeypatch):
-    # the positive control for the test above: integrating goes through the
-    # module's nambu_rhs once per evaluation the report counts
-    calls = []
-    nambu_rhs = flows.nambu_rhs
-
-    def counted(flow, x):
-        calls.append(x)
-        return nambu_rhs(flow, x)
-
-    monkeypatch.setattr(flows, "nambu_rhs", counted)
+def test_a_counter_on_the_flow_velocity_sees_every_rhs_evaluation(
+    capsys, velocity_calls
+):
+    # the positive control for the test above: integrating calls the flow's
+    # velocity once per evaluation the report counts
     code, out, _ = run_cli(
         capsys, "verify", "--map", "kdv3", "--x0", "1.1,0.9", "--t0", "1", "--t1", "2"
     )
     assert code == 0
-    assert len(calls) == json.loads(out)["integrator"]["rhs_evals"] > 0
+    assert len(velocity_calls) == json.loads(out)["integrator"]["rhs_evals"] > 0
 
 
 @pytest.mark.parametrize("method", ["dopri5", "rk4"])
@@ -755,6 +753,22 @@ def test_out_writes_through_a_symlink(tmp_path, capsys, exists):
     assert link.is_symlink() and link.readlink() == out_file
     assert json.loads(out_file.read_text())["passed"] is True
     assert sorted(os.listdir(tmp_path)) == ["e.json", "links"]
+
+
+def test_out_through_a_symlink_keeps_the_mode_of_its_target(tmp_path, capsys):
+    # a private report stays private whichever name it is written by
+    private, link = tmp_path / "private.json", tmp_path / "link.json"
+    private.touch(mode=0o600)
+    link.symlink_to("private.json")
+    old = os.umask(0o022)
+    try:
+        for target in (private, link):
+            assert run_cli(capsys, *KDV3_SHORT, "--out", str(target))[0] == 0
+            assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+    assert link.is_symlink()
+    assert json.loads(private.read_text())["passed"] is True
 
 
 def _fail(*args):

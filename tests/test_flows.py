@@ -645,6 +645,19 @@ def _shear4_flow():
     )
 
 
+def test_a_4d_flow_carries_its_image_as_the_map_carries_the_source():
+    # the image moves along x4, the time slot, as the source point does
+    flow = _shear4_flow()
+    src = (1.1, 0.9, 1.2)
+    traj = flows.integrate_flow(
+        flow, flow.map.forward(src + (1.0,)), 1.0, 2.0, t_eval=[1.5, 2.0]
+    )
+    for t, y in zip(traj.times, traj.states):
+        want = flow.map.forward(src + (t,))
+        assert max(abs(a - b) for a, b in zip(y, want)) <= 1e-9, (t, y)
+    assert flow.velocity is not flow.jet_velocity
+
+
 def _shear5_flow():
     """``_shear4`` with x5 + x4 * x1 appended: det J = 1 again."""
     shear4 = _shear4()
@@ -1412,29 +1425,111 @@ def test_a_compiled_step_refuses_a_wrong_count_in_any_form(method, n):
 
 
 @pytest.mark.parametrize("run", CATALOG_FLOWS)
-def test_catalog_integrations_charge_each_stage_the_step_evaluates(monkeypatch, run):
+def test_catalog_integrations_charge_each_stage_the_step_evaluates(velocity_calls, run):
     # dopri5 costs 1 + 6 per attempted step and rk4 4 per step, and a
-    # counter on the module's nambu_rhs sees each evaluation
-    calls = []
-    nambu_rhs = flows.nambu_rhs
-
-    def counted(flow, x):
-        calls.append(x)
-        return nambu_rhs(flow, x)
-
-    monkeypatch.setattr(flows, "nambu_rhs", counted)
+    # counter on the flow's velocity sees each evaluation
     map_id, params, x0, t_range = CATALOG_FLOWS[run]
     report = harness.verify_correspondence(map_id, params, x0=x0, t_range=t_range)
     stats = report.integrator
     assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
-    assert len(calls) == stats["rhs_evals"]
+    assert len(velocity_calls) == stats["rhs_evals"]
     flow = maps.build_flow(map_id, params)
     image = flow.map.forward(harness.source_start(flow, x0, t_range[0]))
-    calls.clear()
+    velocity_calls.clear()
     cfg = IntegratorConfig(method="rk4", step=2e-2)
     traj = flows.integrate_flow(flow, image, *t_range, cfg=cfg)
-    assert traj.stats.rhs_evals == 4 * traj.stats.accepted == len(calls)
+    assert traj.stats.rhs_evals == 4 * traj.stats.accepted == len(velocity_calls)
     assert traj.stats.rejected == 0
+
+
+def _flow_outcome(integrate, flow, *args, **kwargs):
+    """``integrate``'s trajectory of the flow, or the type, message and
+    ``vars`` of what it raises, as text in which repr tells every float's
+    bits apart."""
+    try:
+        return repr(integrate(flow, *args, **kwargs))
+    except Exception as err:  # every error is compared, not handled
+        return repr((type(err), str(err), vars(err)))
+
+
+def _reference_flow(flow, *args, **kwargs):
+    """``tests/reference.py``'s loop over the flow, every evaluation
+    through ``nambu_rhs`` and its check."""
+    return reference.integrate(
+        partial(flows.nambu_rhs, flow), *args, observe=flow.hamiltonian_values, **kwargs
+    )
+
+
+@pytest.mark.parametrize("method", flows._TABLEAUS)
+@pytest.mark.parametrize("run", CATALOG_FLOWS)
+def test_catalog_integrations_are_the_reference_loop_through_nambu_rhs(run, method):
+    # the compiled step calls the flow's velocity with no nambu_rhs between
+    map_id, params, x0, (t0, t1) = CATALOG_FLOWS[run]
+    flow = maps.build_flow(map_id, params)
+    image = flow.map.forward(harness.source_start(flow, x0, t0))
+    cfg = IntegratorConfig(method=method, step=2e-2)
+    for t_eval in (None, harness._sample_times(t0, t1, harness.DEFAULT_SAMPLES)):
+        # forward, then back from where the forward run ends
+        start = image
+        for a, b in ((t0, t1), (t1, t0)):
+            times = None if t_eval is None else sorted(t_eval, reverse=a > b)
+            got = flows.integrate_flow(flow, start, a, b, cfg, times)
+            assert repr(got) == repr(_reference_flow(flow, start, a, b, cfg, times))
+            start = got.final_state
+
+
+def _henon_flow_of(hamiltonian):
+    return flows.flow_system(maps.henon(1.0, 0.0), [hamiltonian])
+
+
+# the velocity of H = 1e308 X is (0, +-1e308) everywhere, so a stage state
+# overflows once h times its weight reaches 2: rk4 steps ``step``, and
+# dopri5 starts at a hundredth of the span; that of H = XY is (X, -Y), so
+# X overflows in a stage after many steps
+HUGE = partial(_henon_flow_of, lambda s: 1e308 * s[0])
+GROWING = partial(_henon_flow_of, lambda s: s[0] * s[1])
+
+# a maker of the flow, x0, t1, the settings, and the number of evaluations made
+# before the stage state is refused, when the test counts them
+NON_FINITE_RUNS = [
+    (HUGE, (0.5, 0.0), 100.0, IntegratorConfig(method="rk4", step=10.0), 1),
+    (HUGE, (0.5, 0.0), 2000.0, IntegratorConfig(), 1),
+    (HUGE, (0.5, 0.0), 700.0, IntegratorConfig(), 2),
+    (GROWING, (1.0, 1.0), 1000.0, IntegratorConfig(method="rk4", step=1.0), None),
+    (GROWING, (1.0, 1.0), 1000.0, IntegratorConfig(rel_tol=1e-3), None),
+]
+
+
+@pytest.mark.parametrize("build, x0, t1, cfg, stage", NON_FINITE_RUNS)
+def test_a_non_finite_stage_state_is_refused_as_nambu_rhs_refuses_it(
+    velocity_calls, build, x0, t1, cfg, stage
+):
+    flow = build()
+    for t_eval in (None, [t1 / 3, t1]):
+        want = _flow_outcome(_reference_flow, flow, x0, 0.0, t1, cfg, t_eval)
+        velocity_calls.clear()
+        assert _flow_outcome(flows.integrate_flow, flow, x0, 0.0, t1, cfg, t_eval) == want
+        assert want.startswith("(<class 'mapflow.errors.NonFiniteStateError'>")
+        assert "non-finite coordinate in state (" in want and ", {})" in want
+        assert stage is None or len(velocity_calls) == stage
+
+
+@pytest.mark.parametrize("t_eval", [None, [1.5, 2.0]])
+@pytest.mark.parametrize("run", ["henon", "kdv3", "qp4"])
+def test_integrate_flow_refuses_a_start_of_the_wrong_length_once(
+    velocity_calls, run, t_eval
+):
+    map_id, params, _, _ = CATALOG_FLOWS[run]
+    flow = maps.build_flow(map_id, params)
+    n = flow.map.dimension
+    for x0 in ((1.1,) * (n - 1), (1.1,) * (n + 1)):
+        with pytest.raises(ValueError) as info:
+            flows.integrate_flow(flow, x0, 1.0, 2.0, t_eval=t_eval)
+        with pytest.raises(ValueError) as want:
+            flows.nambu_rhs(flow, x0)
+        assert (type(info.value), str(info.value)) == (ValueError, str(want.value))
+        assert str(want.value).endswith(f" takes {n} coordinates, got {len(x0)}")
+    assert velocity_calls == []
 
 
 def test_dopri5_costs_one_rhs_plus_six_per_attempt():
@@ -2746,6 +2841,10 @@ def _recorded_as(change):
     return mutate
 
 
+def _check_droppable(form, reads, droppable=False):
+    return form, reads, droppable or form.startswith("if ")
+
+
 def _power_droppable(form, reads, droppable=False):
     return form, reads, droppable or form == "{} ** {}"
 
@@ -2764,6 +2863,12 @@ def _every_traced_velocity_is_the_jet_kernel(monkeypatch):
 def _every_overflow_is_the_jet_kernel(monkeypatch):
     for run in TRACED_FLOWS:
         test_a_traced_velocity_is_the_jet_kernel_where_intermediates_overflow(run)
+
+
+def _every_non_finite_stage_state_is_refused(monkeypatch):
+    test = test_a_non_finite_stage_state_is_refused_as_nambu_rhs_refuses_it
+    for *case, _ in NON_FINITE_RUNS:
+        test([], *case, None)
 
 
 def _kdv3_takes_every_point_as_the_reference(monkeypatch):
@@ -2837,6 +2942,17 @@ MUTANTS = {
     "point-item-class-unchecked": (
         _rewritten(CHECKED, _without(r"x\d+\.__class__ is float and ")),
         _kdv3_takes_every_point_as_the_reference,
+        AssertionError,
+    ),
+    # a check line assigns no name, so only its kind keeps it
+    "droppable-check": (
+        _recorded_as(_check_droppable),
+        _checks_decide_as_the_kernel_at_the_cutoff,
+        AssertionError,
+    ),
+    "stage-state-finiteness-of-the-first-component-only": (
+        _rewritten(STEP, _without(r" and isfinite\(s_\d+\)")),
+        _every_non_finite_stage_state_is_refused,
         AssertionError,
     ),
     "stage-item-class-unchecked": (

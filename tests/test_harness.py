@@ -198,18 +198,10 @@ def test_scan_records_a_division_by_zero_and_continues():
     assert scan.summary["failed"] == 1
 
 
-def test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch):
+def test_verify_refuses_a_pole_on_the_source_path_before_integrating(velocity_calls):
     # the forward guard 1+xy+xy^2z is linear in the time slot z and
     # vanishes between the second and third sample times; integrating into
     # that pole would burn the whole step budget
-    calls = []
-    nambu_rhs = flows.nambu_rhs
-
-    def counted(flow, x):
-        calls.append(x)
-        return nambu_rhs(flow, x)
-
-    monkeypatch.setattr(flows, "nambu_rhs", counted)
     with pytest.raises(SingularPointError) as exc_info:
         harness.verify_correspondence(
             "kdv3", x0=(32.07364999713352, 0.7720383563118013), t_range=(-1.356, -1.242)
@@ -218,12 +210,14 @@ def test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch
     assert err.label == "1+xy+xy^2z"
     times = harness._sample_times(-1.356, -1.242, harness.DEFAULT_SAMPLES)
     assert err.between == (times[1], times[2])
-    assert calls == []
+    assert velocity_calls == []
 
 
-def test_verify_refuses_a_pole_on_the_source_path_when_untraced(monkeypatch):
+def test_verify_refuses_a_pole_on_the_source_path_when_untraced(
+    monkeypatch, velocity_calls
+):
     monkeypatch.setattr(core, "trace", lambda fn, n: None)
-    test_verify_refuses_a_pole_on_the_source_path_before_integrating(monkeypatch)
+    test_verify_refuses_a_pole_on_the_source_path_before_integrating(velocity_calls)
 
 
 def test_scan_grid_axes_end_exactly_on_hi():
@@ -607,17 +601,9 @@ def test_flow_from_source_moves_only_the_time_slot_when_det_j_is_constant():
     assert [p[0] for p in path] == harness._sample_times(1.0, 1.1, 3)
 
 
-def test_flow_from_source_refuses_the_hermite_pole_before_integrating(monkeypatch):
+def test_flow_from_source_refuses_the_hermite_pole_before_integrating(velocity_calls):
     # the chain carries its step's forward guard y, which crosses zero
     # between the tenth and eleventh samples of x = 2 y^2
-    calls = []
-    nambu_rhs = flows.nambu_rhs
-
-    def counted(flow, x):
-        calls.append(x)
-        return nambu_rhs(flow, x)
-
-    monkeypatch.setattr(flows, "nambu_rhs", counted)
     flow = maps.build_flow("hermite", {"m": 2})
     cfg = flows.IntegratorConfig(max_steps=3000)
     with pytest.raises(SingularPointError) as exc_info:
@@ -625,7 +611,7 @@ def test_flow_from_source_refuses_the_hermite_pole_before_integrating(monkeypatc
     err = exc_info.value
     assert err.label == "y"
     assert err.between[0] < 0.0 < err.between[1]
-    assert calls == []
+    assert velocity_calls == []
 
 
 @pytest.mark.parametrize(
@@ -726,7 +712,7 @@ def _one_dimensional(name, forward, inverse, det_j):
 def test_a_one_dimensional_flow_runs_the_level_set_oracle():
     # no Hamiltonians (so no inverse is read): the flow is dX/dt = 1 and the
     # Newton step has no free slot to move, so the level-set oracle takes one
-    # iteration a time; the catalog id only names the report
+    # iteration a time; the catalog id is not read
     cube = _one_dimensional(
         "cube", lambda s: (s[0] ** 3 + s[0],), lambda s: s,
         lambda s: 3 * s[0] ** 2 + 1,
@@ -748,6 +734,26 @@ def test_a_one_dimensional_flow_runs_the_level_set_oracle():
     )
     assert report.passed
     assert report.oracle["method"] == "time-slot"
+
+
+def test_a_report_names_the_map_of_the_flow_it_verifies():
+    # a shear that is in no catalog: its id would be an UnknownMapError, and
+    # a borrowed catalog id and its params are not read
+    a = 0.5
+    shear = core.MapDescriptor(
+        name="shear", dimension=2, params={"a": a},
+        forward_fn=lambda s: (s[0] + a * s[1] * s[1], s[1]),
+        inverse_fn=lambda s: (s[0] - a * s[1] * s[1], s[1]),
+        det_j=lambda s: 1.0,
+    )
+    flow = flows.flow_system(shear, [lambda s: shear.inverse(s)[0]])
+    for map_id, params in (("shear", None), ("henon", {"b": 2.0})):
+        report = harness.verify_correspondence(
+            map_id, params, x0=(0.3,), t_range=(1.0, 2.0), flow=flow
+        )
+        assert (report.map_id, report.params) == ("shear", {"a": 0.5})
+        assert report.passed and report.oracle == {"method": "time-slot"}
+        assert report.to_dict()["map_id"] == "shear"
 
 
 def test_verify_needs_two_samples():
@@ -773,7 +779,7 @@ def test_level_set_with_no_x_dependence_is_a_vanishing_det_j():
     assert exc_info.value.label == "det J"
 
 
-def test_level_set_whose_det_changes_sign_is_refused_before_integrating(monkeypatch):
+def test_level_set_whose_det_changes_sign_is_refused_before_integrating(velocity_calls):
     # H = X (X - Y) = x / y along the two-step chain: dG/dx = 1/y changes
     # sign where y crosses zero, between the tenth and eleventh samples
     good = maps.build_flow("hermite", {"m": 2})
@@ -783,8 +789,6 @@ def test_level_set_whose_det_changes_sign_is_refused_before_integrating(monkeypa
         hamiltonians=(lambda s: s[0] * (s[0] - s[1]),),
         det_j_field=good.det_j_field,
     )
-    calls = []
-    monkeypatch.setattr(flows, "nambu_rhs", lambda flow, x: calls.append(x))
     with pytest.raises(SingularPointError) as exc_info:
         harness.verify_correspondence(
             "hermite", {"m": 2}, x0=(2.0,), t_range=(-1.0, 1.1), flow=flipping
@@ -792,21 +796,13 @@ def test_level_set_whose_det_changes_sign_is_refused_before_integrating(monkeypa
     times = harness._sample_times(-1.0, 1.1, harness.DEFAULT_SAMPLES)
     assert exc_info.value.label == "det J"
     assert exc_info.value.between == (times[9], times[10])
-    assert calls == []
+    assert velocity_calls == []
 
 
-def test_constrained_verify_into_a_pole_ends_before_integrating(monkeypatch):
+def test_constrained_verify_into_a_pole_ends_before_integrating(velocity_calls):
     # y, the time slot of the chain, crosses zero, where the source curve
     # x = c/y^2 + 1/y has a pole; the chain declares no forward guard, and
     # integrating the image flow into the pole used to burn the whole budget
-    calls = []
-    nambu_rhs = flows.nambu_rhs
-
-    def counted(flow, x):
-        calls.append(x)
-        return nambu_rhs(flow, x)
-
-    monkeypatch.setattr(flows, "nambu_rhs", counted)
     x0 = maps.hermite_source_constraint(3, 10.0, -0.5)
     with pytest.raises(MapflowError):
         harness.verify_correspondence(
@@ -816,7 +812,7 @@ def test_constrained_verify_into_a_pole_ends_before_integrating(monkeypatch):
             t_range=(-0.5, 0.55),
             cfg=flows.IntegratorConfig(max_steps=3000),
         )
-    assert calls == []
+    assert velocity_calls == []
 
 
 # ---------------------------------------------------------------------------
